@@ -13,7 +13,6 @@ from .dissim import (
     WindowSpec,
     active_set,
     dissimilarity_matrix,
-    participation,
     sliding_window,
 )
 from .embed import Embedding, MdsConfig, mds_embed, stress, warm_start
@@ -63,7 +62,7 @@ __all__ = [
     "build_voter_matrix", "column_votes", "decode_vote_event",
     "dissimilarity_matrix", "fetch_logs", "flag_dao", "fork_cluster_share",
     "kmeans", "load_fixture", "load_ground_truth", "mds_embed",
-    "normalize_address", "participation", "participation_stats",
+    "normalize_address", "participation_stats",
     "planted_two_bloc_events", "render_chart", "render_mds_scatter",
     "rolling_disagreement", "run_validation", "select_k", "shuffle_votes",
     "silhouette", "sliding_window", "static_disagreement", "stress",

@@ -8,6 +8,9 @@ small-n oracle guarantee hold at default settings. Empty clusters are
 reseeded to the point farthest from its assigned centroid. All randomness
 comes from SplitMix64 streams derived per (seed, restart) and per (seed, k),
 so results are reproducible and independent of evaluation order.
+
+The silhouette sweep in :func:`select_k` shares one point distance matrix
+per proposal across every k; only the partition changes between k.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .embed import pairwise_distances
 from .errors import SingleCluster, TooFewPoints
 from .ingest import Address
 from .rng import SplitMix64, derive_seed
@@ -145,29 +149,31 @@ def kmeans(points: np.ndarray, k: int, seed: int,
     return best.assignments, best.centroids
 
 
-def silhouette(points: np.ndarray,
-               assignments: np.ndarray) -> tuple[np.ndarray, float]:
+def silhouette(points: np.ndarray, assignments: np.ndarray,
+               distances: np.ndarray | None = None) -> tuple[np.ndarray, float]:
     """Per-point silhouette values and their arithmetic mean.
 
-    Conventions: singleton clusters score 0, and so do points where both
-    cohesion and separation are zero (coincident points).
+    ``distances`` is ``pairwise_distances(points)`` when the caller already
+    has it. Conventions: singleton clusters score 0, and so do points where
+    both cohesion and separation are zero (coincident points).
     """
     points = np.asarray(points, dtype=np.float64)
     assignments = np.asarray(assignments)
     labels = np.unique(assignments)
     if len(labels) < 2:
         raise SingleCluster("silhouette needs at least 2 clusters")
-    deltas = points[:, None, :] - points[None, :, :]
-    distances = np.sqrt((deltas ** 2).sum(axis=2))
+    if distances is None:
+        distances = pairwise_distances(points)
+    members = {label: np.flatnonzero(assignments == label) for label in labels}
     scores = np.zeros(len(points))
-    for i in range(len(points)):
-        same = assignments == assignments[i]
-        same_count = int(same.sum())
-        if same_count == 1:
+    for i, own in enumerate(assignments):
+        same = members[own]
+        if len(same) == 1:
             continue
-        a = distances[i, same].sum() / (same_count - 1)
-        b = min(float(distances[i, assignments == other].mean())
-                for other in labels if other != assignments[i])
+        row = distances[i]
+        a = row[same].sum() / (len(same) - 1)
+        b = min(float(row[idx].mean())
+                for label, idx in members.items() if label != own)
         denominator = max(a, b)
         scores[i] = 0.0 if denominator == 0.0 else (b - a) / denominator
     return scores, float(scores.mean())
@@ -197,12 +203,13 @@ def select_k(points: np.ndarray, k_min: int = DEFAULT_K_MIN,
     k_hi = min(k_max, n)
     if k_min > k_hi:
         raise TooFewPoints(f"k_min={k_min} exceeds usable maximum {k_hi}")
+    distances = pairwise_distances(points)
     sweeps: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     scores: dict[int, float] = {}
     for k in range(k_min, k_hi + 1):
         assignments, centroids = kmeans(points, k, derive_seed(seed, "k", k),
                                         restarts, max_iterations)
-        _, mean_score = silhouette(points, assignments)
+        _, mean_score = silhouette(points, assignments, distances)
         sweeps[k] = (assignments, centroids)
         scores[k] = mean_score
     k_star = pick_k(scores)

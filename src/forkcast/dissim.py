@@ -70,16 +70,6 @@ def sliding_window(proposal_ids: Sequence[int], j: int, w: int) -> list[int]:
     return list(proposal_ids[max(0, j - w):j])
 
 
-def participation(matrix: VoterMatrix, address: Address,
-                  window: Sequence[int]) -> float:
-    """Fraction of window proposals where the address holds a valid vote."""
-    if not window:
-        raise ValueError("window must be non-empty")
-    row = matrix.cells[matrix.row_index(address)]
-    cols = [matrix.col_index(pid) for pid in window]
-    return float((row[cols] >= 0).mean())
-
-
 def active_set(matrix: VoterMatrix, j: int, spec: WindowSpec) -> ActiveSet:
     """Active addresses at position j; the first proposal is never analyzable."""
     if not 2 <= j <= matrix.m:
@@ -122,5 +112,5 @@ def to_csv(d: DissimilarityMatrix, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["address", *d.addresses])
-        for i, address in enumerate(d.addresses):
-            writer.writerow([address, *(repr(float(v)) for v in d.cells[i])])
+        for address, row in zip(d.addresses, d.cells):
+            writer.writerow([address, *map(repr, row.tolist())])

@@ -7,8 +7,12 @@ stress is the normalized form
     sqrt( sum_{i<k} (d_ik - |x_i - x_k|)^2 / sum_{i<k} d_ik^2 )
 
 and the stopping rule is relative stress decrease below ``tolerance``.
-Consecutive proposals are chained by warm-starting from the previous
-embedding, which pins down rotation/reflection across frames.
+Each Guttman step computes one distance matrix: the distances that score
+the stress of an iterate are the ones the next step builds its B matrix
+from, and the upper-triangle indices, target dissimilarities and stress
+denominator are computed once per embedding. Consecutive proposals are
+chained by warm-starting from the previous embedding, which pins down
+rotation/reflection across frames.
 """
 
 from __future__ import annotations
@@ -62,28 +66,42 @@ class Embedding:
         object.__setattr__(self, "coords", coords)
 
 
-def _pairwise_distances(coords: np.ndarray) -> np.ndarray:
-    deltas = coords[:, None, :] - coords[None, :, :]
-    return np.sqrt((deltas ** 2).sum(axis=2))
+def pairwise_distances(coords: np.ndarray) -> np.ndarray:
+    """Euclidean distances between the rows of an (n, 2) coordinate array."""
+    x, y = coords[:, 0], coords[:, 1]
+    dx = x[:, None] - x[None, :]
+    dy = y[:, None] - y[None, :]
+    return np.sqrt(dx * dx + dy * dy)
 
 
 def _cells(d: DissimilarityMatrix | np.ndarray) -> np.ndarray:
     return d.cells if isinstance(d, DissimilarityMatrix) else np.asarray(d, dtype=np.float64)
 
 
+def _stress_terms(cells: np.ndarray,
+                  ) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray, float]:
+    """Upper-triangle indices, target dissimilarities and stress denominator."""
+    upper = np.triu_indices(cells.shape[0], k=1)
+    target = cells[upper]
+    denominator = float((target ** 2).sum())
+    if denominator == 0.0:
+        raise AllZeroDissimilarity("all dissimilarities are zero")
+    return upper, target, denominator
+
+
+def _normalized_stress(target: np.ndarray, denominator: float,
+                       fitted: np.ndarray) -> float:
+    return math.sqrt(float(((target - fitted) ** 2).sum()) / denominator)
+
+
 def stress(d: DissimilarityMatrix | np.ndarray, coords: np.ndarray) -> float:
     """Normalized residual stress of coords against the dissimilarities."""
     cells = _cells(d)
     coords = np.asarray(coords, dtype=np.float64)
-    if cells.shape[0] != coords.shape[0]:
-        raise ValueError("dissimilarity and coordinate row counts differ")
-    upper = np.triu_indices(cells.shape[0], k=1)
-    denominator = float((cells[upper] ** 2).sum())
-    if denominator == 0.0:
-        raise AllZeroDissimilarity("all dissimilarities are zero")
-    distances = _pairwise_distances(coords)
-    numerator = float(((cells[upper] - distances[upper]) ** 2).sum())
-    return math.sqrt(numerator / denominator)
+    if coords.shape != (cells.shape[0], 2):
+        raise ValueError(f"coords shape {coords.shape} != ({cells.shape[0]}, 2)")
+    upper, target, denominator = _stress_terms(cells)
+    return _normalized_stress(target, denominator, pairwise_distances(coords)[upper])
 
 
 def random_init(n: int, seed: int) -> np.ndarray:
@@ -114,18 +132,20 @@ def mds_embed(d: DissimilarityMatrix, init: np.ndarray | None = None,
             raise ValueError(f"init shape {coords.shape} != ({n}, 2)")
         if not np.all(np.isfinite(coords)):
             raise NonFiniteInput("init coordinates contain non-finite values")
-    current = stress(cells, coords)
+    upper, target, denominator = _stress_terms(cells)
+    distances = pairwise_distances(coords)
+    current = _normalized_stress(target, denominator, distances[upper])
     path = [current]
     iterations = 0
     for iteration in range(1, config.max_iterations + 1):
-        distances = _pairwise_distances(coords)
         positive = distances > 0
         ratio = np.where(positive, cells / np.where(positive, distances, 1.0), 0.0)
         b = -ratio
         np.fill_diagonal(b, 0.0)
         np.fill_diagonal(b, -b.sum(axis=1))
         coords = (b @ coords) / n
-        new = stress(cells, coords)
+        distances = pairwise_distances(coords)
+        new = _normalized_stress(target, denominator, distances[upper])
         path.append(new)
         iterations = iteration
         if current - new <= config.tolerance * current:

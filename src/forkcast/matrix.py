@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -107,10 +107,3 @@ def to_csv(matrix: VoterMatrix, path: str | Path) -> None:
         writer.writerow(["address", *matrix.proposal_ids])
         for i, address in enumerate(matrix.addresses):
             writer.writerow([address, *(int(v) for v in matrix.cells[i])])
-
-
-def from_rows(addresses: Sequence[Address], proposal_ids: Sequence[int],
-              rows: Sequence[Sequence[int]]) -> VoterMatrix:
-    """Assemble a matrix from explicit rows (test and tooling helper)."""
-    return VoterMatrix(tuple(addresses), tuple(proposal_ids),
-                       np.asarray(rows, dtype=np.int8))

@@ -17,7 +17,7 @@ import numpy as np
 from .cluster import ClusteringResult
 from .dissim import WindowSpec
 from .embed import MdsConfig
-from .errors import EmptyRange, UnknownProposal
+from .errors import EmptyRange, ForkcastError, UnknownProposal
 from .ingest import ForkGroundTruth, VoteEvent
 from .matrix import VoterMatrix, build_voter_matrix
 from .pipeline import PipelineResult, analyze_matrix
@@ -151,8 +151,9 @@ def run_validation(
 ) -> ValidationReport:
     """Genuine run plus ``iterations`` shuffled reruns, aggregated per range.
 
-    Iterations that fail (for example every proposal unanalyzable) are
-    recorded with their seed and excluded from aggregates.
+    Iterations that fail with a package error (for example every proposal
+    unanalyzable) are recorded with their seed and excluded from aggregates.
+    Any other exception, such as a broken shuffle invariant, propagates.
     """
     window = window or WindowSpec()
     mds = mds or MdsConfig()
@@ -176,22 +177,25 @@ def run_validation(
                 for id_range in ranges]
 
     seeds = tuple(range(iterations))
-    outcomes: list[list[RangeSummary] | Exception] = []
+    outcomes: list[list[RangeSummary] | ForkcastError] = []
     if workers > 1 and iterations > 0:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(iterate, seed) for seed in seeds]
             for future in futures:
-                outcomes.append(future.exception() or future.result())
+                try:
+                    outcomes.append(future.result())
+                except ForkcastError as exc:
+                    outcomes.append(exc)
     else:
         for seed in seeds:
             try:
                 outcomes.append(iterate(seed))
-            except Exception as exc:  # noqa: BLE001 - recorded, not fatal
+            except ForkcastError as exc:
                 outcomes.append(exc)
     failed: list[tuple[int, str]] = []
     per_range: dict[tuple[int, int], list[RangeSummary]] = {r: [] for r in ranges}
     for seed, outcome in zip(seeds, outcomes):
-        if isinstance(outcome, Exception):
+        if isinstance(outcome, ForkcastError):
             failed.append((seed, str(outcome)))
             continue
         for summary in outcome:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from forkcast import kmeans, select_k, silhouette
 from forkcast.cluster import lloyd, pick_k
+from forkcast.embed import pairwise_distances
 from forkcast.errors import SingleCluster, TooFewPoints
 from forkcast.rng import SplitMix64, derive_seed
 
@@ -209,3 +210,43 @@ def test_oracle_equivalence_small_instances():
             assignments, centroids = kmeans(points, k, seed=trial)
             wcss = float(((points - centroids[assignments]) ** 2).sum())
             assert wcss == pytest.approx(min_wcss_exhaustive(points, k), rel=1e-9)
+
+
+def _reference_silhouette(points: np.ndarray,
+                          assignments: np.ndarray) -> tuple[np.ndarray, float]:
+    """Boolean-mask silhouette over a freshly built distance matrix; the
+    bit-for-bit reference for :func:`silhouette`."""
+    labels = np.unique(assignments)
+    deltas = points[:, None, :] - points[None, :, :]
+    distances = np.sqrt((deltas ** 2).sum(axis=2))
+    scores = np.zeros(len(points))
+    for i in range(len(points)):
+        same = assignments == assignments[i]
+        same_count = int(same.sum())
+        if same_count == 1:
+            continue
+        a = distances[i, same].sum() / (same_count - 1)
+        b = min(float(distances[i, assignments == other].mean())
+                for other in labels if other != assignments[i])
+        denominator = max(a, b)
+        scores[i] = 0.0 if denominator == 0.0 else (b - a) / denominator
+    return scores, float(scores.mean())
+
+
+@pytest.mark.parametrize("case", ["random", "singletons", "coincident"])
+def test_silhouette_shared_distances_bitwise(case):
+    rng = np.random.default_rng(17)
+    points = rng.uniform(0, 1, (60, 2))
+    labels = rng.integers(0, 4, 60)
+    if case == "singletons":
+        labels[:2] = (5, 6)
+    elif case == "coincident":
+        points[10:20] = points[10]
+        points[40:45] = points[10]
+    distances = pairwise_distances(points)
+    fresh = silhouette(points, labels)
+    shared = silhouette(points, labels, distances)
+    reference = _reference_silhouette(points, labels)
+    for scores, mean in (fresh, shared):
+        assert np.array_equal(scores, reference[0])
+        assert mean == reference[1]

@@ -12,10 +12,9 @@ from forkcast import (
     WindowSpec,
     active_set,
     dissimilarity_matrix,
-    participation,
     sliding_window,
 )
-from forkcast.errors import EmptyActiveSet, IndexOutOfRange, UnknownAddress
+from forkcast.errors import EmptyActiveSet, IndexOutOfRange
 
 from conftest import addr, make_matrix
 
@@ -58,16 +57,6 @@ def test_sliding_window_out_of_range():
         sliding_window([1, 2], j=3, w=2)
     with pytest.raises(IndexOutOfRange):
         sliding_window([1, 2], j=0, w=2)
-
-
-def test_participation_fractions():
-    matrix = make_matrix([[1, -1, 0, -1]])
-    assert participation(matrix, addr(1), [1, 2, 3, 4]) == 0.5
-    assert participation(matrix, addr(1), [1, 3]) == 1.0
-    with pytest.raises(UnknownAddress):
-        participation(matrix, addr(9), [1])
-    with pytest.raises(ValueError):
-        participation(matrix, addr(1), [])
 
 
 def test_active_set_threshold_inclusive():

@@ -172,3 +172,64 @@ def test_random_init_deterministic_and_bounded(seed):
     a, b = random_init(5, seed), random_init(5, seed)
     assert np.array_equal(a, b)
     assert np.all((a >= 0.0) & (a < 1.0))
+
+
+def _reference_distances(coords: np.ndarray) -> np.ndarray:
+    deltas = coords[:, None, :] - coords[None, :, :]
+    return np.sqrt((deltas ** 2).sum(axis=2))
+
+
+def _reference_stress(cells: np.ndarray, coords: np.ndarray) -> float:
+    upper = np.triu_indices(cells.shape[0], k=1)
+    denominator = float((cells[upper] ** 2).sum())
+    distances = _reference_distances(coords)
+    numerator = float(((cells[upper] - distances[upper]) ** 2).sum())
+    return math.sqrt(numerator / denominator)
+
+
+def _reference_guttman(cells: np.ndarray, coords: np.ndarray,
+                       config: MdsConfig) -> tuple[np.ndarray, list[float], int]:
+    """The majorization loop that recomputes every distance in every step;
+    the bit-for-bit reference for :func:`mds_embed`."""
+    n = cells.shape[0]
+    current = _reference_stress(cells, coords)
+    path = [current]
+    iterations = 0
+    for iteration in range(1, config.max_iterations + 1):
+        distances = _reference_distances(coords)
+        positive = distances > 0
+        ratio = np.where(positive, cells / np.where(positive, distances, 1.0), 0.0)
+        b = -ratio
+        np.fill_diagonal(b, 0.0)
+        np.fill_diagonal(b, -b.sum(axis=1))
+        coords = (b @ coords) / n
+        new = _reference_stress(cells, coords)
+        path.append(new)
+        iterations = iteration
+        if current - new <= config.tolerance * current:
+            break
+        current = new
+    return coords, path, iterations
+
+
+@pytest.mark.parametrize("config", [MdsConfig(seed=4),
+                                    MdsConfig(max_iterations=40, tolerance=1e-15, seed=9)])
+def test_mds_embed_matches_reference_loop_bitwise(config):
+    rng = np.random.default_rng(40)
+    n = 40
+    cells = rng.uniform(0.0, 1.0, (n, n))
+    cells = (cells + cells.T) / 2
+    np.fill_diagonal(cells, 0.0)
+    embedding = mds_embed(dmatrix(cells), config=config)
+    coords, path, iterations = _reference_guttman(cells, random_init(n, config.seed), config)
+    assert np.array_equal(embedding.coords, coords)
+    assert embedding.stress_path == tuple(path)
+    assert embedding.iterations_used == iterations
+    assert embedding.stress == stress(dmatrix(cells), embedding.coords)
+
+
+def test_stress_rejects_coords_that_are_not_planar():
+    with pytest.raises(ValueError):
+        stress(pair_matrix(1.0), np.zeros((2, 3)))
+    with pytest.raises(ValueError):
+        stress(pair_matrix(1.0), np.zeros((3, 2)))

@@ -202,3 +202,43 @@ def test_participation_stats_split_out_of_range():
     fork = ForkGroundTruth("f", frozenset({addr(1)}))
     with pytest.raises(UnknownProposal):
         participation_stats(matrix, fork, split_at=99)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_validation_propagates_non_package_errors(planted, monkeypatch, workers):
+    """A broken invariant in a shuffled pass crashes the run instead of
+    being recorded as a failed seed."""
+    import forkcast.validate as validate_mod
+
+    genuine = validate_mod.analyze_matrix
+
+    def broken(matrix, *args, namespace=(), **kwargs):
+        if namespace:
+            raise AssertionError("injected invariant break")
+        return genuine(matrix, *args, namespace=namespace, **kwargs)
+
+    monkeypatch.setattr(validate_mod, "analyze_matrix", broken)
+    events, truth = planted
+    with pytest.raises(AssertionError, match="injected invariant break"):
+        run_validation(events, truth, ranges=[(41, 60)], iterations=2,
+                       root_seed=0, workers=workers)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_validation_records_package_errors_as_failed_seeds(planted, monkeypatch,
+                                                               workers):
+    import forkcast.validate as validate_mod
+
+    genuine = validate_mod.analyze_matrix
+
+    def unanalyzable(matrix, *args, namespace=(), **kwargs):
+        if namespace == ("shuffle", 1):
+            raise EmptyRange("injected empty range")
+        return genuine(matrix, *args, namespace=namespace, **kwargs)
+
+    monkeypatch.setattr(validate_mod, "analyze_matrix", unanalyzable)
+    events, truth = planted
+    report = run_validation(events, truth, ranges=[(41, 60)], iterations=2,
+                            root_seed=0, workers=workers)
+    assert report.failed_seeds == ((1, "injected empty range"),)
+    assert report.randomized[0].iterations_counted == 1
