@@ -204,20 +204,25 @@ def test_participation_stats_split_out_of_range():
         participation_stats(matrix, fork, split_at=99)
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_run_validation_propagates_non_package_errors(planted, monkeypatch, workers):
-    """A broken invariant in a shuffled pass crashes the run instead of
-    being recorded as a failed seed."""
+def _raise_in_shuffle(monkeypatch, error: Exception) -> None:
+    """Make the analysis of the shuffled matrix with seed 1 raise ``error``."""
     import forkcast.validate as validate_mod
 
     genuine = validate_mod.analyze_matrix
 
-    def broken(matrix, *args, namespace=(), **kwargs):
-        if namespace:
-            raise AssertionError("injected invariant break")
+    def patched(matrix, *args, namespace=(), **kwargs):
+        if namespace == ("shuffle", 1):
+            raise error
         return genuine(matrix, *args, namespace=namespace, **kwargs)
 
-    monkeypatch.setattr(validate_mod, "analyze_matrix", broken)
+    monkeypatch.setattr(validate_mod, "analyze_matrix", patched)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_validation_propagates_non_package_errors(planted, monkeypatch, workers):
+    """A broken invariant in a shuffled pass crashes the run instead of
+    being recorded as a failed seed."""
+    _raise_in_shuffle(monkeypatch, AssertionError("injected invariant break"))
     events, truth = planted
     with pytest.raises(AssertionError, match="injected invariant break"):
         run_validation(events, truth, ranges=[(41, 60)], iterations=2,
@@ -227,16 +232,7 @@ def test_run_validation_propagates_non_package_errors(planted, monkeypatch, work
 @pytest.mark.parametrize("workers", [1, 2])
 def test_run_validation_records_package_errors_as_failed_seeds(planted, monkeypatch,
                                                                workers):
-    import forkcast.validate as validate_mod
-
-    genuine = validate_mod.analyze_matrix
-
-    def unanalyzable(matrix, *args, namespace=(), **kwargs):
-        if namespace == ("shuffle", 1):
-            raise EmptyRange("injected empty range")
-        return genuine(matrix, *args, namespace=namespace, **kwargs)
-
-    monkeypatch.setattr(validate_mod, "analyze_matrix", unanalyzable)
+    _raise_in_shuffle(monkeypatch, EmptyRange("injected empty range"))
     events, truth = planted
     report = run_validation(events, truth, ranges=[(41, 60)], iterations=2,
                             root_seed=0, workers=workers)
