@@ -26,6 +26,7 @@ from .errors import ConfigError, ForkcastError, MissingArtifact
 from .ingest import (
     ForkGroundTruth,
     VoteEvent,
+    collapse_duplicates,
     fetch_logs,
     load_fixture_with_report,
     load_ground_truth,
@@ -43,7 +44,7 @@ _CONFIG_FIELDS = {
     "dao", "fixture", "rpc_url", "registry_path", "ground_truth",
     "window_size", "participation_threshold", "k_min", "k_max",
     "max_iterations", "tolerance", "iterations", "root_seed", "ranges",
-    "output_dir", "workers", "min_fork_present", "rolling_stat",
+    "output_dir", "min_fork_present", "rolling_stat",
     "export_dissim", "from_block", "to_block", "chunk_size",
 }
 
@@ -65,7 +66,6 @@ class RunConfig:
     root_seed: int = 0
     ranges: tuple[tuple[int, int], ...] | None = None
     output_dir: str = "out"
-    workers: int = 1
     min_fork_present: int = 1
     rolling_stat: str = "max"
     export_dissim: bool = False
@@ -159,10 +159,29 @@ def _fixture_path(config: RunConfig) -> Path:
         f"no fixture: pass --fixture or run `forkcast ingest` (looked at {fallback})")
 
 
-def _load_events(config: RunConfig) -> list[VoteEvent]:
-    events, report = load_fixture_with_report(_fixture_path(config))
-    if report.duplicates:
-        print(f"note: collapsed {len(report.duplicates)} duplicate votes")
+def _load_events(config: RunConfig, fetch: bool = False) -> list[VoteEvent]:
+    """Vote events, one per (voter, proposal), from --fixture, else (with
+    ``fetch``) from the RPC endpoint, else from out/<dao>/votes.jsonl."""
+    if config.fixture or not (fetch and config.rpc_url):
+        events, report = load_fixture_with_report(_fixture_path(config))
+        duplicates = report.duplicates
+    else:
+        registry = _registry(dataclasses.asdict(config))
+        if config.dao not in registry:
+            raise ConfigError(f"dao {config.dao!r} not in registry")
+        entry = registry[config.dao]
+        block_range = (config.from_block if config.from_block is not None
+                       else entry.deploy_block,
+                       config.to_block if config.to_block is not None
+                       else entry.end_block)
+        try:
+            fetched = fetch_logs(config.rpc_url, entry, block_range,
+                                 chunk_size=config.chunk_size)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        events, duplicates = collapse_duplicates(fetched)
+    if duplicates:
+        print(f"note: collapsed {len(duplicates)} duplicate votes")
     return events
 
 
@@ -177,38 +196,22 @@ def _write_json(payload: object, path: Path) -> None:
     path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
-def cmd_ingest(config: RunConfig) -> int:
-    """Produce the canonical fixture at out/<dao>/votes.jsonl."""
+def _write_ingested(config: RunConfig, events: list[VoteEvent]) -> None:
     out = config.out
     out.mkdir(parents=True, exist_ok=True)
-    if config.fixture:
-        events, report = load_fixture_with_report(config.fixture)
-        if report.duplicates:
-            print(f"note: collapsed {len(report.duplicates)} duplicate votes")
-    elif config.rpc_url:
-        registry = _registry(dataclasses.asdict(config))
-        if config.dao not in registry:
-            raise ConfigError(f"dao {config.dao!r} not in registry")
-        entry = registry[config.dao]
-        block_range = (config.from_block if config.from_block is not None
-                       else entry.deploy_block,
-                       config.to_block if config.to_block is not None
-                       else entry.end_block)
-        try:
-            events = fetch_logs(config.rpc_url, entry, block_range,
-                                chunk_size=config.chunk_size)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-    else:
-        raise ConfigError(f"need --fixture or --rpc-url (or ${RPC_URL_ENV})")
     write_fixture(events, out / "votes.jsonl")
     print(f"ingest: {len(events)} events -> {out / 'votes.jsonl'}")
+
+
+def cmd_ingest(config: RunConfig) -> int:
+    """Produce the canonical fixture at out/<dao>/votes.jsonl."""
+    if not (config.fixture or config.rpc_url):
+        raise ConfigError(f"need --fixture or --rpc-url (or ${RPC_URL_ENV})")
+    _write_ingested(config, _load_events(config, fetch=True))
     return 0
 
 
-def cmd_friction(config: RunConfig) -> int:
-    """Disagreement records, rolling series, flagging, and summary charts."""
-    matrix = build_voter_matrix(_load_events(config))
+def _friction(config: RunConfig, matrix: VoterMatrix) -> None:
     report = friction_mod.build_friction_report(
         matrix, config.dao, window=config.window_size,
         rolling_stat=config.rolling_stat)
@@ -240,6 +243,11 @@ def cmd_friction(config: RunConfig) -> int:
     ), out / "charts" / "rolling_disagreement.svg")
     print(f"friction: {len(report.records)} proposals, "
           f"flagged={str(report.flagged).lower()}")
+
+
+def cmd_friction(config: RunConfig) -> int:
+    """Disagreement records, rolling series, flagging, and summary charts."""
+    _friction(config, build_voter_matrix(_load_events(config)))
     return 0
 
 
@@ -301,16 +309,20 @@ def _write_analysis_outputs(config: RunConfig, matrix: VoterMatrix,
         x=[float(a.proposal_id) for a in result.analyses],
         x_label="proposal id", y_label="clusters",
     ), out / "charts" / "cluster_counts.svg")
+    print(f"analyze: {len(result.analyses)} proposals embedded, "
+          f"{len(result.skipped)} skipped -> {config.out}")
+
+
+def _analyze(config: RunConfig, matrix: VoterMatrix) -> PipelineResult:
+    return analyze_matrix(matrix, config.window_spec(), config.mds_config(),
+                          config.k_min, config.k_max, config.root_seed)
 
 
 def cmd_analyze(config: RunConfig) -> int:
     """Matrices, embeddings, clusterings, and per-proposal scatter maps."""
+    ground_truth = _load_ground_truth(config)
     matrix = build_voter_matrix(_load_events(config))
-    result = analyze_matrix(matrix, config.window_spec(), config.mds_config(),
-                            config.k_min, config.k_max, config.root_seed)
-    _write_analysis_outputs(config, matrix, result, _load_ground_truth(config))
-    print(f"analyze: {len(result.analyses)} proposals embedded, "
-          f"{len(result.skipped)} skipped -> {config.out}")
+    _write_analysis_outputs(config, matrix, _analyze(config, matrix), ground_truth)
     return 0
 
 
@@ -343,24 +355,20 @@ def _validation_payload(report: ValidationReport) -> dict:
     }
 
 
-def cmd_validate(config: RunConfig) -> int:
-    """Genuine vs shuffled-baseline comparison over proposal ranges."""
-    ground_truth = _load_ground_truth(config)
-    if ground_truth is None:
-        raise ConfigError("validate needs --ground-truth")
-    events = _load_events(config)
+def _validate(config: RunConfig, matrix: VoterMatrix, result: PipelineResult,
+              ground_truth: ForkGroundTruth) -> None:
     report = run_validation(
-        events, ground_truth,
+        matrix, result, ground_truth,
         window=config.window_spec(), mds=config.mds_config(),
         ranges=list(config.ranges) if config.ranges else None,
         iterations=config.iterations, root_seed=config.root_seed,
         k_min=config.k_min, k_max=config.k_max,
-        min_fork_present=config.min_fork_present, workers=config.workers,
+        min_fork_present=config.min_fork_present,
     )
     out = config.out
     out.mkdir(parents=True, exist_ok=True)
     _write_json(_validation_payload(report), out / "validation.json")
-    analyses = report.genuine_analyses.analyses
+    analyses = result.analyses
     with open(out / "fork_share.csv", "w", encoding="utf-8", newline="\n") as handle:
         handle.write("proposal_id,fork_share,k_star\n")
         for analysis in analyses:
@@ -396,20 +404,32 @@ def cmd_validate(config: RunConfig) -> int:
         share = "n/a" if summary.fork_share is None else f"{summary.fork_share:.4f}"
         print(f"validate {summary.range[0]}-{summary.range[1]}: "
               f"{summary.avg_clusters:.2f} clusters / {share} share | {rand}")
+
+
+def cmd_validate(config: RunConfig) -> int:
+    """Genuine vs shuffled-baseline comparison over proposal ranges."""
+    ground_truth = _load_ground_truth(config)
+    if ground_truth is None:
+        raise ConfigError("validate needs --ground-truth")
+    matrix = build_voter_matrix(_load_events(config))
+    _validate(config, matrix, _analyze(config, matrix), ground_truth)
     return 0
 
 
 def cmd_all(config: RunConfig) -> int:
     """Full pipeline; validation runs when ground truth is supplied."""
+    ground_truth = _load_ground_truth(config)
+    events = _load_events(config, fetch=True)
     if config.fixture or config.rpc_url:
-        cmd_ingest(config)
-    config = dataclasses.replace(config, fixture=None)  # use the ingested copy
-    cmd_friction(config)
-    cmd_analyze(config)
-    if config.ground_truth:
-        cmd_validate(config)
-    else:
+        _write_ingested(config, events)
+    matrix = build_voter_matrix(events)
+    _friction(config, matrix)
+    result = _analyze(config, matrix)
+    _write_analysis_outputs(config, matrix, result, ground_truth)
+    if ground_truth is None:
         print("all: no --ground-truth, skipping validation")
+    else:
+        _validate(config, matrix, result, ground_truth)
     return 0
 
 
@@ -448,7 +468,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", dest="root_seed", type=int)
         p.add_argument("--ranges", help="e.g. 319-362,349-362")
         p.add_argument("--out", dest="output_dir")
-        p.add_argument("--workers", type=int)
         p.add_argument("--min-fork-present", dest="min_fork_present", type=int)
         p.add_argument("--rolling-stat", dest="rolling_stat",
                        choices=("max", "mean"))

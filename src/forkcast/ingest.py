@@ -12,7 +12,7 @@ import time
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Protocol, Sequence
+from typing import Iterable, Protocol, Sequence
 
 from . import abi
 from .errors import (
@@ -172,9 +172,26 @@ class LoadReport:
     duplicates: tuple[tuple[Address, int], ...]
 
 
+def collapse_duplicates(events: Iterable[VoteEvent],
+                        ) -> tuple[list[VoteEvent], tuple[tuple[Address, int], ...]]:
+    """Sort events into chain order and keep the last of each (voter, proposal)
+    pair; return the kept events, in chain order, and each dropped one's key."""
+    ordered = sorted(events, key=lambda e: e.order_key)
+    last: dict[tuple[Address, int], VoteEvent] = {}
+    duplicates: list[tuple[Address, int]] = []
+    for event in ordered:
+        key = (event.voter, event.proposal_id)
+        if key in last:
+            duplicates.append(key)
+        last[key] = event
+    if not duplicates:
+        return ordered, ()
+    kept = [event for event in ordered if last[(event.voter, event.proposal_id)] is event]
+    return kept, tuple(duplicates)
+
+
 def load_fixture_with_report(path: str | Path) -> tuple[list[VoteEvent], LoadReport]:
-    """Parse a JSONL fixture; sort by chain order; collapse duplicate
-    (voter, proposal) pairs keeping the last occurrence in sort order."""
+    """Parse a JSONL fixture and collapse it with ``collapse_duplicates``."""
     events: list[VoteEvent] = []
     lines = 0
     with open(path, encoding="utf-8") as handle:
@@ -187,17 +204,8 @@ def load_fixture_with_report(path: str | Path) -> tuple[list[VoteEvent], LoadRep
                 events.append(VoteEvent(**{k: record[k] for k in _FIXTURE_KEYS}))
             except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
                 raise ParseError(str(exc), line=lineno) from exc
-    events.sort(key=lambda e: e.order_key)
-    deduped: dict[tuple[Address, int], VoteEvent] = {}
-    duplicates: list[tuple[Address, int]] = []
-    for event in events:
-        key = (event.voter, event.proposal_id)
-        if key in deduped:
-            duplicates.append(key)
-        deduped[key] = event
-    result = sorted(deduped.values(), key=lambda e: e.order_key)
-    report = LoadReport(str(path), lines, len(result), tuple(duplicates))
-    return result, report
+    kept, duplicates = collapse_duplicates(events)
+    return kept, LoadReport(str(path), lines, len(kept), duplicates)
 
 
 def load_fixture(path: str | Path) -> list[VoteEvent]:

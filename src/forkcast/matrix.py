@@ -54,28 +54,19 @@ class VoterMatrix:
             raise UnknownProposal(str(proposal_id)) from None
 
 
-def collapse_support(support: int, keep_abstain: bool = False) -> int:
+def collapse_support(support: int) -> int:
     """Map a raw support value onto the matrix alphabet."""
-    if support in (0, 1):
-        return support
-    if keep_abstain and support == 2:
-        return 2
-    return -1
+    return support if support in (0, 1) else -1
 
 
-def build_voter_matrix(events: Iterable[VoteEvent], *,
-                       keep_abstain: bool = False) -> VoterMatrix:
-    """Build the matrix from deduplicated events.
-
-    ``keep_abstain`` retains raw 2 cells for exploratory use; everything
-    downstream assumes the default {1, 0, -1} alphabet.
-    """
+def build_voter_matrix(events: Iterable[VoteEvent]) -> VoterMatrix:
+    """Build the matrix from deduplicated events."""
     votes: dict[tuple[Address, int], int] = {}
     for event in events:
         key = (event.voter, event.proposal_id)
         if key in votes:
             raise ValueError(f"duplicate event for {key}; deduplicate first")
-        votes[key] = collapse_support(event.support, keep_abstain)
+        votes[key] = collapse_support(event.support)
     live_pairs = [(a, p) for (a, p), v in votes.items() if v in (0, 1)]
     addresses = tuple(sorted({a for a, _ in live_pairs}))
     proposal_ids = tuple(sorted({p for _, p in live_pairs}))

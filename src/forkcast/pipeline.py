@@ -11,7 +11,6 @@ from dataclasses import dataclass, replace
 
 from .cluster import ClusteringResult, select_k
 from .dissim import (
-    ActiveSet,
     DissimilarityMatrix,
     WindowSpec,
     active_set,
@@ -26,7 +25,6 @@ from .rng import derive_seed
 @dataclass(frozen=True)
 class ProposalAnalysis:
     proposal_id: int
-    active: ActiveSet
     dissim: DissimilarityMatrix
     embedding: Embedding
     clustering: ClusteringResult
@@ -68,6 +66,6 @@ def analyze_matrix(matrix: VoterMatrix, window: WindowSpec | None = None,
         except (EmptyActiveSet, AllZeroDissimilarity) as exc:
             skipped.append((proposal_id, str(exc)))
             continue
-        analyses.append(ProposalAnalysis(proposal_id, active, d, embedding, clustering))
+        analyses.append(ProposalAnalysis(proposal_id, d, embedding, clustering))
         previous = embedding
     return PipelineResult(tuple(analyses), tuple(skipped))

@@ -9,7 +9,6 @@ literal integers 0..iterations-1.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,8 +17,9 @@ from .cluster import ClusteringResult
 from .dissim import WindowSpec
 from .embed import MdsConfig
 from .errors import EmptyRange, ForkcastError, UnknownProposal
-from .ingest import ForkGroundTruth, VoteEvent
-from .matrix import VoterMatrix, build_voter_matrix
+from .ingest import ForkGroundTruth
+# bench/spans.py wraps validate.build_voter_matrix by name; keep it importable
+from .matrix import VoterMatrix, build_voter_matrix  # noqa: F401
 from .pipeline import PipelineResult, analyze_matrix
 from .rng import SplitMix64, derive_seed
 
@@ -59,7 +59,6 @@ class ValidationReport:
     iterations: int
     seeds: tuple[int, ...]
     failed_seeds: tuple[tuple[int, str], ...]
-    genuine_analyses: PipelineResult
 
 
 @dataclass(frozen=True)
@@ -137,7 +136,8 @@ def _aggregate(id_range: tuple[int, int],
 
 
 def run_validation(
-    events: list[VoteEvent],
+    matrix: VoterMatrix,
+    genuine_run: PipelineResult,
     ground_truth: ForkGroundTruth,
     window: WindowSpec | None = None,
     mds: MdsConfig | None = None,
@@ -147,63 +147,44 @@ def run_validation(
     k_min: int = 2,
     k_max: int = 5,
     min_fork_present: int = DEFAULT_MIN_FORK_PRESENT,
-    workers: int = 1,
 ) -> ValidationReport:
-    """Genuine run plus ``iterations`` shuffled reruns, aggregated per range.
+    """Summarize the genuine run and ``iterations`` shuffled reruns per range.
 
+    ``genuine_run`` is ``analyze_matrix`` of ``matrix`` with the same window,
+    MDS config, k range and root seed; the shuffled reruns use those too.
     Iterations that fail with a package error (for example every proposal
     unanalyzable) are recorded with their seed and excluded from aggregates.
     Any other exception, such as a broken shuffle invariant, propagates.
     """
     window = window or WindowSpec()
     mds = mds or MdsConfig()
-    matrix = build_voter_matrix(events)
     if ranges is None:
         ranges = [(matrix.proposal_ids[0], matrix.proposal_ids[-1])]
-    genuine_run = analyze_matrix(matrix, window, mds, k_min, k_max, root_seed)
     genuine = tuple(summarize_range(genuine_run.clusterings, ground_truth,
                                     id_range, min_fork_present)
                     for id_range in ranges)
     valid_mask = matrix.cells >= 0
-
-    def iterate(seed: int) -> list[RangeSummary]:
-        shuffled = shuffle_votes(matrix, seed)
-        assert np.array_equal(shuffled.cells >= 0, valid_mask), \
-            "shuffle must preserve participation"
-        run = analyze_matrix(shuffled, window, mds, k_min, k_max,
-                             root_seed, namespace=("shuffle", seed))
-        return [summarize_range(run.clusterings, ground_truth,
-                                id_range, min_fork_present)
-                for id_range in ranges]
-
     seeds = tuple(range(iterations))
-    outcomes: list[list[RangeSummary] | ForkcastError] = []
-    if workers > 1 and iterations > 0:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(iterate, seed) for seed in seeds]
-            for future in futures:
-                try:
-                    outcomes.append(future.result())
-                except ForkcastError as exc:
-                    outcomes.append(exc)
-    else:
-        for seed in seeds:
-            try:
-                outcomes.append(iterate(seed))
-            except ForkcastError as exc:
-                outcomes.append(exc)
     failed: list[tuple[int, str]] = []
     per_range: dict[tuple[int, int], list[RangeSummary]] = {r: [] for r in ranges}
-    for seed, outcome in zip(seeds, outcomes):
-        if isinstance(outcome, ForkcastError):
-            failed.append((seed, str(outcome)))
+    for seed in seeds:
+        try:
+            shuffled = shuffle_votes(matrix, seed)
+            assert np.array_equal(shuffled.cells >= 0, valid_mask), \
+                "shuffle must preserve participation"
+            run = analyze_matrix(shuffled, window, mds, k_min, k_max,
+                                 root_seed, namespace=("shuffle", seed))
+            outcome = [summarize_range(run.clusterings, ground_truth,
+                                       id_range, min_fork_present)
+                       for id_range in ranges]
+        except ForkcastError as exc:
+            failed.append((seed, str(exc)))
             continue
         for summary in outcome:
             per_range[summary.range].append(summary)
     randomized = tuple(_aggregate(id_range, summaries)
                        for id_range, summaries in per_range.items() if summaries)
-    return ValidationReport(genuine, randomized, iterations, seeds,
-                            tuple(failed), genuine_run)
+    return ValidationReport(genuine, randomized, iterations, seeds, tuple(failed))
 
 
 def participation_stats(matrix: VoterMatrix, fork: ForkGroundTruth,

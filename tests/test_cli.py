@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import collections
 import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
+import forkcast.cli as cli_module
+import forkcast.validate as validate_module
+from forkcast import VoteEvent, load_fixture
 from forkcast.cli import build_parser, main, parse_ranges, resolve_config
 from forkcast.errors import ConfigError
 
@@ -87,8 +91,6 @@ def test_ingest_without_inputs_fails(tmp_path):
 
 def test_ingest_rpc_path_wiring(tmp_path, monkeypatch):
     """RPC ingest resolves the registry entry and default block range."""
-    import forkcast.cli as cli_module
-
     captured = {}
 
     def fake_fetch(url, entry, block_range, *, chunk_size):
@@ -206,6 +208,56 @@ def test_all_is_deterministic(tmp_path):
         trees.append(tree_digest(out))
     assert trees[0] == trees[1]
     assert any(path.endswith("validation.json") for path in trees[0])
+
+
+def test_all_loads_builds_and_analyzes_once(tmp_path, monkeypatch):
+    """`all` parses its input once, builds one matrix and runs one genuine
+    analysis that analyze and validate share; each shuffle adds one more."""
+    calls = collections.Counter()
+
+    def counted(name, function):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+        return wrapper
+
+    for module, name in ((cli_module, "load_fixture_with_report"),
+                         (cli_module, "build_voter_matrix"),
+                         (validate_module, "build_voter_matrix"),
+                         (cli_module, "analyze_matrix"),
+                         (validate_module, "analyze_matrix")):
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    assert run(["all", "--dao", "planted", "--fixture", str(FIXTURE),
+                "--ground-truth", str(FORKERS), "--iterations", "2",
+                "--mds-iterations", "20", "--out", str(tmp_path)]) == 0
+    assert calls == {"load_fixture_with_report": 1, "build_voter_matrix": 1,
+                     "analyze_matrix": 3}
+
+
+def test_all_rpc_collapses_duplicates_like_ingest_then_all(tmp_path, monkeypatch,
+                                                           capsys):
+    """`all --rpc-url` collapses a fetched duplicate vote in memory and writes
+    the tree that `ingest` followed by `all` on the written copy writes."""
+    events = load_fixture(FIXTURE)
+    original = next(e for e in events if e.support in (0, 1))
+    revote = VoteEvent(original.voter, original.proposal_id, 1 - original.support,
+                       events[-1].block_number + 1, 0)
+    monkeypatch.setattr(cli_module, "fetch_logs",
+                        lambda *args, **kwargs: [*events, revote])
+    monkeypatch.delenv("FORKCAST_RPC_URL", raising=False)
+    common = ["--dao", "nouns", "--ground-truth", str(FORKERS), "--ranges", "2-60",
+              "--iterations", "1", "--mds-iterations", "20"]
+    rpc = ["--rpc-url", "https://rpc.example"]
+    one, two = tmp_path / "one", tmp_path / "two"
+    assert run(["all", *common, *rpc, "--out", str(one)]) == 0
+    assert "collapsed 1 duplicate votes" in capsys.readouterr().out
+    assert run(["ingest", "--dao", "nouns", *rpc, "--out", str(two)]) == 0
+    assert run(["all", *common, "--out", str(two)]) == 0
+    copy = one / "nouns" / "votes.jsonl"
+    assert len(copy.read_text().splitlines()) == len(events)
+    written = load_fixture(copy)
+    assert revote in written and original not in written
+    assert tree_digest(one) == tree_digest(two)
 
 
 def test_all_without_ground_truth_skips_validation(tmp_path, capsys):

@@ -21,6 +21,7 @@ from forkcast.ingest import (
     RpcError,
     StaticLogTransport,
     VoteEvent,
+    collapse_duplicates,
     decode_vote_event,
     encode_vote_event,
     fetch_logs,
@@ -207,6 +208,30 @@ def test_load_fixture_order_independent(tmp_path_factory, order):
     straight.write_text("\n".join(json.dumps(r) for r in records) + "\n")
     shuffled.write_text("\n".join(json.dumps(records[i]) for i in order) + "\n")
     assert load_fixture_with_report(straight)[0] == load_fixture_with_report(shuffled)[0]
+
+
+def collapse_by_sorting_twice(events):
+    """Reference: sort, keep the last event per key, sort the kept ones again."""
+    events = sorted(events, key=lambda e: e.order_key)
+    kept, duplicates = {}, []
+    for event in events:
+        key = (event.voter, event.proposal_id)
+        if key in kept:
+            duplicates.append(key)
+        kept[key] = event
+    return sorted(kept.values(), key=lambda e: e.order_key), tuple(duplicates)
+
+
+@given(st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(0, 2),
+                          st.integers(0, 4), st.integers(0, 2)), max_size=25))
+def test_collapse_duplicates_matches_sorting_twice(rows):
+    # small ranges make repeated keys, and repeated whole events, common
+    events = [VoteEvent(addr(voter), proposal, support, block, index)
+              for voter, proposal, support, block, index in rows]
+    kept, duplicates = collapse_duplicates(events)
+    expected_kept, expected_duplicates = collapse_by_sorting_twice(events)
+    assert kept == expected_kept
+    assert duplicates == expected_duplicates
 
 
 def test_write_fixture_round_trip(tmp_path):

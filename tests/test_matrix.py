@@ -22,11 +22,13 @@ def test_singleton_event():
 
 
 def test_abstaining_voter_row_dropped():
-    # voter 3 only abstains (support=2) on both proposals
+    # voter 3 only abstains (support=2) on both proposals; voter 2's
+    # abstention on proposal 6 collapses to -1
     events = [
         VoteEvent(addr(1), 5, 1, 0, 0),
         VoteEvent(addr(1), 6, 0, 1, 0),
         VoteEvent(addr(2), 5, 0, 0, 1),
+        VoteEvent(addr(2), 6, 2, 1, 1),
         VoteEvent(addr(3), 5, 2, 0, 2),
         VoteEvent(addr(3), 6, 2, 1, 2),
     ]
@@ -58,19 +60,6 @@ def test_duplicates_rejected():
     events = [VoteEvent(addr(1), 1, 1, 0, 0), VoteEvent(addr(1), 1, 0, 5, 0)]
     with pytest.raises(ValueError, match="duplicate"):
         build_voter_matrix(events)
-
-
-def test_keep_abstain_flag():
-    # abstention cells survive only for voters who cast a {0,1} vote somewhere
-    events = [
-        VoteEvent(addr(1), 1, 1, 0, 0),
-        VoteEvent(addr(2), 1, 2, 0, 1),
-        VoteEvent(addr(2), 2, 0, 1, 0),
-        VoteEvent(addr(1), 2, 1, 1, 1),
-    ]
-    matrix = build_voter_matrix(events, keep_abstain=True)
-    assert matrix.cells[matrix.row_index(addr(2)), matrix.col_index(1)] == 2
-    assert build_voter_matrix(events).cells[1, 0] == -1
 
 
 @given(st.integers(-5, 120))

@@ -10,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 from forkcast import (
     ForkGroundTruth,
+    analyze_matrix,
     fork_cluster_share,
     participation_stats,
     run_validation,
@@ -144,33 +145,30 @@ def test_default_iterations_and_literal_seeds():
     assert DEFAULT_ITERATIONS == 100  # seeds are the literal integers 0..99
 
 
-def test_run_validation_genuine_only(planted):
-    events, truth = planted
-    report = run_validation(events, truth, iterations=0, root_seed=0)
+@pytest.fixture(scope="module")
+def planted_genuine(planted_matrix):
+    """The genuine analysis run_validation summarizes, at its defaults."""
+    return analyze_matrix(planted_matrix, root_seed=0)
+
+
+def test_run_validation_genuine_only(planted, planted_matrix, planted_genuine):
+    _, truth = planted
+    report = run_validation(planted_matrix, planted_genuine, truth,
+                            iterations=0, root_seed=0)
     assert report.randomized == ()
     assert report.iterations == 0
     assert len(report.genuine) == 1
     assert report.genuine[0].fork_share is not None
 
 
-def test_run_validation_aggregates_order(planted):
-    events, truth = planted
-    report = run_validation(events, truth, ranges=[(41, 60)], iterations=3,
-                            root_seed=0)
+def test_run_validation_aggregates_order(planted, planted_matrix, planted_genuine):
+    _, truth = planted
+    report = run_validation(planted_matrix, planted_genuine, truth,
+                            ranges=[(41, 60)], iterations=3, root_seed=0)
     stats = report.randomized[0]
     assert stats.iterations_counted == 3
     assert stats.avg_clusters_min <= stats.avg_clusters_mean <= stats.avg_clusters_max
     assert stats.fork_share_min <= stats.fork_share_mean <= stats.fork_share_max
-
-
-def test_run_validation_worker_count_invariance(planted):
-    events, truth = planted
-    serial = run_validation(events, truth, ranges=[(41, 60)], iterations=2,
-                            root_seed=0, workers=1)
-    threaded = run_validation(events, truth, ranges=[(41, 60)], iterations=2,
-                              root_seed=0, workers=4)
-    assert serial.genuine == threaded.genuine
-    assert serial.randomized == threaded.randomized
 
 
 def test_participation_stats_split():
@@ -218,23 +216,22 @@ def _raise_in_shuffle(monkeypatch, error: Exception) -> None:
     monkeypatch.setattr(validate_mod, "analyze_matrix", patched)
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_run_validation_propagates_non_package_errors(planted, monkeypatch, workers):
+def test_run_validation_propagates_non_package_errors(planted, planted_matrix,
+                                                      planted_genuine, monkeypatch):
     """A broken invariant in a shuffled pass crashes the run instead of
     being recorded as a failed seed."""
     _raise_in_shuffle(monkeypatch, AssertionError("injected invariant break"))
-    events, truth = planted
+    _, truth = planted
     with pytest.raises(AssertionError, match="injected invariant break"):
-        run_validation(events, truth, ranges=[(41, 60)], iterations=2,
-                       root_seed=0, workers=workers)
+        run_validation(planted_matrix, planted_genuine, truth, ranges=[(41, 60)],
+                       iterations=2, root_seed=0)
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_run_validation_records_package_errors_as_failed_seeds(planted, monkeypatch,
-                                                               workers):
+def test_run_validation_records_package_errors_as_failed_seeds(
+        planted, planted_matrix, planted_genuine, monkeypatch):
     _raise_in_shuffle(monkeypatch, EmptyRange("injected empty range"))
-    events, truth = planted
-    report = run_validation(events, truth, ranges=[(41, 60)], iterations=2,
-                            root_seed=0, workers=workers)
+    _, truth = planted
+    report = run_validation(planted_matrix, planted_genuine, truth, ranges=[(41, 60)],
+                            iterations=2, root_seed=0)
     assert report.failed_seeds == ((1, "injected empty range"),)
     assert report.randomized[0].iterations_counted == 1
