@@ -188,6 +188,8 @@ def _load_events(config: RunConfig, fetch: bool = False) -> list[VoteEvent]:
 def _load_ground_truth(config: RunConfig) -> ForkGroundTruth | None:
     if not config.ground_truth:
         return None
+    if not Path(config.ground_truth).exists():
+        raise MissingArtifact(f"ground truth {config.ground_truth} does not exist")
     return load_ground_truth(config.ground_truth)
 
 

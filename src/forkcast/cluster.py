@@ -9,8 +9,17 @@ reseeded to the point farthest from its assigned centroid. All randomness
 comes from SplitMix64 streams derived per (seed, restart) and per (seed, k),
 so results are reproducible and independent of evaluation order.
 
+All starts of one :func:`kmeans` call run in lockstep as an (R, k, 2)
+center stack: one set of array operations per Lloyd iteration serves every
+start still moving, and each start ends exactly where it would alone. The
+first start with the least WCSS wins.
+
 The silhouette sweep in :func:`select_k` shares one point distance matrix
 per proposal across every k; only the partition changes between k.
+:func:`silhouette` sums each cluster's distance columns from a C-contiguous
+copy, so every row sum adds in the same pairwise order as a 1-D sum over
+one point's distances to that cluster; summing the strided fancy-indexed
+view directly adds in another order and can move the last bit.
 """
 
 from __future__ import annotations
@@ -38,11 +47,12 @@ _EXHAUSTIVE_SEED_LIMIT = 120
 
 @dataclass(frozen=True)
 class LloydResult:
-    assignments: np.ndarray  # (n,) int64
-    centroids: np.ndarray  # (k, 2) float64
-    wcss: float
-    wcss_path: tuple[float, ...]
-    iterations: int
+    """Final state of R Lloyd starts run in lockstep."""
+
+    assignments: np.ndarray  # (R, n) int64
+    centroids: np.ndarray  # (R, k, 2) float64
+    wcss: np.ndarray  # (R,) float64
+    iterations: np.ndarray  # (R,) int64
 
 
 @dataclass(frozen=True)
@@ -59,67 +69,109 @@ class ClusteringResult:
 
 
 def _squared_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    deltas = points[:, None, :] - centers[None, :, :]
-    return (deltas ** 2).sum(axis=2)
+    """(R, n, c) squared distances from each point to each start's centers."""
+    deltas = points[None, :, None, :] - centers[:, None, :, :]
+    return (deltas ** 2).sum(axis=3)
 
 
-def _wcss(points: np.ndarray, assignments: np.ndarray,
-          centroids: np.ndarray) -> float:
-    return float(((points - centroids[assignments]) ** 2).sum())
+def kmeans_pp_init(points: np.ndarray, k: int,
+                   rngs: Sequence[SplitMix64]) -> np.ndarray:
+    """k-means++ seeding, one start per stream: (R, k, 2) centers.
 
-
-def kmeans_pp_init(points: np.ndarray, k: int, rng: SplitMix64) -> np.ndarray:
-    """k-means++ seeding: D^2-weighted draws after a uniform first center."""
+    Each start takes a uniform first center, then D^2-weighted draws; start r
+    draws only from ``rngs[r]``, so batching does not change its draws.
+    """
     n = len(points)
-    centers = np.empty((k, points.shape[1]))
-    centers[0] = points[rng.below(n)]
+    centers = np.empty((len(rngs), k, points.shape[1]))
+    centers[:, 0] = points[[rng.below(n) for rng in rngs]]
+    d2 = np.full((len(rngs), n), np.inf)
     for c in range(1, k):
-        d2 = _squared_distances(points, centers[:c]).min(axis=1)
-        total = float(d2.sum())
-        if total == 0.0:
-            centers[c] = points[rng.below(n)]
-            continue
-        threshold = rng.uniform() * total
-        index = int(np.searchsorted(np.cumsum(d2), threshold, side="right"))
-        centers[c] = points[min(index, n - 1)]
+        d2 = np.minimum(d2, _squared_distances(points, centers[:, c - 1:c])[:, :, 0])
+        totals = d2.sum(axis=1).tolist()
+        thresholds = [0.0 if total == 0.0 else rng.uniform() * total
+                      for rng, total in zip(rngs, totals)]
+        # searchsorted(side="right") on each non-decreasing cumulative row
+        picks = (np.cumsum(d2, axis=1) <= np.array(thresholds)[:, None]).sum(axis=1)
+        picks = np.minimum(picks, n - 1).tolist()
+        for r, total in enumerate(totals):
+            if total == 0.0:
+                picks[r] = rngs[r].below(n)
+        centers[:, c] = points[picks]
     return centers
+
+
+def _fill_empty_clusters(points: np.ndarray, centroids: np.ndarray,
+                         assignments: np.ndarray) -> None:
+    """Move points into empty clusters of one start, in place.
+
+    Each empty cluster takes the point farthest from its assigned centroid,
+    never stranding another cluster by taking its only member.
+    """
+    k = len(centroids)
+    while True:
+        counts = np.bincount(assignments, minlength=k)
+        empty = np.flatnonzero(counts == 0)
+        if len(empty) == 0:
+            return
+        residuals = ((points - centroids[assignments]) ** 2).sum(axis=1)
+        residuals[counts[assignments] <= 1] = -1.0
+        assignments[int(residuals.argmax())] = int(empty[0])
 
 
 def lloyd(points: np.ndarray, centers: np.ndarray,
           max_iterations: int = DEFAULT_MAX_ITERATIONS) -> LloydResult:
-    """Lloyd iteration from explicit initial centers.
+    """Lloyd iteration from R sets of initial centers, shape (R, k, 2).
 
-    Stops when assignments stabilize. ``wcss_path`` records WCSS after every
-    (assign, update) cycle; it is non-increasing.
+    All starts advance together; a start stops, and leaves the live set,
+    when its assignments repeat those of its previous iteration or after
+    ``max_iterations``. Centroid sums come from a weighted ``np.bincount``,
+    which adds each cluster's points in index order exactly as
+    ``points[members].mean(axis=0)`` does, so every start ends bit for bit
+    where a lone Lloyd run from its centers would.
     """
     points = np.asarray(points, dtype=np.float64)
     centroids = np.array(centers, dtype=np.float64)
-    k = len(centroids)
+    starts, k, dims = centroids.shape
+    n = len(points)
+    final_assignments = np.empty((starts, n), dtype=np.int64)
+    final_centroids = np.empty_like(centroids)
+    iterations = np.empty(starts, dtype=np.int64)
+    live = np.arange(starts)
+    offsets = live[:, None] * k
+    weights = np.tile(points.ravel(), starts)
     previous: np.ndarray | None = None
-    path: list[float] = []
-    iterations = 0
-    assignments = np.zeros(len(points), dtype=np.int64)
     for iteration in range(1, max_iterations + 1):
-        assignments = _squared_distances(points, centroids).argmin(axis=1)
-        while True:
-            counts = np.bincount(assignments, minlength=k)
-            empty = np.flatnonzero(counts == 0)
-            if len(empty) == 0:
+        assignments = _squared_distances(points, centroids).argmin(axis=2)
+        bins = (assignments + offsets).ravel()
+        counts = np.bincount(bins, minlength=len(live) * k)
+        if not counts.all():
+            for row in np.flatnonzero((counts.reshape(-1, k) == 0).any(axis=1)):
+                _fill_empty_clusters(points, centroids[row], assignments[row])
+            bins = (assignments + offsets).ravel()
+            counts = np.bincount(bins, minlength=len(live) * k)
+        sums = np.bincount((bins[:, None] * dims + np.arange(dims)).ravel(),
+                           weights, minlength=len(live) * k * dims)
+        centroids = (sums.reshape(-1, dims) / counts[:, None]).reshape(-1, k, dims)
+        if previous is None:
+            done = np.full(len(live), iteration == max_iterations)
+        else:
+            done = (assignments == previous).all(axis=1) | (iteration == max_iterations)
+        if done.any():
+            finished = live[done]
+            final_assignments[finished] = assignments[done]
+            final_centroids[finished] = centroids[done]
+            iterations[finished] = iteration
+            running = ~done
+            live, assignments, centroids = (
+                live[running], assignments[running], centroids[running])
+            if len(live) == 0:
                 break
-            # reseed to the point farthest from its assigned centroid,
-            # never stranding another cluster by taking its only member
-            residuals = ((points - centroids[assignments]) ** 2).sum(axis=1)
-            residuals[counts[assignments] <= 1] = -1.0
-            assignments[int(residuals.argmax())] = int(empty[0])
-        for cluster in range(k):
-            members = assignments == cluster
-            centroids[cluster] = points[members].mean(axis=0)
-        path.append(_wcss(points, assignments, centroids))
-        iterations = iteration
-        if previous is not None and np.array_equal(previous, assignments):
-            break
-        previous = assignments.copy()
-    return LloydResult(assignments, centroids, path[-1], tuple(path), iterations)
+            offsets = offsets[:len(live)]
+            weights = weights[:len(live) * n * dims]
+        previous = assignments
+    residuals = points - final_centroids[np.arange(starts)[:, None], final_assignments]
+    wcss = (residuals ** 2).reshape(starts, -1).sum(axis=1)
+    return LloydResult(final_assignments, final_centroids, wcss, iterations)
 
 
 def kmeans(points: np.ndarray, k: int, seed: int,
@@ -133,20 +185,15 @@ def kmeans(points: np.ndarray, k: int, seed: int,
         raise TooFewPoints(f"k={k} exceeds {n} points")
     if k < 1:
         raise ValueError("k must be >= 1")
-    best: LloydResult | None = None
     if comb(n, k) <= _EXHAUSTIVE_SEED_LIMIT:
-        seedings = (points[list(subset)]
-                    for subset in itertools.combinations(range(n), k))
+        subsets = np.array(list(itertools.combinations(range(n), k)))
+        centers = points[subsets]
     else:
-        seedings = (kmeans_pp_init(points, k,
-                                   SplitMix64(derive_seed(seed, "restart", r)))
-                    for r in range(restarts))
-    for centers in seedings:
-        result = lloyd(points, centers, max_iterations)
-        if best is None or result.wcss < best.wcss:
-            best = result
-    assert best is not None
-    return best.assignments, best.centroids
+        centers = kmeans_pp_init(points, k, [
+            SplitMix64(derive_seed(seed, "restart", r)) for r in range(restarts)])
+    result = lloyd(points, centers, max_iterations)
+    best = int(result.wcss.argmin())  # the first start with the least WCSS
+    return result.assignments[best].copy(), result.centroids[best].copy()
 
 
 def silhouette(points: np.ndarray, assignments: np.ndarray,
@@ -157,25 +204,25 @@ def silhouette(points: np.ndarray, assignments: np.ndarray,
     has it. Conventions: singleton clusters score 0, and so do points where
     both cohesion and separation are zero (coincident points).
     """
-    points = np.asarray(points, dtype=np.float64)
-    assignments = np.asarray(assignments)
-    labels = np.unique(assignments)
+    labels, own, sizes = np.unique(np.asarray(assignments), return_inverse=True,
+                                   return_counts=True)
     if len(labels) < 2:
         raise SingleCluster("silhouette needs at least 2 clusters")
     if distances is None:
-        distances = pairwise_distances(points)
-    members = {label: np.flatnonzero(assignments == label) for label in labels}
-    scores = np.zeros(len(points))
-    for i, own in enumerate(assignments):
-        same = members[own]
-        if len(same) == 1:
-            continue
-        row = distances[i]
-        a = row[same].sum() / (len(same) - 1)
-        b = min(float(row[idx].mean())
-                for label, idx in members.items() if label != own)
-        denominator = max(a, b)
-        scores[i] = 0.0 if denominator == 0.0 else (b - a) / denominator
+        distances = pairwise_distances(np.asarray(points, dtype=np.float64))
+    # contiguous copy: see the module docstring
+    sums = np.stack([np.ascontiguousarray(distances[:, own == c]).sum(axis=1)
+                     for c in range(len(labels))], axis=1)
+    rows = np.arange(len(own))
+    own_sizes = sizes[own]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = sums[rows, own] / (own_sizes - 1)  # cohesion; 0/0 for singletons
+        means = sums / sizes
+        means[rows, own] = np.inf
+        b = means.min(axis=1)  # separation: the nearest other cluster
+        denominator = np.maximum(a, b)
+        scores = np.where((own_sizes == 1) | (denominator == 0.0), 0.0,
+                          (b - a) / denominator)
     return scores, float(scores.mean())
 
 

@@ -109,8 +109,14 @@ def dissimilarity_matrix(matrix: VoterMatrix,
 
 def to_csv(d: DissimilarityMatrix, path: str | Path) -> None:
     """Square CSV with the address list as both header row and first column."""
+    # each distinct value is formatted once: a window of w proposals gives
+    # few distinct opposition fractions. Cells are never -0.0 (counts over
+    # positive counts, 1.0, or the 0.0 diagonal); np.unique would merge a
+    # -0.0 with 0.0 and print it as "0.0".
+    values, inverse = np.unique(d.cells, return_inverse=True)
+    texts = np.array([repr(value) for value in values.tolist()], dtype=object)
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["address", *d.addresses])
-        for address, row in zip(d.addresses, d.cells):
-            writer.writerow([address, *map(repr, row.tolist())])
+        for address, row in zip(d.addresses, texts[inverse.reshape(d.cells.shape)]):
+            writer.writerow([address, *row.tolist()])

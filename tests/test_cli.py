@@ -134,6 +134,17 @@ def test_missing_fixture_is_structured_error(tmp_path, capsys):
     assert "MissingArtifact" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["analyze", "all"])
+def test_missing_ground_truth_is_structured_error(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    code = run([command, "--dao", "planted", "--fixture", str(FIXTURE),
+                "--ground-truth", str(tmp_path / "absent.txt"), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "MissingArtifact" in err and "absent.txt" in err
+    assert not out.exists()  # rejected before any stage ran
+
+
 def test_friction_outputs(tmp_path):
     out = tmp_path / "out"
     assert run(["friction", "--dao", "planted", "--fixture", str(FIXTURE),

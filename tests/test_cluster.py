@@ -3,14 +3,15 @@
 from __future__ import annotations
 
 import itertools
+from math import comb
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from forkcast import kmeans, select_k, silhouette
-from forkcast.cluster import lloyd, pick_k
+from forkcast import cluster, kmeans, select_k, silhouette
+from forkcast.cluster import kmeans_pp_init, lloyd, pick_k
 from forkcast.embed import pairwise_distances
 from forkcast.errors import SingleCluster, TooFewPoints
 from forkcast.rng import SplitMix64, derive_seed
@@ -75,22 +76,18 @@ def test_k_beyond_n_rejected():
 
 
 def test_wcss_never_increases_within_lloyd():
+    # a run capped at t iterations stops in the state that an uncapped run
+    # reaches after t, so the capped runs trace one run's WCSS path
     rng = np.random.default_rng(5)
     for trial in range(20):
         points = rng.uniform(0, 10, (rng.integers(4, 30), 2))
         k = int(rng.integers(2, 5))
         if k > len(points):
             continue
-        init = kmeans_init_for_test(points, k, trial)
-        result = lloyd(points, init)
-        path = result.wcss_path
+        init = kmeans_pp_init(points, k, [SplitMix64(derive_seed(trial, "t"))])
+        iterations = int(lloyd(points, init).iterations[0])
+        path = [float(lloyd(points, init, t).wcss[0]) for t in range(1, iterations + 1)]
         assert all(path[i + 1] <= path[i] + 1e-9 for i in range(len(path) - 1))
-
-
-def kmeans_init_for_test(points, k, seed):
-    from forkcast.cluster import kmeans_pp_init
-
-    return kmeans_pp_init(points, k, SplitMix64(derive_seed(seed, "t")))
 
 
 def test_deterministic_given_seed():
@@ -233,16 +230,22 @@ def _reference_silhouette(points: np.ndarray,
     return scores, float(scores.mean())
 
 
-@pytest.mark.parametrize("case", ["random", "singletons", "coincident"])
+@pytest.mark.parametrize("case", ["random", "singletons", "coincident", "wide"])
 def test_silhouette_shared_distances_bitwise(case):
     rng = np.random.default_rng(17)
-    points = rng.uniform(0, 1, (60, 2))
-    labels = rng.integers(0, 4, 60)
+    n = 300 if case == "wide" else 60
+    points = rng.uniform(0, 1, (n, 2))
+    labels = rng.integers(0, 4, n)
     if case == "singletons":
         labels[:2] = (5, 6)
     elif case == "coincident":
         points[10:20] = points[10]
         points[40:45] = points[10]
+    elif case == "wide":
+        # non-contiguous labels; the largest cluster passes numpy's
+        # 128-element pairwise-summation block
+        labels = rng.choice([3, 7, 11, 40], n, p=[0.6, 0.2, 0.1, 0.1])
+        assert np.bincount(labels).max() > 128
     distances = pairwise_distances(points)
     fresh = silhouette(points, labels)
     shared = silhouette(points, labels, distances)
@@ -250,3 +253,145 @@ def test_silhouette_shared_distances_bitwise(case):
     for scores, mean in (fresh, shared):
         assert np.array_equal(scores, reference[0])
         assert mean == reference[1]
+
+
+def _reference_kmeans_pp_init(points: np.ndarray, k: int,
+                              rng: SplitMix64) -> np.ndarray:
+    n = len(points)
+    centers = np.empty((k, points.shape[1]))
+    centers[0] = points[rng.below(n)]
+    for c in range(1, k):
+        deltas = points[:, None, :] - centers[None, :c, :]
+        d2 = (deltas ** 2).sum(axis=2).min(axis=1)
+        total = float(d2.sum())
+        if total == 0.0:
+            centers[c] = points[rng.below(n)]
+            continue
+        threshold = rng.uniform() * total
+        index = int(np.searchsorted(np.cumsum(d2), threshold, side="right"))
+        centers[c] = points[min(index, n - 1)]
+    return centers
+
+
+def _reference_lloyd(points: np.ndarray, centers: np.ndarray,
+                     max_iterations: int = 300) -> tuple[np.ndarray, np.ndarray, float]:
+    centroids = np.array(centers, dtype=np.float64)
+    k = len(centroids)
+    previous = None
+    wcss = np.inf
+    for _ in range(max_iterations):
+        deltas = points[:, None, :] - centroids[None, :, :]
+        assignments = (deltas ** 2).sum(axis=2).argmin(axis=1)
+        while True:
+            counts = np.bincount(assignments, minlength=k)
+            empty = np.flatnonzero(counts == 0)
+            if len(empty) == 0:
+                break
+            residuals = ((points - centroids[assignments]) ** 2).sum(axis=1)
+            residuals[counts[assignments] <= 1] = -1.0
+            assignments[int(residuals.argmax())] = int(empty[0])
+        for c in range(k):
+            centroids[c] = points[assignments == c].mean(axis=0)
+        wcss = float(((points - centroids[assignments]) ** 2).sum())
+        if previous is not None and np.array_equal(previous, assignments):
+            break
+        previous = assignments.copy()
+    return assignments, centroids, wcss
+
+
+def _reference_kmeans(points: np.ndarray, k: int, seed: int,
+                      restarts: int = 10) -> tuple[np.ndarray, np.ndarray]:
+    """Restart-at-a-time k-means, exhaustive seeding at most 120 subsets;
+    the bit-for-bit reference for :func:`kmeans`."""
+    n = len(points)
+    if comb(n, k) <= 120:
+        seedings = [points[list(s)] for s in itertools.combinations(range(n), k)]
+    else:
+        seedings = [_reference_kmeans_pp_init(
+            points, k, SplitMix64(derive_seed(seed, "restart", r)))
+            for r in range(restarts)]
+    best = None
+    for centers in seedings:
+        result = _reference_lloyd(points, centers)
+        if best is None or result[2] < best[2]:
+            best = result
+    return best[0], best[1]
+
+
+def _cluster_points(n: int, shape: str, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    if shape == "few_distinct":  # at most 4 distinct points
+        return rng.integers(0, 2, (n, 2)).astype(np.float64)
+    points = rng.normal(0, 1, (n, 2))
+    if shape == "duplicates":
+        points[n // 3:] = points[rng.integers(0, max(1, n // 3), n - n // 3)]
+    elif shape == "signed_zeros":
+        points[rng.uniform(size=(n, 2)) < 0.3] = -0.0
+    return points
+
+
+@given(n=st.integers(2, 400), k=st.integers(1, 6),
+       shape=st.sampled_from(["spread", "duplicates", "few_distinct", "signed_zeros"]),
+       seed=st.integers(0, 2**32 - 1))
+@example(n=9, k=3, shape="duplicates", seed=1)  # exhaustive seeding
+@example(n=300, k=1, shape="spread", seed=2)  # k-means++ with k = 1
+@example(n=5, k=5, shape="spread", seed=3)  # k = n
+@example(n=200, k=5, shape="few_distinct", seed=4)  # fewer distinct points than k
+@settings(max_examples=60, deadline=None)
+def test_kmeans_matches_restart_at_a_time_reference_bitwise(n, k, shape, seed):
+    k = min(k, n)
+    points = _cluster_points(n, shape, seed)
+    assignments, centroids = kmeans(points, k, seed)
+    expected = _reference_kmeans(points, k, seed)
+    assert assignments.dtype == expected[0].dtype
+    assert assignments.tobytes() == expected[0].tobytes()
+    assert centroids.tobytes() == expected[1].tobytes()
+
+
+def test_kmeans_reseeds_empty_clusters_bitwise(monkeypatch):
+    # three distinct points and k = 5: k-means++ repeats centers, so Lloyd
+    # starts with empty clusters in several restarts
+    points = np.repeat([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], 40, axis=0)
+    calls = []
+    original = cluster._fill_empty_clusters
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(cluster, "_fill_empty_clusters", counted)
+    assignments, centroids = kmeans(points, 5, seed=11)
+    assert calls
+    expected = _reference_kmeans(points, 5, seed=11)
+    assert assignments.tobytes() == expected[0].tobytes()
+    assert centroids.tobytes() == expected[1].tobytes()
+    assert len(set(assignments.tolist())) == 5
+
+
+def test_lloyd_batch_equals_each_start_alone():
+    rng = np.random.default_rng(8)
+    points = rng.normal(0, 1, (50, 2))
+    centers = kmeans_pp_init(points, 4, [SplitMix64(r) for r in range(6)])
+    batch = lloyd(points, centers)
+    assert len(set(batch.iterations.tolist())) > 1  # starts leave at different times
+    for r in range(len(centers)):
+        alone = lloyd(points, centers[r:r + 1])
+        assert alone.assignments[0].tobytes() == batch.assignments[r].tobytes()
+        assert alone.centroids[0].tobytes() == batch.centroids[r].tobytes()
+        assert alone.wcss[0] == batch.wcss[r]
+        assert alone.iterations[0] == batch.iterations[r]
+
+
+def test_select_k_calls_kmeans_and_silhouette_as_module_globals(monkeypatch):
+    # traced runs time clustering by wrapping these two module attributes;
+    # inlining either call would silently zero its timings
+    calls = {"kmeans": 0, "silhouette": 0}
+    for name in calls:
+        def counted(*args, _name=name, _original=getattr(cluster, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(cluster, name, counted)
+    points = np.random.default_rng(4).uniform(0, 1, (12, 2))
+    select_k(points, k_min=2, k_max=5, seed=0)
+    assert calls == {"kmeans": 4, "silhouette": 4}

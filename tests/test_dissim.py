@@ -199,6 +199,24 @@ def test_csv_export(tmp_path):
     assert lines[1].split(",")[1] == "0.0"
 
 
+def test_csv_export_formats_every_cell_as_its_repr(tmp_path):
+    from forkcast.dissim import DissimilarityMatrix, to_csv
+
+    rng = np.random.default_rng(3)
+    n = 40
+    cells = rng.integers(0, 8, (n, n)) / rng.integers(1, 8, (n, n))
+    cells[rng.uniform(size=(n, n)) < 0.2] = rng.uniform(0, 1)
+    cells = np.minimum(cells, 1.0)
+    np.fill_diagonal(cells, 0.0)
+    addresses = tuple(addr(i) for i in range(n))
+    path = tmp_path / "d.csv"
+    to_csv(DissimilarityMatrix(7, addresses, cells), path)
+    expected = [",".join(["address", *addresses])]
+    expected += [",".join([a, *(repr(float(v)) for v in row)])
+                 for a, row in zip(addresses, cells)]
+    assert path.read_text(encoding="utf-8") == "\n".join(expected) + "\n"
+
+
 def test_window_spec_validation():
     with pytest.raises(ValueError):
         WindowSpec(0, 0.4)
