@@ -3,11 +3,20 @@
 The canonical pipeline input is a line-delimited JSON fixture; ``fetch_logs``
 exists to export such fixtures from an EVM JSON-RPC endpoint and is the only
 network-touching code in the package.
+
+A fixture holds one event per line, so the per-event path is kept cheap:
+an address is checked with one precompiled regex and interned, so each
+distinct voter is one ``str`` object however many events name it;
+``VoteEvent`` is a slotted dataclass; the loader binds one JSON decoder and
+builds each event positionally; the writer formats each line with one
+f-string that reproduces ``json.dumps`` of the record.
 """
 
 from __future__ import annotations
 
 import json
+import re
+import sys
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -27,20 +36,26 @@ from .errors import (
 
 Address = str
 
+# No character outside ASCII hex lowercases into [0-9a-f], so this accepts
+# exactly the strings whose lowercased body is 40 hex digits.
+_is_address = re.compile(r"0[xX][0-9a-fA-F]{40}").fullmatch
+
 
 def normalize_address(value: str) -> Address:
-    """Canonical lowercase 0x-prefixed 20-byte hex rendering."""
+    """Canonical lowercase 0x-prefixed 20-byte hex rendering, interned."""
+    if isinstance(value, str) and _is_address(value):
+        return sys.intern(value.lower())
     if not isinstance(value, str) or not value.startswith(("0x", "0X")):
         raise ValueError(f"address must be 0x-prefixed hex: {value!r}")
-    body = value[2:].lower()
-    if len(body) != 40 or any(c not in "0123456789abcdef" for c in body):
-        raise ValueError(f"address must encode exactly 20 bytes: {value!r}")
-    return "0x" + body
+    raise ValueError(f"address must encode exactly 20 bytes: {value!r}")
 
 
-@dataclass(frozen=True)
+_INT_FIELDS = ("proposal_id", "support", "block_number", "log_index")
+
+
+@dataclass(frozen=True, slots=True)
 class VoteEvent:
-    """One decoded on-chain vote."""
+    """One decoded on-chain vote; the four numbers must be exact ``int``s."""
 
     voter: Address
     proposal_id: int
@@ -50,6 +65,10 @@ class VoteEvent:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "voter", normalize_address(self.voter))
+        if not (type(self.proposal_id) is type(self.support) is int
+                and type(self.block_number) is type(self.log_index) is int):
+            name = next(n for n in _INT_FIELDS if type(getattr(self, n)) is not int)
+            raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.proposal_id < 1:
             raise ValueError(f"proposal_id must be >= 1, got {self.proposal_id}")
         if self.block_number < 0 or self.log_index < 0:
@@ -159,9 +178,6 @@ def encode_vote_event(event: VoteEvent, signature: str,
     return RawLog(contract, topics, data, event.block_number, event.log_index)
 
 
-_FIXTURE_KEYS = ("voter", "proposal_id", "support", "block_number", "log_index")
-
-
 @dataclass(frozen=True)
 class LoadReport:
     """What load_fixture saw: line counts and collapsed duplicates."""
@@ -192,16 +208,19 @@ def collapse_duplicates(events: Iterable[VoteEvent],
 
 def load_fixture_with_report(path: str | Path) -> tuple[list[VoteEvent], LoadReport]:
     """Parse a JSONL fixture and collapse it with ``collapse_duplicates``."""
+    decode = json.JSONDecoder().decode
     events: list[VoteEvent] = []
+    append = events.append
     lines = 0
     with open(path, encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
+            if line.isspace():
                 continue
             lines += 1
             try:
-                record = json.loads(line)
-                events.append(VoteEvent(**{k: record[k] for k in _FIXTURE_KEYS}))
+                record = decode(line)
+                append(VoteEvent(record["voter"], record["proposal_id"], record["support"],
+                                 record["block_number"], record["log_index"]))
             except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
                 raise ParseError(str(exc), line=lineno) from exc
     kept, duplicates = collapse_duplicates(events)
@@ -222,17 +241,18 @@ def load_fixture(path: str | Path) -> list[VoteEvent]:
 
 
 def write_fixture(events: Sequence[VoteEvent], path: str | Path) -> None:
-    """Write events as the canonical JSONL fixture, in chain order."""
+    """Write events as the canonical JSONL fixture, in chain order.
+
+    Each line is the one ``json.dumps`` writes for the record: the voter is
+    lowercase hex and the numbers are exact ``int``s, so nothing needs escaping.
+    """
     ordered = sorted(events, key=lambda e: e.order_key)
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        for event in ordered:
-            handle.write(json.dumps({
-                "voter": event.voter,
-                "proposal_id": event.proposal_id,
-                "support": event.support,
-                "block_number": event.block_number,
-                "log_index": event.log_index,
-            }) + "\n")
+        handle.writelines(
+            f'{{"voter": "{e.voter}", "proposal_id": {e.proposal_id}, '
+            f'"support": {e.support}, "block_number": {e.block_number}, '
+            f'"log_index": {e.log_index}}}\n'
+            for e in ordered)
 
 
 def load_ground_truth(path: str | Path, fork_label: str = "fork") -> ForkGroundTruth:

@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from forkcast.abi import keccak256, parse_event_signature
@@ -34,6 +38,9 @@ from forkcast.ingest import (
 from forkcast.registry import bundled_registry
 
 from conftest import addr
+
+ROOT = Path(__file__).resolve().parent.parent
+PLANTED = ROOT / "data" / "planted"
 
 NOUNS_SIG = "VoteCast(address,uint256,uint8,uint256,string)"
 
@@ -68,11 +75,69 @@ def test_normalize_address():
         normalize_address("0x1234")  # too short
 
 
+def normalize_address_by_characters(value):
+    """Reference: the character-loop check ``normalize_address`` replaced."""
+    if not isinstance(value, str) or not value.startswith(("0x", "0X")):
+        raise ValueError(f"address must be 0x-prefixed hex: {value!r}")
+    body = value[2:].lower()
+    if len(body) != 40 or any(c not in "0123456789abcdef" for c in body):
+        raise ValueError(f"address must encode exactly 20 bytes: {value!r}")
+    return "0x" + body
+
+
+def _outcome(normalize, value):
+    try:
+        return "ok", normalize(value)
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+# near-addresses: a prefix, then 38-42 characters mixing hex digits with
+# characters that lowercase to something else or to two characters
+_near_addresses = st.builds(
+    lambda prefix, body: prefix + body,
+    st.sampled_from(["0x", "0X", "0", "x", "", " 0x"]),
+    st.text(alphabet="0123456789abcdefABCDEF\u0130\u212a\uff21\u0660g \n",
+            min_size=38, max_size=42))
+
+
+@given(st.one_of(st.text(), _near_addresses))
+@example("0x" + "\u0130" + "a" * 39)  # İ lowercases to two characters
+@example("0x" + "\u0130" + "a" * 38)
+@example("0x" + "\u212a" + "a" * 39)  # Kelvin sign lowercases to ASCII k
+@example("0x" + "\uff21" + "a" * 39)  # fullwidth A
+@example("0x" + "\u0660" + "a" * 39)  # Arabic-Indic digit zero
+@example("0X" + "Ab" * 20)
+@example("0x" + "a" * 39)
+@example("0x" + "a" * 41)
+@example("0x" + "a" * 40 + "\n")
+@example("0x" + "a" * 39 + "\n")
+@example(None)
+@example(b"0x" + b"a" * 40)
+def test_normalize_address_matches_character_loop(value):
+    assert (_outcome(normalize_address, value)
+            == _outcome(normalize_address_by_characters, value))
+
+
 def test_vote_event_invariants():
     with pytest.raises(ValueError):
         VoteEvent(addr(1), 0, 1, 0, 0)  # proposal ids start at 1
     with pytest.raises(ValueError):
         VoteEvent(addr(1), 1, 1, -1, 0)
+
+
+@pytest.mark.parametrize("position", range(1, 5))
+@pytest.mark.parametrize("value", [1.5, True, "5", 2.0])
+def test_vote_event_numbers_must_be_exact_ints(position, value):
+    fields = [addr(1), 1, 1, 0, 0]
+    fields[position] = value
+    with pytest.raises(ValueError, match="must be an integer"):
+        VoteEvent(*fields)
+
+
+def test_vote_event_has_no_instance_dict():
+    event = VoteEvent(addr(1), 1, 1, 0, 0)
+    assert not hasattr(event, "__dict__")
 
 
 def _word(value: int) -> str:
@@ -187,6 +252,24 @@ def test_load_fixture_parse_error_carries_line(tmp_path):
         load_fixture(path)
 
 
+@pytest.mark.parametrize("field", ["proposal_id", "support", "block_number", "log_index"])
+@pytest.mark.parametrize("value", ["1.5", "true", '"5"'])
+def test_load_fixture_rejects_non_integer_numbers(tmp_path, field, value):
+    good = {"voter": addr(1), "proposal_id": 1, "support": 1,
+            "block_number": 0, "log_index": 0}
+    bad = json.dumps({**good, "voter": addr(2)}).replace(
+        f'"{field}": {good[field]}', f'"{field}": {value}')
+    path = tmp_path / "votes.jsonl"
+    path.write_text(json.dumps(good) + "\n" + bad + "\n")
+    with pytest.raises(ParseError, match="line 2"):
+        load_fixture(path)
+
+
+def test_load_fixture_interns_each_voter():
+    events = load_fixture(PLANTED / "votes.jsonl")
+    assert len({id(e.voter) for e in events}) == len({e.voter for e in events})
+
+
 def test_load_fixture_normalizes_mixed_case_addresses(tmp_path):
     path = tmp_path / "votes.jsonl"
     record = {"voter": "0xAB" + "Cd" * 19, "proposal_id": 1, "support": 1,
@@ -239,6 +322,47 @@ def test_write_fixture_round_trip(tmp_path):
     path = tmp_path / "votes.jsonl"
     write_fixture(events, path)
     assert load_fixture(path) == sorted(events, key=lambda e: e.order_key)
+
+
+def write_fixture_with_json_dumps(events, path):
+    """Reference: the writer as it was, one ``json.dumps`` per record."""
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        for event in sorted(events, key=lambda e: e.order_key):
+            handle.write(json.dumps({
+                "voter": event.voter,
+                "proposal_id": event.proposal_id,
+                "support": event.support,
+                "block_number": event.block_number,
+                "log_index": event.log_index,
+            }) + "\n")
+
+
+_big = st.integers(0, 2**70)
+_events = st.lists(st.builds(
+    VoteEvent,
+    st.integers(1, 4).map(lambda i: f"0X{i:040X}" if i % 2 else addr(i)),
+    st.one_of(st.integers(1, 3), st.integers(1, 2**70)),
+    st.one_of(st.integers(-2, 2), st.integers(-(2**70), 2**70)),
+    st.one_of(st.integers(0, 3), _big),
+    st.one_of(st.integers(0, 3), _big)), max_size=20)
+
+
+@given(_events)
+def test_write_fixture_matches_json_dumps(tmp_path_factory, events):
+    base = tmp_path_factory.mktemp("write")
+    written, reference = base / "a.jsonl", base / "b.jsonl"
+    write_fixture(events, written)
+    write_fixture_with_json_dumps(events, reference)
+    assert written.read_bytes() == reference.read_bytes()
+    assert load_fixture_with_report(written)[0] == collapse_duplicates(events)[0]
+
+
+def test_make_planted_fixture_reproduces_bundled_data(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    subprocess.run([sys.executable, str(ROOT / "scripts" / "make_planted_fixture.py"),
+                    "--out", str(tmp_path)], check=True, env=env, capture_output=True)
+    for name in ("votes.jsonl", "forkers.txt"):
+        assert (tmp_path / name).read_bytes() == (PLANTED / name).read_bytes(), name
 
 
 def test_load_ground_truth(tmp_path):
