@@ -6,15 +6,8 @@ embeddings -> silhouette-selected k-means clusters -> shuffle-baseline
 validation of fork-cohort alignment.
 """
 
-from .cluster import ClusteringResult, kmeans, select_k, silhouette
-from .dissim import (
-    ActiveSet,
-    DissimilarityMatrix,
-    WindowSpec,
-    active_set,
-    dissimilarity_matrix,
-    sliding_window,
-)
+from .cluster import kmeans, select_k, silhouette
+from .dissim import WindowSpec, active_set, dissimilarity_matrix, sliding_window
 from .embed import Embedding, MdsConfig, mds_embed, stress, warm_start
 from .friction import (
     DisagreementRecord,
@@ -24,47 +17,23 @@ from .friction import (
     rolling_disagreement,
     static_disagreement,
 )
-from .ingest import (
-    Address,
-    DaoRegistryEntry,
-    ForkGroundTruth,
-    VoteEvent,
-    decode_vote_event,
-    fetch_logs,
-    load_fixture,
-    load_ground_truth,
-    normalize_address,
-)
-from .matrix import VoterMatrix, build_voter_matrix, column_votes
-from .pipeline import PipelineResult, ProposalAnalysis, analyze_matrix
+from .ingest import ForkGroundTruth, VoteEvent, load_ground_truth
+from .matrix import build_voter_matrix, column_votes
+from .pipeline import analyze_matrix
 from .planted import planted_two_bloc_events
 from .report import ChartSpec, render_chart, render_mds_scatter
-from .validate import (
-    ParticipationStats,
-    RangeSummary,
-    ValidationReport,
-    fork_cluster_share,
-    participation_stats,
-    run_validation,
-    shuffle_votes,
-    summarize_range,
-)
+from .validate import fork_cluster_share, run_validation, shuffle_votes, summarize_range
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ActiveSet", "Address", "ChartSpec", "ClusteringResult",
-    "DaoRegistryEntry", "DisagreementRecord", "DissimilarityMatrix",
-    "Embedding", "ForkGroundTruth", "FrictionReport", "MdsConfig",
-    "ParticipationStats", "PipelineResult", "ProposalAnalysis",
-    "RangeSummary", "ValidationReport", "VoteEvent", "VoterMatrix",
-    "WindowSpec", "active_set", "analyze_matrix", "build_friction_report",
-    "build_voter_matrix", "column_votes", "decode_vote_event",
-    "dissimilarity_matrix", "fetch_logs", "flag_dao", "fork_cluster_share",
-    "kmeans", "load_fixture", "load_ground_truth", "mds_embed",
-    "normalize_address", "participation_stats",
-    "planted_two_bloc_events", "render_chart", "render_mds_scatter",
-    "rolling_disagreement", "run_validation", "select_k", "shuffle_votes",
-    "silhouette", "sliding_window", "static_disagreement", "stress",
-    "summarize_range", "warm_start",
+    "ChartSpec", "DisagreementRecord", "Embedding", "ForkGroundTruth",
+    "FrictionReport", "MdsConfig", "VoteEvent", "WindowSpec", "active_set",
+    "analyze_matrix", "build_friction_report", "build_voter_matrix",
+    "column_votes", "dissimilarity_matrix", "flag_dao", "fork_cluster_share",
+    "kmeans", "load_ground_truth", "mds_embed", "planted_two_bloc_events",
+    "render_chart", "render_mds_scatter", "rolling_disagreement",
+    "run_validation", "select_k", "shuffle_votes", "silhouette",
+    "sliding_window", "static_disagreement", "stress", "summarize_range",
+    "warm_start",
 ]

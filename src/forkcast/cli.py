@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -20,7 +21,7 @@ from pathlib import Path
 from . import dissim as dissim_mod
 from . import friction as friction_mod
 from . import matrix as matrix_mod
-from .dissim import WindowSpec
+from .dissim import DissimilarityMatrix, WindowSpec
 from .embed import MdsConfig
 from .errors import ConfigError, ForkcastError, MissingArtifact
 from .ingest import (
@@ -39,14 +40,6 @@ from .report import ChartSpec, render_chart, render_mds_scatter
 from .validate import ValidationReport, fork_cluster_share, run_validation
 
 RPC_URL_ENV = "FORKCAST_RPC_URL"
-
-_CONFIG_FIELDS = {
-    "dao", "fixture", "rpc_url", "registry_path", "ground_truth",
-    "window_size", "participation_threshold", "k_min", "k_max",
-    "max_iterations", "tolerance", "iterations", "root_seed", "ranges",
-    "output_dir", "min_fork_present", "rolling_stat",
-    "export_dissim", "from_block", "to_block", "chunk_size",
-}
 
 
 @dataclass(frozen=True)
@@ -82,6 +75,9 @@ class RunConfig:
 
     def mds_config(self) -> MdsConfig:
         return MdsConfig(self.max_iterations, self.tolerance, self.root_seed)
+
+
+_CONFIG_FIELDS = {field.name for field in dataclasses.fields(RunConfig)}
 
 
 def parse_ranges(text: str) -> tuple[tuple[int, int], ...]:
@@ -300,10 +296,6 @@ def _write_analysis_outputs(config: RunConfig, matrix: VoterMatrix,
             x=[float(k) for k, _ in sweep],
             x_label="k", y_label="mean silhouette",
         ), out / "charts" / f"silhouette_{analysis.proposal_id}.svg")
-        if config.export_dissim:
-            (out / "dissim").mkdir(parents=True, exist_ok=True)
-            dissim_mod.to_csv(analysis.dissim,
-                              out / "dissim" / f"{analysis.proposal_id}.csv")
     render_chart(ChartSpec(
         kind="line",
         title=f"{config.dao}: clusters per proposal",
@@ -315,16 +307,29 @@ def _write_analysis_outputs(config: RunConfig, matrix: VoterMatrix,
           f"{len(result.skipped)} skipped -> {config.out}")
 
 
-def _analyze(config: RunConfig, matrix: VoterMatrix) -> PipelineResult:
+def _write_dissim(config: RunConfig, d: DissimilarityMatrix) -> None:
+    directory = config.out / "dissim"
+    directory.mkdir(parents=True, exist_ok=True)
+    dissim_mod.to_csv(d, directory / f"{d.proposal_id}.csv")
+
+
+def _analyze(config: RunConfig, matrix: VoterMatrix,
+             export_dissim: bool = False) -> PipelineResult:
+    """The pipeline over ``matrix``; with ``export_dissim`` each analyzed
+    proposal's dissimilarity matrix goes to dissim/<pid>.csv as soon as its
+    frame is done, so the run never holds more than one of them."""
+    on_dissim = functools.partial(_write_dissim, config) if export_dissim else None
     return analyze_matrix(matrix, config.window_spec(), config.mds_config(),
-                          config.k_min, config.k_max, config.root_seed)
+                          config.k_min, config.k_max, config.root_seed,
+                          on_dissim=on_dissim)
 
 
 def cmd_analyze(config: RunConfig) -> int:
     """Matrices, embeddings, clusterings, and per-proposal scatter maps."""
     ground_truth = _load_ground_truth(config)
     matrix = build_voter_matrix(_load_events(config))
-    _write_analysis_outputs(config, matrix, _analyze(config, matrix), ground_truth)
+    result = _analyze(config, matrix, config.export_dissim)
+    _write_analysis_outputs(config, matrix, result, ground_truth)
     return 0
 
 
@@ -426,7 +431,7 @@ def cmd_all(config: RunConfig) -> int:
         _write_ingested(config, events)
     matrix = build_voter_matrix(events)
     _friction(config, matrix)
-    result = _analyze(config, matrix)
+    result = _analyze(config, matrix, config.export_dissim)
     _write_analysis_outputs(config, matrix, result, ground_truth)
     if ground_truth is None:
         print("all: no --ground-truth, skipping validation")

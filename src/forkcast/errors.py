@@ -24,10 +24,6 @@ class ParseError(ForkcastError):
         self.line = line
 
 
-class DuplicateKeyWarning(UserWarning):
-    """A (voter, proposal) pair appeared more than once in a fixture."""
-
-
 class EmptySet(ForkcastError):
     """Ground-truth file contained no addresses."""
 

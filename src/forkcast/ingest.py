@@ -18,14 +18,12 @@ import json
 import re
 import sys
 import time
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Protocol, Sequence
 
 from . import abi
 from .errors import (
-    DuplicateKeyWarning,
     EmptySet,
     MalformedData,
     ParseError,
@@ -180,7 +178,7 @@ def encode_vote_event(event: VoteEvent, signature: str,
 
 @dataclass(frozen=True)
 class LoadReport:
-    """What load_fixture saw: line counts and collapsed duplicates."""
+    """What load_fixture_with_report saw: line counts and collapsed duplicates."""
 
     path: str
     lines: int
@@ -225,19 +223,6 @@ def load_fixture_with_report(path: str | Path) -> tuple[list[VoteEvent], LoadRep
                 raise ParseError(str(exc), line=lineno) from exc
     kept, duplicates = collapse_duplicates(events)
     return kept, LoadReport(str(path), lines, len(kept), duplicates)
-
-
-def load_fixture(path: str | Path) -> list[VoteEvent]:
-    """load_fixture_with_report, warning on collapsed duplicates."""
-    events, report = load_fixture_with_report(path)
-    if report.duplicates:
-        warnings.warn(
-            f"{report.path}: collapsed {len(report.duplicates)} duplicate "
-            "(voter, proposal) pairs, last write wins",
-            DuplicateKeyWarning,
-            stacklevel=2,
-        )
-    return events
 
 
 def write_fixture(events: Sequence[VoteEvent], path: str | Path) -> None:

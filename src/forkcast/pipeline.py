@@ -7,6 +7,7 @@ seeds derive from the root seed per (namespace, stage, proposal id).
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 from .cluster import ClusteringResult, select_k
@@ -25,7 +26,6 @@ from .rng import derive_seed
 @dataclass(frozen=True)
 class ProposalAnalysis:
     proposal_id: int
-    dissim: DissimilarityMatrix
     embedding: Embedding
     clustering: ClusteringResult
 
@@ -42,9 +42,16 @@ class PipelineResult:
 
 def analyze_matrix(matrix: VoterMatrix, window: WindowSpec | None = None,
                    mds: MdsConfig | None = None, k_min: int = 2, k_max: int = 5,
-                   root_seed: int = 0, namespace: tuple = ()) -> PipelineResult:
+                   root_seed: int = 0, namespace: tuple = (),
+                   on_dissim: Callable[[DissimilarityMatrix], None] | None = None,
+                   ) -> PipelineResult:
     """Analyze every proposal after the first; unanalyzable ones are recorded,
-    not fatal. The previous successful embedding seeds the next warm start."""
+    not fatal. The previous successful embedding seeds the next warm start.
+
+    ``on_dissim`` receives each analyzed proposal's dissimilarity matrix once,
+    in proposal order; the result keeps none of them, so at most one n x n
+    matrix is alive at a time.
+    """
     window = window or WindowSpec()
     mds = mds or MdsConfig()
     analyses: list[ProposalAnalysis] = []
@@ -66,6 +73,8 @@ def analyze_matrix(matrix: VoterMatrix, window: WindowSpec | None = None,
         except (EmptyActiveSet, AllZeroDissimilarity) as exc:
             skipped.append((proposal_id, str(exc)))
             continue
-        analyses.append(ProposalAnalysis(proposal_id, d, embedding, clustering))
+        if on_dissim is not None:
+            on_dissim(d)
+        analyses.append(ProposalAnalysis(proposal_id, embedding, clustering))
         previous = embedding
     return PipelineResult(tuple(analyses), tuple(skipped))

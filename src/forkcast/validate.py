@@ -16,7 +16,7 @@ import numpy as np
 from .cluster import ClusteringResult
 from .dissim import WindowSpec
 from .embed import MdsConfig
-from .errors import EmptyRange, ForkcastError, UnknownProposal
+from .errors import EmptyRange, ForkcastError
 from .ingest import ForkGroundTruth
 # bench/spans.py wraps validate.build_voter_matrix by name; keep it importable
 from .matrix import VoterMatrix, build_voter_matrix  # noqa: F401
@@ -59,16 +59,6 @@ class ValidationReport:
     iterations: int
     seeds: tuple[int, ...]
     failed_seeds: tuple[tuple[int, str], ...]
-
-
-@dataclass(frozen=True)
-class ParticipationStats:
-    """Mean per-proposal voter counts before/from a split proposal id."""
-
-    early_fork: float
-    late_fork: float
-    early_nonfork: float
-    late_nonfork: float
 
 
 def shuffle_votes(matrix: VoterMatrix, seed: int) -> VoterMatrix:
@@ -185,25 +175,3 @@ def run_validation(
     randomized = tuple(_aggregate(id_range, summaries)
                        for id_range, summaries in per_range.items() if summaries)
     return ValidationReport(genuine, randomized, iterations, seeds, tuple(failed))
-
-
-def participation_stats(matrix: VoterMatrix, fork: ForkGroundTruth,
-                        split_at: int) -> ParticipationStats:
-    """Fork vs non-fork mean voters per proposal, before and from split_at."""
-    if not matrix.proposal_ids[0] <= split_at <= matrix.proposal_ids[-1]:
-        raise UnknownProposal(f"split {split_at} outside proposal range")
-    fork_rows = np.array([a in fork.addresses for a in matrix.addresses])
-    valid = matrix.cells >= 0
-    fork_counts = valid[fork_rows].sum(axis=0)
-    nonfork_counts = valid[~fork_rows].sum(axis=0)
-    late = np.array([pid >= split_at for pid in matrix.proposal_ids])
-
-    def mean_over(counts: np.ndarray, mask: np.ndarray) -> float:
-        return float(counts[mask].mean()) if mask.any() else 0.0
-
-    return ParticipationStats(
-        early_fork=mean_over(fork_counts, ~late),
-        late_fork=mean_over(fork_counts, late),
-        early_nonfork=mean_over(nonfork_counts, ~late),
-        late_nonfork=mean_over(nonfork_counts, late),
-    )

@@ -248,10 +248,11 @@ NOUNS_FORKERS = os.environ.get("FORKCAST_NOUNS_FORKERS")
     reason="optional chain-data tier: set FORKCAST_NOUNS_FIXTURE and "
            "FORKCAST_NOUNS_FORKERS to an operator-exported fixture")
 def test_criterion_10_chain_data_tier():
-    from forkcast import load_fixture, load_ground_truth
+    from forkcast import load_ground_truth
+    from forkcast.ingest import load_fixture_with_report
 
     with criterion(10, "Nouns chain-data reproduction", 3600.0):
-        events = load_fixture(NOUNS_FIXTURE)
+        events = load_fixture_with_report(NOUNS_FIXTURE)[0]
         truth = load_ground_truth(NOUNS_FORKERS)
         matrix = build_voter_matrix(events)
         assert (matrix.n, matrix.m) == (629, 330)

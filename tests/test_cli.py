@@ -11,9 +11,10 @@ import pytest
 
 import forkcast.cli as cli_module
 import forkcast.validate as validate_module
-from forkcast import VoteEvent, load_fixture
+from forkcast import VoteEvent
 from forkcast.cli import build_parser, main, parse_ranges, resolve_config
 from forkcast.errors import ConfigError
+from forkcast.ingest import load_fixture_with_report
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURE = ROOT / "data" / "planted" / "votes.jsonl"
@@ -249,7 +250,7 @@ def test_all_rpc_collapses_duplicates_like_ingest_then_all(tmp_path, monkeypatch
                                                            capsys):
     """`all --rpc-url` collapses a fetched duplicate vote in memory and writes
     the tree that `ingest` followed by `all` on the written copy writes."""
-    events = load_fixture(FIXTURE)
+    events = load_fixture_with_report(FIXTURE)[0]
     original = next(e for e in events if e.support in (0, 1))
     revote = VoteEvent(original.voter, original.proposal_id, 1 - original.support,
                        events[-1].block_number + 1, 0)
@@ -266,7 +267,7 @@ def test_all_rpc_collapses_duplicates_like_ingest_then_all(tmp_path, monkeypatch
     assert run(["all", *common, "--out", str(two)]) == 0
     copy = one / "nouns" / "votes.jsonl"
     assert len(copy.read_text().splitlines()) == len(events)
-    written = load_fixture(copy)
+    written = load_fixture_with_report(copy)[0]
     assert revote in written and original not in written
     assert tree_digest(one) == tree_digest(two)
 

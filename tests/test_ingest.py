@@ -29,7 +29,6 @@ from forkcast.ingest import (
     decode_vote_event,
     encode_vote_event,
     fetch_logs,
-    load_fixture,
     load_fixture_with_report,
     load_ground_truth,
     normalize_address,
@@ -215,7 +214,7 @@ def test_round_trip_all_bundled_signatures():
 def test_load_fixture_empty(tmp_path):
     path = tmp_path / "votes.jsonl"
     path.write_text("")
-    assert load_fixture(path) == []
+    assert load_fixture_with_report(path)[0] == []
 
 
 def test_load_fixture_duplicate_last_write_wins(tmp_path):
@@ -229,8 +228,8 @@ def test_load_fixture_duplicate_last_write_wins(tmp_path):
     ]
     path = tmp_path / "votes.jsonl"
     path.write_text("\n".join(json.dumps(line) for line in lines) + "\n")
-    with pytest.warns(UserWarning, match="duplicate"):
-        events = load_fixture(path)
+    events, report = load_fixture_with_report(path)
+    assert report.duplicates == ((addr(1), 1),)
     assert len(events) == 2
     assert events[-1].support == 1 and events[-1].block_number == 12
 
@@ -249,7 +248,7 @@ def test_load_fixture_parse_error_carries_line(tmp_path):
     path = tmp_path / "votes.jsonl"
     path.write_text('{"voter": "0x1", "proposal_id": 1}\n')
     with pytest.raises(ParseError, match="line 1"):
-        load_fixture(path)
+        load_fixture_with_report(path)
 
 
 @pytest.mark.parametrize("field", ["proposal_id", "support", "block_number", "log_index"])
@@ -261,11 +260,11 @@ def test_load_fixture_rejects_non_integer_numbers(tmp_path, field, value):
     path = tmp_path / "votes.jsonl"
     path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
     with pytest.raises(ParseError, match="line 2"):
-        load_fixture(path)
+        load_fixture_with_report(path)
 
 
 def test_load_fixture_interns_each_voter():
-    events = load_fixture(PLANTED / "votes.jsonl")
+    events = load_fixture_with_report(PLANTED / "votes.jsonl")[0]
     assert len({id(e.voter) for e in events}) == len({e.voter for e in events})
 
 
@@ -274,7 +273,7 @@ def test_load_fixture_normalizes_mixed_case_addresses(tmp_path):
     record = {"voter": "0xAB" + "Cd" * 19, "proposal_id": 1, "support": 1,
               "block_number": 0, "log_index": 0}
     path.write_text(json.dumps(record) + "\n")
-    [event] = load_fixture(path)
+    [event] = load_fixture_with_report(path)[0]
     assert event.voter == ("0xab" + "cd" * 19)
 
 
@@ -320,7 +319,7 @@ def test_write_fixture_round_trip(tmp_path):
     events = [VoteEvent(addr(2), 3, 1, 50, 0), VoteEvent(addr(1), 1, 0, 10, 2)]
     path = tmp_path / "votes.jsonl"
     write_fixture(events, path)
-    assert load_fixture(path) == sorted(events, key=lambda e: e.order_key)
+    assert load_fixture_with_report(path)[0] == sorted(events, key=lambda e: e.order_key)
 
 
 def write_fixture_with_json_dumps(events, path):

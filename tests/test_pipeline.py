@@ -30,9 +30,20 @@ def test_pipeline_records_unanalyzable_proposals():
     # only one address ever passes a 1.0 threshold -> every j skipped
     rows = [[1, 1, 1], [0, -1, -1], [1, -1, -1]]
     matrix = make_matrix(rows)
-    result = analyze_matrix(matrix, WindowSpec(10, 1.0), root_seed=0)
+    seen = []
+    result = analyze_matrix(matrix, WindowSpec(10, 1.0), root_seed=0,
+                            on_dissim=seen.append)
     assert result.analyses == ()
     assert [pid for pid, _ in result.skipped] == [2, 3]
+    assert seen == []
+
+
+def test_pipeline_hands_each_dissimilarity_to_the_hook(planted_matrix):
+    seen = []
+    result = analyze_matrix(planted_matrix, root_seed=0, on_dissim=seen.append)
+    assert [d.proposal_id for d in seen] == [a.proposal_id for a in result.analyses]
+    for d, analysis in zip(seen, result.analyses):
+        assert d.addresses == analysis.embedding.addresses
 
 
 def test_pipeline_warm_start_keeps_orientation(planted_matrix):

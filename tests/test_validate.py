@@ -12,14 +12,13 @@ from forkcast import (
     ForkGroundTruth,
     analyze_matrix,
     fork_cluster_share,
-    participation_stats,
     run_validation,
     shuffle_votes,
     static_disagreement,
     summarize_range,
 )
 from forkcast.cluster import ClusteringResult
-from forkcast.errors import EmptyRange, UnknownProposal
+from forkcast.errors import EmptyRange
 
 from conftest import addr, make_matrix
 
@@ -169,37 +168,6 @@ def test_run_validation_aggregates_order(planted, planted_matrix, planted_genuin
     assert stats.iterations_counted == 3
     assert stats.avg_clusters_min <= stats.avg_clusters_mean <= stats.avg_clusters_max
     assert stats.fork_share_min <= stats.fork_share_mean <= stats.fork_share_max
-
-
-def test_participation_stats_split():
-    # p1, p2 early; p3, p4 late (split at 3); fork = first two addresses
-    rows = [
-        [1, -1, 1, 1],
-        [-1, -1, 1, 1],
-        [1, 1, 1, 1],
-        [0, 1, -1, 1],
-    ]
-    matrix = make_matrix(rows)
-    fork = ForkGroundTruth("f", frozenset({addr(1), addr(2)}))
-    stats = participation_stats(matrix, fork, split_at=3)
-    assert stats.early_fork == pytest.approx(0.5)     # (1 + 0) / 2
-    assert stats.late_fork == pytest.approx(2.0)      # (2 + 2) / 2
-    assert stats.early_nonfork == pytest.approx(2.0)  # (2 + 2) / 2
-    assert stats.late_nonfork == pytest.approx(1.5)   # (1 + 2) / 2
-
-
-def test_participation_stats_no_fork_addresses():
-    matrix = make_matrix([[1, 1], [0, 1]])
-    fork = ForkGroundTruth("f", frozenset({addr(42)}))
-    stats = participation_stats(matrix, fork, split_at=2)
-    assert stats.early_fork == 0.0 and stats.late_fork == 0.0
-
-
-def test_participation_stats_split_out_of_range():
-    matrix = make_matrix([[1, 1], [0, 1]])
-    fork = ForkGroundTruth("f", frozenset({addr(1)}))
-    with pytest.raises(UnknownProposal):
-        participation_stats(matrix, fork, split_at=99)
 
 
 def _raise_in_shuffle(monkeypatch, error: Exception) -> None:
