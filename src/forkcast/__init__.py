@@ -19,7 +19,7 @@ from .friction import (
 )
 from .ingest import ForkGroundTruth, VoteEvent, load_ground_truth
 from .matrix import build_voter_matrix, column_votes
-from .pipeline import analyze_matrix
+from .pipeline import AnalysisSpec, analyze_matrix
 from .planted import planted_two_bloc_events
 from .report import ChartSpec, render_chart, render_mds_scatter
 from .validate import fork_cluster_share, run_validation, shuffle_votes, summarize_range
@@ -27,7 +27,7 @@ from .validate import fork_cluster_share, run_validation, shuffle_votes, summari
 __version__ = "0.1.0"
 
 __all__ = [
-    "ChartSpec", "DisagreementRecord", "Embedding", "ForkGroundTruth",
+    "AnalysisSpec", "ChartSpec", "DisagreementRecord", "Embedding", "ForkGroundTruth",
     "FrictionReport", "MdsConfig", "VoteEvent", "WindowSpec", "active_set",
     "analyze_matrix", "build_friction_report", "build_voter_matrix",
     "column_votes", "dissimilarity_matrix", "flag_dao", "fork_cluster_share",

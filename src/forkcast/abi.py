@@ -226,34 +226,3 @@ def vote_fields(abi: EventAbi, values: dict[int, int | str]) -> tuple[str, int, 
     integers = [values[i] for i, p in enumerate(abi.params)
                 if i != abi.voter_index and _is_integerish(p.type)]
     return voter, int(integers[0]), int(integers[1])
-
-
-def encode_vote_data(abi: EventAbi, voter: str, proposal_id: int,
-                     support: int) -> tuple[tuple[str, ...], str]:
-    """Build (topics, data) for a synthetic log of this event.
-
-    Integer parameters beyond proposal/support encode as zero; dynamic
-    parameters as empty. Inverse of decode for the fields a VoteEvent keeps.
-    """
-    integer_slots = [i for i, p in enumerate(abi.params)
-                     if i != abi.voter_index and _is_integerish(p.type)]
-    assigned = {integer_slots[0]: proposal_id, integer_slots[1]: support}
-    topics = [abi.topic0]
-    head: list[bytes] = []
-    tail: list[bytes] = []
-    data_params = [p for p in abi.params if not p.indexed]
-    tail_offset = 32 * len(data_params)
-    for i, param in enumerate(abi.params):
-        if param.type == "address":
-            word = bytes(12) + bytes.fromhex(_strip_0x(voter))
-        elif param.type in _DYNAMIC_TYPES:
-            word = tail_offset.to_bytes(32, "big")
-            tail.append((0).to_bytes(32, "big"))  # zero-length payload
-            tail_offset += 32
-        else:
-            word = assigned.get(i, 0).to_bytes(32, "big")
-        if param.indexed:
-            topics.append("0x" + word.hex())
-        else:
-            head.append(word)
-    return tuple(topics), "0x" + b"".join(head + tail).hex()

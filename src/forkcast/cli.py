@@ -2,9 +2,10 @@
 
 Configuration precedence is CLI flags > config file (--config, JSON) >
 registry analysis defaults > built-in defaults; the built-ins are the
-Nouns DAO parameterization (window 10, threshold 0.40, k 2..5, MDS
-300/1e-6, 100 shuffle iterations). All commands are idempotent: re-running
-with the same inputs and seed rewrites byte-identical outputs.
+Nouns DAO parameterization, the ``DEFAULT_*`` constants of ``dissim``,
+``embed``, ``cluster`` and ``validate``. Each command accepts only the flags
+it reads; a config file may set any key. All commands are idempotent:
+re-running with the same inputs and seed rewrites byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -21,8 +22,14 @@ from pathlib import Path
 from . import dissim as dissim_mod
 from . import friction as friction_mod
 from . import matrix as matrix_mod
-from .dissim import DissimilarityMatrix, WindowSpec
-from .embed import MdsConfig
+from .cluster import DEFAULT_K_MAX, DEFAULT_K_MIN
+from .dissim import (
+    DEFAULT_PARTICIPATION_THRESHOLD,
+    DEFAULT_WINDOW_SIZE,
+    DissimilarityMatrix,
+    WindowSpec,
+)
+from .embed import DEFAULT_MAX_ITERATIONS, DEFAULT_TOLERANCE, MdsConfig
 from .errors import ConfigError, ForkcastError, MissingArtifact
 from .ingest import (
     ForkGroundTruth,
@@ -34,10 +41,16 @@ from .ingest import (
     write_fixture,
 )
 from .matrix import VoterMatrix, build_voter_matrix
-from .pipeline import PipelineResult, analyze_matrix
+from .pipeline import AnalysisSpec, PipelineResult, analyze_matrix
 from .registry import bundled_registry, load_registry
 from .report import ChartSpec, render_chart, render_mds_scatter
-from .validate import ValidationReport, fork_cluster_share, run_validation
+from .validate import (
+    DEFAULT_ITERATIONS,
+    DEFAULT_MIN_FORK_PRESENT,
+    ValidationReport,
+    fork_cluster_share,
+    run_validation,
+)
 
 RPC_URL_ENV = "FORKCAST_RPC_URL"
 
@@ -49,17 +62,17 @@ class RunConfig:
     rpc_url: str | None = None
     registry_path: str | None = None
     ground_truth: str | None = None
-    window_size: int = 10
-    participation_threshold: float = 0.40
-    k_min: int = 2
-    k_max: int = 5
-    max_iterations: int = 300
-    tolerance: float = 1e-6
-    iterations: int = 100
+    window_size: int = DEFAULT_WINDOW_SIZE
+    participation_threshold: float = DEFAULT_PARTICIPATION_THRESHOLD
+    k_min: int = DEFAULT_K_MIN
+    k_max: int = DEFAULT_K_MAX
+    max_iterations: int = DEFAULT_MAX_ITERATIONS
+    tolerance: float = DEFAULT_TOLERANCE
+    iterations: int = DEFAULT_ITERATIONS
     root_seed: int = 0
     ranges: tuple[tuple[int, int], ...] | None = None
     output_dir: str = "out"
-    min_fork_present: int = 1
+    min_fork_present: int = DEFAULT_MIN_FORK_PRESENT
     rolling_stat: str = "max"
     export_dissim: bool = False
     from_block: int | None = None
@@ -70,11 +83,10 @@ class RunConfig:
     def out(self) -> Path:
         return Path(self.output_dir) / self.dao
 
-    def window_spec(self) -> WindowSpec:
-        return WindowSpec(self.window_size, self.participation_threshold)
-
-    def mds_config(self) -> MdsConfig:
-        return MdsConfig(self.max_iterations, self.tolerance, self.root_seed)
+    def analysis_spec(self) -> AnalysisSpec:
+        return AnalysisSpec(WindowSpec(self.window_size, self.participation_threshold),
+                            MdsConfig(self.max_iterations, self.tolerance),
+                            self.k_min, self.k_max, self.root_seed)
 
 
 _CONFIG_FIELDS = {field.name for field in dataclasses.fields(RunConfig)}
@@ -319,9 +331,7 @@ def _analyze(config: RunConfig, matrix: VoterMatrix,
     proposal's dissimilarity matrix goes to dissim/<pid>.csv as soon as its
     frame is done, so the run never holds more than one of them."""
     on_dissim = functools.partial(_write_dissim, config) if export_dissim else None
-    return analyze_matrix(matrix, config.window_spec(), config.mds_config(),
-                          config.k_min, config.k_max, config.root_seed,
-                          on_dissim=on_dissim)
+    return analyze_matrix(matrix, config.analysis_spec(), on_dissim=on_dissim)
 
 
 def cmd_analyze(config: RunConfig) -> int:
@@ -366,11 +376,8 @@ def _validate(config: RunConfig, matrix: VoterMatrix, result: PipelineResult,
               ground_truth: ForkGroundTruth) -> None:
     report = run_validation(
         matrix, result, ground_truth,
-        window=config.window_spec(), mds=config.mds_config(),
         ranges=list(config.ranges) if config.ranges else None,
-        iterations=config.iterations, root_seed=config.root_seed,
-        k_min=config.k_min, k_max=config.k_max,
-        min_fork_present=config.min_fork_present,
+        iterations=config.iterations, min_fork_present=config.min_fork_present,
     )
     out = config.out
     out.mkdir(parents=True, exist_ok=True)
@@ -449,6 +456,49 @@ _COMMANDS = {
 }
 
 
+# argparse settings of every flag; `all` takes every one, in this order
+_FLAGS = {
+    "--dao": dict(help="registry name / output subdirectory"),
+    "--config": dict(help="JSON config file mirroring RunConfig"),
+    "--registry": dict(dest="registry_path",
+                       help="registry JSON overriding the bundled one"),
+    "--out": dict(dest="output_dir"),
+    "--fixture": dict(help="JSONL vote fixture path"),
+    "--rpc-url": dict(dest="rpc_url", help=f"EVM JSON-RPC endpoint (or ${RPC_URL_ENV})"),
+    "--from-block": dict(dest="from_block", type=int),
+    "--to-block": dict(dest="to_block", type=int),
+    "--chunk-size": dict(dest="chunk_size", type=int),
+    "--ground-truth": dict(dest="ground_truth", help="fork address list, one per line"),
+    "--window": dict(dest="window_size", type=int),
+    "--rolling-stat": dict(dest="rolling_stat", choices=("max", "mean")),
+    "--threshold": dict(dest="participation_threshold", type=float),
+    "--k-min": dict(dest="k_min", type=int),
+    "--k-max": dict(dest="k_max", type=int),
+    "--mds-iterations": dict(dest="max_iterations", type=int),
+    "--mds-tolerance": dict(dest="tolerance", type=float),
+    "--seed": dict(dest="root_seed", type=int),
+    "--export-dissim": dict(dest="export_dissim", action="store_const", const=True,
+                            default=None),
+    "--iterations": dict(type=int, help="shuffle iterations"),
+    "--ranges": dict(help="e.g. 319-362,349-362"),
+    "--min-fork-present": dict(dest="min_fork_present", type=int),
+}
+
+_COMMON = ("--dao", "--config", "--registry", "--out")
+_ANALYSIS = ("--fixture", "--ground-truth", "--window", "--threshold", "--k-min",
+             "--k-max", "--mds-iterations", "--mds-tolerance", "--seed")
+
+# the flags each command reads
+_COMMAND_FLAGS = {
+    "ingest": (*_COMMON, "--fixture", "--rpc-url", "--from-block", "--to-block",
+               "--chunk-size"),
+    "friction": (*_COMMON, "--fixture", "--window", "--rolling-stat"),
+    "analyze": (*_COMMON, *_ANALYSIS, "--export-dissim"),
+    "validate": (*_COMMON, *_ANALYSIS, "--iterations", "--ranges", "--min-fork-present"),
+    "all": tuple(_FLAGS),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="forkcast",
@@ -456,33 +506,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, handler in _COMMANDS.items():
         p = sub.add_parser(name, help=handler.__doc__)
-        p.add_argument("--dao", help="registry name / output subdirectory")
-        p.add_argument("--fixture", help="JSONL vote fixture path")
-        p.add_argument("--rpc-url", dest="rpc_url",
-                       help=f"EVM JSON-RPC endpoint (or ${RPC_URL_ENV})")
-        p.add_argument("--registry", dest="registry_path",
-                       help="registry JSON overriding the bundled one")
-        p.add_argument("--ground-truth", dest="ground_truth",
-                       help="fork address list, one per line")
-        p.add_argument("--config", help="JSON config file mirroring RunConfig")
-        p.add_argument("--window", dest="window_size", type=int)
-        p.add_argument("--threshold", dest="participation_threshold", type=float)
-        p.add_argument("--k-min", dest="k_min", type=int)
-        p.add_argument("--k-max", dest="k_max", type=int)
-        p.add_argument("--mds-iterations", dest="max_iterations", type=int)
-        p.add_argument("--mds-tolerance", dest="tolerance", type=float)
-        p.add_argument("--iterations", type=int, help="shuffle iterations")
-        p.add_argument("--seed", dest="root_seed", type=int)
-        p.add_argument("--ranges", help="e.g. 319-362,349-362")
-        p.add_argument("--out", dest="output_dir")
-        p.add_argument("--min-fork-present", dest="min_fork_present", type=int)
-        p.add_argument("--rolling-stat", dest="rolling_stat",
-                       choices=("max", "mean"))
-        p.add_argument("--export-dissim", dest="export_dissim",
-                       action="store_const", const=True, default=None)
-        p.add_argument("--from-block", dest="from_block", type=int)
-        p.add_argument("--to-block", dest="to_block", type=int)
-        p.add_argument("--chunk-size", dest="chunk_size", type=int)
+        for flag in _COMMAND_FLAGS[name]:
+            p.add_argument(flag, **_FLAGS[flag])
     return parser
 
 

@@ -39,15 +39,12 @@ _MIN_JITTER = 1e-3
 class MdsConfig:
     max_iterations: int = DEFAULT_MAX_ITERATIONS
     tolerance: float = DEFAULT_TOLERANCE
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
         if self.tolerance <= 0:
             raise ValueError("tolerance must be > 0")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -57,7 +54,6 @@ class Embedding:
     coords: np.ndarray  # (n, 2) float64
     stress: float
     iterations_used: int
-    seed: int
     stress_path: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
@@ -110,28 +106,24 @@ def random_init(n: int, seed: int) -> np.ndarray:
     return np.array([[rng.uniform(), rng.uniform()] for _ in range(n)])
 
 
-def mds_embed(d: DissimilarityMatrix, init: np.ndarray | None = None,
-              config: MdsConfig | None = None) -> Embedding:
-    """Embed one dissimilarity matrix in 2D.
+def mds_embed(d: DissimilarityMatrix, init: np.ndarray,
+              config: MdsConfig = MdsConfig()) -> Embedding:
+    """Embed one dissimilarity matrix in 2D, starting from ``init``.
 
-    Deterministic given (d, init, config.seed); per-iteration stress is
+    Deterministic given (d, init, config); per-iteration stress is
     non-increasing and recorded in ``stress_path``.
     """
-    config = config or MdsConfig()
     cells = d.cells
     n = cells.shape[0]
     if n < 2:
         raise ValueError("need at least 2 points")
     if not np.all(np.isfinite(cells)):
         raise NonFiniteInput("dissimilarity matrix contains non-finite values")
-    if init is None:
-        coords = random_init(n, config.seed)
-    else:
-        coords = np.array(init, dtype=np.float64)
-        if coords.shape != (n, 2):
-            raise ValueError(f"init shape {coords.shape} != ({n}, 2)")
-        if not np.all(np.isfinite(coords)):
-            raise NonFiniteInput("init coordinates contain non-finite values")
+    coords = np.array(init, dtype=np.float64)
+    if coords.shape != (n, 2):
+        raise ValueError(f"init shape {coords.shape} != ({n}, 2)")
+    if not np.all(np.isfinite(coords)):
+        raise NonFiniteInput("init coordinates contain non-finite values")
     upper, target, denominator = _stress_terms(cells)
     distances = pairwise_distances(coords)
     current = _normalized_stress(target, denominator, distances[upper])
@@ -157,7 +149,6 @@ def mds_embed(d: DissimilarityMatrix, init: np.ndarray | None = None,
         coords=coords,
         stress=path[-1],
         iterations_used=iterations,
-        seed=config.seed,
         stress_path=tuple(path),
     )
 

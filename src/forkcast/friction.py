@@ -2,8 +2,9 @@
 
 Disagreement is the fraction of valid voters opposing the winning outcome,
 so it lives in [0, 0.5]; a tie counts as 0.5 (the label-symmetric choice).
-Category cut points default to: unanimous (exactly 0), low (0, 0.20),
-medium [0.20, 0.40), high [0.40, 0.50].
+Category cut points: unanimous (exactly 0), low (0, 0.20), medium
+[0.20, 0.40), high [0.40, 0.50]. The rolling window defaults to the
+analysis window.
 """
 
 from __future__ import annotations
@@ -13,16 +14,17 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
+from .dissim import DEFAULT_WINDOW_SIZE
 from .errors import EmptyInput
 from .matrix import VoterMatrix, column_votes
 
 CATEGORIES = ("unanimous", "low", "medium", "high")
 
-DEFAULT_LOW_CUT = 0.20
-DEFAULT_HIGH_CUT = 0.40
-DEFAULT_WINDOW = 10
-DEFAULT_SHARE_CUTOFF = 0.20
-DEFAULT_ROLLING_CUTOFF = 0.15
+LOW_CUT = 0.20
+HIGH_CUT = 0.40
+# a DAO is flagged when its medium+high share and its rolling series exceed these
+SHARE_CUTOFF = 0.20
+ROLLING_CUTOFF = 0.15
 
 
 @dataclass(frozen=True)
@@ -41,31 +43,27 @@ class FrictionReport:
     flagged: bool
 
 
-def categorize(disagreement: float, low_cut: float = DEFAULT_LOW_CUT,
-               high_cut: float = DEFAULT_HIGH_CUT) -> str:
+def categorize(disagreement: float) -> str:
     if not 0.0 <= disagreement <= 0.5:
         raise ValueError(f"disagreement {disagreement} outside [0, 0.5]")
     if disagreement == 0.0:
         return "unanimous"
-    if disagreement < low_cut:
+    if disagreement < LOW_CUT:
         return "low"
-    if disagreement < high_cut:
+    if disagreement < HIGH_CUT:
         return "medium"
     return "high"
 
 
-def static_disagreement(matrix: VoterMatrix, proposal_id: int,
-                        low_cut: float = DEFAULT_LOW_CUT,
-                        high_cut: float = DEFAULT_HIGH_CUT) -> DisagreementRecord:
+def static_disagreement(matrix: VoterMatrix, proposal_id: int) -> DisagreementRecord:
     """Fraction of the minority side among valid votes on one proposal."""
     yes, no, _ = column_votes(matrix, proposal_id)
     disagreement = min(yes, no) / (yes + no)
-    return DisagreementRecord(proposal_id, disagreement,
-                              categorize(disagreement, low_cut, high_cut))
+    return DisagreementRecord(proposal_id, disagreement, categorize(disagreement))
 
 
 def rolling_disagreement(records: Sequence[DisagreementRecord],
-                         window: int = DEFAULT_WINDOW) -> list[tuple[int, float]]:
+                         window: int = DEFAULT_WINDOW_SIZE) -> list[tuple[int, float]]:
     """Trailing-window mean, moving forward one proposal at a time.
 
     Positions earlier than ``window`` average whatever history exists, so the
@@ -90,12 +88,9 @@ def category_shares(records: Sequence[DisagreementRecord]) -> dict[str, float]:
     return {category: counts[category] / len(records) for category in CATEGORIES}
 
 
-def flag_dao(report: FrictionReport,
-             share_cutoff: float = DEFAULT_SHARE_CUTOFF,
-             rolling_cutoff: float = DEFAULT_ROLLING_CUTOFF,
-             rolling_stat: str = "max") -> bool:
-    """True iff medium+high share exceeds ``share_cutoff`` and the rolling
-    series exceeds ``rolling_cutoff`` (by max, or by mean when configured)."""
+def flag_dao(report: FrictionReport, rolling_stat: str = "max") -> bool:
+    """True iff medium+high share exceeds ``SHARE_CUTOFF`` and the rolling
+    series exceeds ``ROLLING_CUTOFF`` (by max, or by mean when configured)."""
     if rolling_stat not in ("max", "mean"):
         raise ValueError(f"rolling_stat must be 'max' or 'mean', got {rolling_stat!r}")
     contentious = report.category_shares["medium"] + report.category_shares["high"]
@@ -103,18 +98,13 @@ def flag_dao(report: FrictionReport,
     if not values:
         return False
     stat = max(values) if rolling_stat == "max" else sum(values) / len(values)
-    return contentious > share_cutoff and stat > rolling_cutoff
+    return contentious > SHARE_CUTOFF and stat > ROLLING_CUTOFF
 
 
 def build_friction_report(matrix: VoterMatrix, dao_name: str,
-                          window: int = DEFAULT_WINDOW,
-                          low_cut: float = DEFAULT_LOW_CUT,
-                          high_cut: float = DEFAULT_HIGH_CUT,
-                          share_cutoff: float = DEFAULT_SHARE_CUTOFF,
-                          rolling_cutoff: float = DEFAULT_ROLLING_CUTOFF,
+                          window: int = DEFAULT_WINDOW_SIZE,
                           rolling_stat: str = "max") -> FrictionReport:
-    records = tuple(static_disagreement(matrix, pid, low_cut, high_cut)
-                    for pid in matrix.proposal_ids)
+    records = tuple(static_disagreement(matrix, pid) for pid in matrix.proposal_ids)
     report = FrictionReport(
         dao_name=dao_name,
         records=records,
@@ -122,8 +112,7 @@ def build_friction_report(matrix: VoterMatrix, dao_name: str,
         category_shares=category_shares(records),
         flagged=False,
     )
-    return replace(report, flagged=flag_dao(report, share_cutoff,
-                                            rolling_cutoff, rolling_stat))
+    return replace(report, flagged=flag_dao(report, rolling_stat))
 
 
 def to_csv(report: FrictionReport, path: str | Path) -> None:

@@ -130,15 +130,6 @@ class RawLog:
             log_index=_to_int(entry["logIndex"]),
         )
 
-    def to_rpc(self) -> dict:
-        return {
-            "address": self.address,
-            "topics": list(self.topics),
-            "data": self.data,
-            "blockNumber": hex(self.block_number),
-            "logIndex": hex(self.log_index),
-        }
-
 
 def _to_int(value: int | str) -> int:
     return value if isinstance(value, int) else int(value, 16)
@@ -165,15 +156,6 @@ def decode_vote_event(raw_log: RawLog, signature: str) -> VoteEvent:
         raise MalformedData(f"{where}: {exc}") from exc
     except ValueError as exc:
         raise MalformedData(f"{where}: {exc}") from exc
-
-
-def encode_vote_event(event: VoteEvent, signature: str,
-                      contract: Address = "0x" + "00" * 20) -> RawLog:
-    """Synthesize a log that decodes back to ``event`` (round-trip inverse)."""
-    event_abi = abi.parse_event_signature(signature)
-    topics, data = abi.encode_vote_data(
-        event_abi, event.voter, event.proposal_id, event.support)
-    return RawLog(contract, topics, data, event.block_number, event.log_index)
 
 
 @dataclass(frozen=True)
@@ -295,38 +277,6 @@ class HttpTransport:
             error = payload["error"]
             raise RpcError(int(error.get("code", -32000)), str(error.get("message", "")))
         return payload.get("result")
-
-
-class StaticLogTransport:
-    """Replay transport answering eth_getLogs from a fixed log list.
-
-    Used to replay recorded RPC traces in tests and offline runs; filtering
-    mirrors provider semantics (address, inclusive block range, topic0 OR-list).
-    """
-
-    def __init__(self, logs: Sequence[RawLog]) -> None:
-        self._logs = sorted(logs, key=lambda l: (l.block_number, l.log_index))
-
-    def request(self, method: str, params: list) -> object:
-        if method != "eth_getLogs":
-            raise TransportError(f"unsupported method {method}")
-        flt = params[0]
-        lo = _to_int(flt["fromBlock"])
-        hi = _to_int(flt["toBlock"])
-        address = flt.get("address", "").lower()
-        topic0 = flt.get("topics", [None])[0]
-        accepted = {t.lower() for t in topic0} if isinstance(topic0, list) else (
-            {topic0.lower()} if topic0 else None)
-        out = []
-        for log in self._logs:
-            if not lo <= log.block_number <= hi:
-                continue
-            if address and log.address.lower() != address:
-                continue
-            if accepted is not None and (not log.topics or log.topics[0].lower() not in accepted):
-                continue
-            out.append(log.to_rpc())
-        return out
 
 
 # provider messages that mean "narrow the block range and retry"

@@ -8,9 +8,9 @@ seeds derive from the root seed per (namespace, stage, proposal id).
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from .cluster import ClusteringResult, select_k
+from .cluster import DEFAULT_K_MAX, DEFAULT_K_MIN, ClusteringResult, select_k
 from .dissim import (
     DissimilarityMatrix,
     WindowSpec,
@@ -24,6 +24,18 @@ from .rng import derive_seed
 
 
 @dataclass(frozen=True)
+class AnalysisSpec:
+    """Every setting of one analysis pass; a shuffled pass reuses the
+    genuine pass's spec, so both are analyzed the same way."""
+
+    window: WindowSpec = WindowSpec()
+    mds: MdsConfig = MdsConfig()
+    k_min: int = DEFAULT_K_MIN
+    k_max: int = DEFAULT_K_MAX
+    root_seed: int = 0
+
+
+@dataclass(frozen=True)
 class ProposalAnalysis:
     proposal_id: int
     embedding: Embedding
@@ -34,15 +46,15 @@ class ProposalAnalysis:
 class PipelineResult:
     analyses: tuple[ProposalAnalysis, ...]
     skipped: tuple[tuple[int, str], ...]  # (proposal_id, reason)
+    spec: AnalysisSpec
 
     @property
     def clusterings(self) -> list[ClusteringResult]:
         return [a.clustering for a in self.analyses]
 
 
-def analyze_matrix(matrix: VoterMatrix, window: WindowSpec | None = None,
-                   mds: MdsConfig | None = None, k_min: int = 2, k_max: int = 5,
-                   root_seed: int = 0, namespace: tuple = (),
+def analyze_matrix(matrix: VoterMatrix, spec: AnalysisSpec = AnalysisSpec(), *,
+                   namespace: tuple = (),
                    on_dissim: Callable[[DissimilarityMatrix], None] | None = None,
                    ) -> PipelineResult:
     """Analyze every proposal after the first; unanalyzable ones are recorded,
@@ -52,22 +64,20 @@ def analyze_matrix(matrix: VoterMatrix, window: WindowSpec | None = None,
     in proposal order; the result keeps none of them, so at most one n x n
     matrix is alive at a time.
     """
-    window = window or WindowSpec()
-    mds = mds or MdsConfig()
     analyses: list[ProposalAnalysis] = []
     skipped: list[tuple[int, str]] = []
     previous: Embedding | None = None
     for j in range(2, matrix.m + 1):
         proposal_id = matrix.proposal_ids[j - 1]
         try:
-            active = active_set(matrix, j, window)
+            active = active_set(matrix, j, spec.window)
             d = dissimilarity_matrix(matrix, active)
-            seed_mds = derive_seed(root_seed, *namespace, "mds", proposal_id)
-            init = warm_start(previous, active.addresses, seed_mds)
-            embedding = mds_embed(d, init, replace(mds, seed=seed_mds))
+            init = warm_start(previous, active.addresses,
+                              derive_seed(spec.root_seed, *namespace, "mds", proposal_id))
+            embedding = mds_embed(d, init, spec.mds)
             clustering = select_k(
-                embedding.coords, k_min, k_max,
-                seed=derive_seed(root_seed, *namespace, "kmeans", proposal_id),
+                embedding.coords, spec.k_min, spec.k_max,
+                seed=derive_seed(spec.root_seed, *namespace, "kmeans", proposal_id),
                 proposal_id=proposal_id, addresses=active.addresses,
             )
         except (EmptyActiveSet, AllZeroDissimilarity) as exc:
@@ -77,4 +87,4 @@ def analyze_matrix(matrix: VoterMatrix, window: WindowSpec | None = None,
             on_dissim(d)
         analyses.append(ProposalAnalysis(proposal_id, embedding, clustering))
         previous = embedding
-    return PipelineResult(tuple(analyses), tuple(skipped))
+    return PipelineResult(tuple(analyses), tuple(skipped), spec)

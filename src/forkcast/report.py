@@ -22,7 +22,7 @@ PALETTE = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd",
 FORK_COLOR = "#d62728"
 STAY_COLOR = "#1f77b4"
 
-KINDS = ("bar", "stacked_bar", "line", "scatter", "stacked_area")
+KINDS = ("stacked_bar", "line", "stacked_area")
 
 _WIDTH, _HEIGHT = 720.0, 440.0
 _LEFT, _RIGHT, _TOP, _BOTTOM = 70.0, 170.0, 48.0, 56.0
@@ -155,12 +155,10 @@ def render_chart(spec: ChartSpec, path: str | Path) -> None:
         parts.append(f'<text x="{_fmt(_LEFT + _PLOT_W / 2)}" '
                      f'y="{_fmt(_TOP + _PLOT_H / 2)}" text-anchor="middle" '
                      'font-size="14" fill="#888">no data</text>')
-    elif spec.kind in ("bar", "stacked_bar"):
-        _render_bars(spec, n, parts)
-    elif spec.kind in ("line", "stacked_area"):
-        _render_lines(spec, n, parts)
+    elif spec.kind == "stacked_bar":
+        _render_stacked_bars(spec, n, parts)
     else:
-        _render_scatter(spec, n, parts)
+        _render_lines(spec, n, parts)
     parts.append("</svg>")
     path.write_bytes(("\n".join(parts) + "\n").encode("utf-8"))
     _write_sibling_csv(spec, n, path.with_suffix(".csv"))
@@ -174,32 +172,24 @@ def _x_positions(spec: ChartSpec, n: int) -> tuple[list[float], float, float]:
     return xs, lo, hi
 
 
-def _render_bars(spec: ChartSpec, n: int, parts: list[str]) -> None:
+def _render_stacked_bars(spec: ChartSpec, n: int, parts: list[str]) -> None:
     names = list(spec.series)
-    stacked = spec.kind == "stacked_bar"
-    if stacked:
-        totals = [sum(spec.series[name][i] for name in names) for i in range(n)]
-    else:
-        totals = [max(spec.series[name][i] for name in names) for i in range(n)]
+    totals = [sum(spec.series[name][i] for name in names) for i in range(n)]
     y_hi = max([*totals, 0.0]) or 1.0
     labels = [str(v) for v in (spec.labels if spec.labels is not None else range(n))]
     slot = _PLOT_W / n
-    bar_w = slot * 0.8 if stacked else slot * 0.8 / len(names)
+    bar_w = slot * 0.8
     bottom = _TOP + _PLOT_H
     ticks = [(i + 0.5, labels[i]) for i in range(n)]
     _axes(parts, 0.0, float(n), 0.0, y_hi, spec.x_label, spec.y_label, ticks)
     for i in range(n):
         base = 0.0
+        x = _LEFT + i * slot + slot * 0.1
         for s, name in enumerate(names):
             value = float(spec.series[name][i])
             height = value / y_hi * _PLOT_H
-            if stacked:
-                x = _LEFT + i * slot + slot * 0.1
-                y = bottom - (base + value) / y_hi * _PLOT_H
-                base += value
-            else:
-                x = _LEFT + i * slot + slot * 0.1 + s * bar_w
-                y = bottom - height
+            y = bottom - (base + value) / y_hi * _PLOT_H
+            base += value
             parts.append(f'<rect x="{_fmt(x)}" y="{_fmt(y)}" width="{_fmt(bar_w)}" '
                          f'height="{_fmt(height)}" fill="{_color(spec, name, s)}"/>')
     _legend(parts, [(name, _color(spec, name, s)) for s, name in enumerate(names)])
@@ -243,24 +233,6 @@ def _render_lines(spec: ChartSpec, n: int, parts: list[str]) -> None:
     _legend(parts, [(name, _color(spec, name, s)) for s, name in enumerate(names)])
 
 
-def _render_scatter(spec: ChartSpec, n: int, parts: list[str]) -> None:
-    names = list(spec.series)
-    xs, x_lo, x_hi = _x_positions(spec, n)
-    flat = [float(v) for name in names for v in spec.series[name]]
-    y_lo, y_hi = min(flat), max(flat)
-    if y_hi == y_lo:
-        y_lo, y_hi = y_lo - 0.5, y_hi + 0.5
-    _axes(parts, x_lo, x_hi, y_lo, y_hi, spec.x_label, spec.y_label)
-    bottom = _TOP + _PLOT_H
-    for s, name in enumerate(names):
-        for i in range(n):
-            x = _LEFT + (xs[i] - x_lo) / (x_hi - x_lo) * _PLOT_W
-            y = bottom - (float(spec.series[name][i]) - y_lo) / (y_hi - y_lo) * _PLOT_H
-            parts.append(f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="3.5" '
-                         f'fill="{_color(spec, name, s)}" fill-opacity="0.8"/>')
-    _legend(parts, [(name, _color(spec, name, s)) for s, name in enumerate(names)])
-
-
 def label_colors(labels: Sequence[str]) -> dict[str, str]:
     """Fixed colors: fork/stay conventions, else palette by sorted label."""
     unique = sorted(set(labels))
@@ -269,24 +241,18 @@ def label_colors(labels: Sequence[str]) -> dict[str, str]:
     return {label: PALETTE[i % len(PALETTE)] for i, label in enumerate(unique)}
 
 
-def render_mds_scatter(embedding: Embedding,
-                       labels: Mapping[str, str] | Sequence[str],
+def render_mds_scatter(embedding: Embedding, labels: Sequence[str],
                        path: str | Path) -> None:
     """One colored point per embedded address, equal-aspect axes.
 
-    ``labels`` maps every embedded address to a label (ground truth
-    fork/stay or a cluster id); missing addresses raise LabelMismatch.
+    ``labels`` holds one label per embedded address, in address order
+    (ground truth fork/stay or a cluster id); a length mismatch raises
+    LabelMismatch.
     """
-    if isinstance(labels, Mapping):
-        missing = [a for a in embedding.addresses if a not in labels]
-        if missing:
-            raise LabelMismatch(f"{len(missing)} addresses without labels")
-        label_list = [str(labels[a]) for a in embedding.addresses]
-    else:
-        if len(labels) != len(embedding.addresses):
-            raise LabelMismatch(
-                f"{len(labels)} labels for {len(embedding.addresses)} addresses")
-        label_list = [str(v) for v in labels]
+    if len(labels) != len(embedding.addresses):
+        raise LabelMismatch(
+            f"{len(labels)} labels for {len(embedding.addresses)} addresses")
+    label_list = [str(v) for v in labels]
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     coords = embedding.coords

@@ -14,8 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cluster import ClusteringResult
-from .dissim import WindowSpec
-from .embed import MdsConfig
 from .errors import EmptyRange, ForkcastError
 from .ingest import ForkGroundTruth
 # bench/spans.py wraps validate.build_voter_matrix by name; keep it importable
@@ -129,25 +127,18 @@ def run_validation(
     matrix: VoterMatrix,
     genuine_run: PipelineResult,
     ground_truth: ForkGroundTruth,
-    window: WindowSpec | None = None,
-    mds: MdsConfig | None = None,
     ranges: list[tuple[int, int]] | None = None,
     iterations: int = DEFAULT_ITERATIONS,
-    root_seed: int = 0,
-    k_min: int = 2,
-    k_max: int = 5,
     min_fork_present: int = DEFAULT_MIN_FORK_PRESENT,
 ) -> ValidationReport:
     """Summarize the genuine run and ``iterations`` shuffled reruns per range.
 
-    ``genuine_run`` is ``analyze_matrix`` of ``matrix`` with the same window,
-    MDS config, k range and root seed; the shuffled reruns use those too.
-    Iterations that fail with a package error (for example every proposal
-    unanalyzable) are recorded with their seed and excluded from aggregates.
-    Any other exception, such as a broken shuffle invariant, propagates.
+    ``genuine_run`` is ``analyze_matrix`` of ``matrix``; each shuffled rerun
+    is analyzed with its spec. Iterations that fail with a package error (for
+    example every proposal unanalyzable) are recorded with their seed and
+    excluded from aggregates. Any other exception, such as a broken shuffle
+    invariant, propagates.
     """
-    window = window or WindowSpec()
-    mds = mds or MdsConfig()
     if ranges is None:
         ranges = [(matrix.proposal_ids[0], matrix.proposal_ids[-1])]
     genuine = tuple(summarize_range(genuine_run.clusterings, ground_truth,
@@ -162,8 +153,7 @@ def run_validation(
             shuffled = shuffle_votes(matrix, seed)
             assert np.array_equal(shuffled.cells >= 0, valid_mask), \
                 "shuffle must preserve participation"
-            run = analyze_matrix(shuffled, window, mds, k_min, k_max,
-                                 root_seed, namespace=("shuffle", seed))
+            run = analyze_matrix(shuffled, genuine_run.spec, namespace=("shuffle", seed))
             outcome = [summarize_range(run.clusterings, ground_truth,
                                        id_range, min_fork_present)
                        for id_range in ranges]

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from forkcast import (
+    AnalysisSpec,
     MdsConfig,
     WindowSpec,
     active_set,
@@ -34,6 +35,7 @@ from forkcast import (
     summarize_range,
 )
 from forkcast.cli import main as cli_main
+from forkcast.embed import random_init
 from forkcast.friction import categorize
 
 from conftest import make_matrix
@@ -93,7 +95,7 @@ def test_criterion_2_stress_monotonicity():
             np.fill_diagonal(cells, 0.0)
             if not np.any(cells > 0):
                 cells[0, 1] = cells[1, 0] = 0.5
-            embedding = mds_embed(dmatrix(cells), config=MdsConfig(seed=run))
+            embedding = mds_embed(dmatrix(cells), random_init(n, run))
             path = embedding.stress_path
             assert all(path[i + 1] <= path[i] + 1e-12
                        for i in range(len(path) - 1)), f"run {run}"
@@ -103,7 +105,7 @@ def test_criterion_3_two_point_exactness():
     with criterion(3, "n=2 embedding reproduces the dissimilarity", 10.0):
         for i in range(1, 10):
             d = round(0.1 * i, 1)
-            embedding = mds_embed(pair_matrix(d), config=MdsConfig(seed=i))
+            embedding = mds_embed(pair_matrix(d), random_init(2, i))
             distance = float(np.linalg.norm(
                 embedding.coords[0] - embedding.coords[1]))
             assert abs(distance - d) < 1e-3
@@ -131,8 +133,8 @@ def planted_run(planted):
     events, truth = planted
     started = time.monotonic()
     matrix = build_voter_matrix(events)
-    result = analyze_matrix(matrix, WindowSpec(10, 0.4), MdsConfig(),
-                            k_min=2, k_max=5, root_seed=0)
+    result = analyze_matrix(matrix, AnalysisSpec(WindowSpec(10, 0.4), MdsConfig(),
+                                                 k_min=2, k_max=5, root_seed=0))
     elapsed = time.monotonic() - started
     return events, truth, matrix, result, elapsed
 
@@ -159,9 +161,8 @@ def shuffle_report(planted_run):
     charged to this criterion too."""
     _, truth, matrix, result, genuine_elapsed = planted_run
     started = time.monotonic()
-    report = run_validation(matrix, result, truth, WindowSpec(10, 0.4), MdsConfig(),
-                            ranges=[(2, 60), (41, 60)], iterations=20,
-                            root_seed=0, k_min=2, k_max=5)
+    report = run_validation(matrix, result, truth,
+                            ranges=[(2, 60), (41, 60)], iterations=20)
     return report, time.monotonic() - started + genuine_elapsed
 
 
@@ -256,8 +257,8 @@ def test_criterion_10_chain_data_tier():
         truth = load_ground_truth(NOUNS_FORKERS)
         matrix = build_voter_matrix(events)
         assert (matrix.n, matrix.m) == (629, 330)
-        result = analyze_matrix(matrix, WindowSpec(10, 0.4), MdsConfig(),
-                                k_min=2, k_max=5, root_seed=0)
+        result = analyze_matrix(matrix, AnalysisSpec(WindowSpec(10, 0.4), MdsConfig(),
+                                                     k_min=2, k_max=5, root_seed=0))
         assert len(result.analyses) == 329  # one per proposal except the first
         by_id = {a.proposal_id: a for a in result.analyses}
         prop334 = by_id[334].clustering

@@ -11,7 +11,7 @@ import pytest
 
 import forkcast.cli as cli_module
 import forkcast.validate as validate_module
-from forkcast import VoteEvent
+from forkcast import AnalysisSpec, MdsConfig, VoteEvent, WindowSpec
 from forkcast.cli import build_parser, main, parse_ranges, resolve_config
 from forkcast.errors import ConfigError
 from forkcast.ingest import load_fixture_with_report
@@ -74,6 +74,30 @@ def test_defaults_match_nouns_parameterization():
     assert (config.k_min, config.k_max) == (2, 5)
     assert (config.max_iterations, config.tolerance) == (300, 1e-6)
     assert config.iterations == 100
+
+
+def test_analysis_spec_carries_every_analysis_flag():
+    config = resolve_config(build_parser().parse_args([
+        "validate", "--window", "7", "--threshold", "0.5", "--k-min", "3",
+        "--k-max", "4", "--mds-iterations", "20", "--mds-tolerance", "0.001",
+        "--seed", "9"]))
+    assert config.analysis_spec() == AnalysisSpec(WindowSpec(7, 0.5), MdsConfig(20, 0.001),
+                                                  k_min=3, k_max=4, root_seed=9)
+
+
+@pytest.mark.parametrize("command,flag", [
+    ("friction", "--export-dissim"), ("friction", "--seed"), ("friction", "--k-max"),
+    ("ingest", "--window"), ("ingest", "--ranges"), ("ingest", "--ground-truth"),
+    ("analyze", "--iterations"), ("analyze", "--rolling-stat"),
+    ("validate", "--export-dissim"), ("validate", "--rolling-stat"),
+    ("validate", "--rpc-url"),
+])
+def test_command_rejects_flags_it_does_not_read(tmp_path, capsys, command, flag):
+    value = [] if flag == "--export-dissim" else ["max" if flag == "--rolling-stat" else "3"]
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--out", str(tmp_path), flag, *value])
+    assert exit_info.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 def test_ingest_normalizes_fixture(tmp_path):

@@ -60,7 +60,7 @@ def test_stress_translation_invariance(dx, dy):
 
 @pytest.mark.parametrize("d", [round(0.1 * i, 1) for i in range(1, 10)])
 def test_two_point_embedding_is_exact(d):
-    embedding = mds_embed(pair_matrix(d), config=MdsConfig(seed=17))
+    embedding = mds_embed(pair_matrix(d), random_init(2, 17))
     distance = float(np.linalg.norm(embedding.coords[0] - embedding.coords[1]))
     assert abs(distance - d) < 1e-3
     assert embedding.stress < 1e-6
@@ -68,8 +68,8 @@ def test_two_point_embedding_is_exact(d):
 
 def test_determinism_bitwise():
     cells = np.array([[0.0, 0.4, 0.8], [0.4, 0.0, 0.6], [0.8, 0.6, 0.0]])
-    a = mds_embed(dmatrix(cells), config=MdsConfig(seed=5))
-    b = mds_embed(dmatrix(cells), config=MdsConfig(seed=5))
+    a = mds_embed(dmatrix(cells), random_init(3, 5))
+    b = mds_embed(dmatrix(cells), random_init(3, 5))
     assert np.array_equal(a.coords, b.coords)
     assert a.stress == b.stress and a.iterations_used == b.iterations_used
 
@@ -94,7 +94,7 @@ def test_stress_path_monotone_on_random_instance():
     cells = rng.uniform(0.05, 1.0, (n, n))
     cells = (cells + cells.T) / 2
     np.fill_diagonal(cells, 0.0)
-    embedding = mds_embed(dmatrix(cells), config=MdsConfig(seed=1))
+    embedding = mds_embed(dmatrix(cells), random_init(n, 1))
     path = embedding.stress_path
     assert all(path[i + 1] <= path[i] + 1e-12 for i in range(len(path) - 1))
     assert embedding.iterations_used <= 300
@@ -103,7 +103,7 @@ def test_stress_path_monotone_on_random_instance():
 def test_rejects_non_finite():
     cells = np.array([[0.0, np.nan], [np.nan, 0.0]])
     with pytest.raises(NonFiniteInput):
-        mds_embed(dmatrix(cells))
+        mds_embed(dmatrix(cells), random_init(2, 0))
     with pytest.raises(NonFiniteInput):
         mds_embed(pair_matrix(0.5), init=np.array([[0.0, np.inf], [0.0, 0.0]]))
 
@@ -122,7 +122,7 @@ def test_embedding_correlates_with_planted_blocs():
     jitter = rng.uniform(-0.03, 0.03, (n, n))
     cells += (jitter + jitter.T) / 2
     np.fill_diagonal(cells, 0.0)
-    embedding = mds_embed(dmatrix(cells), config=MdsConfig(seed=2))
+    embedding = mds_embed(dmatrix(cells), random_init(n, 2))
     upper = np.triu_indices(n, k=1)
     deltas = embedding.coords[:, None, :] - embedding.coords[None, :, :]
     distances = np.sqrt((deltas ** 2).sum(axis=2))
@@ -133,7 +133,7 @@ def test_embedding_correlates_with_planted_blocs():
 def test_warm_start_identity_carry_over():
     coords = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 0.0]])
     names = (addr(1), addr(2), addr(3))
-    previous = Embedding(1, names, coords, 0.1, 5, 0)
+    previous = Embedding(1, names, coords, 0.1, 5)
     init = warm_start(previous, names, seed=9)
     assert np.array_equal(init, coords)
 
@@ -141,7 +141,7 @@ def test_warm_start_identity_carry_over():
 def test_warm_start_new_address_near_centroid():
     coords = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 0.0], [3.0, 1.0], [4.0, 0.0]])
     names = tuple(addr(i) for i in range(1, 6))
-    previous = Embedding(1, names, coords, 0.1, 5, 0)
+    previous = Embedding(1, names, coords, 0.1, 5)
     current = names[:5] + (addr(99),)
     init = warm_start(previous, current, seed=9)
     assert np.array_equal(init[:5], coords)
@@ -160,7 +160,7 @@ def test_warm_start_without_previous_is_seeded_unit_square():
 
 def test_warm_start_jitter_is_per_address_deterministic():
     coords = np.array([[0.0, 0.0], [1.0, 1.0]])
-    previous = Embedding(1, (addr(1), addr(2)), coords, 0.0, 1, 0)
+    previous = Embedding(1, (addr(1), addr(2)), coords, 0.0, 1)
     one = warm_start(previous, (addr(1), addr(2), addr(7)), seed=3)
     two = warm_start(previous, (addr(1), addr(2), addr(6), addr(7)), seed=3)
     assert np.array_equal(one[2], two[3])  # addr(7) unaffected by addr(6)
@@ -212,16 +212,17 @@ def _reference_guttman(cells: np.ndarray, coords: np.ndarray,
     return coords, path, iterations
 
 
-@pytest.mark.parametrize("config", [MdsConfig(seed=4),
-                                    MdsConfig(max_iterations=40, tolerance=1e-15, seed=9)])
-def test_mds_embed_matches_reference_loop_bitwise(config):
+@pytest.mark.parametrize("seed,config",
+                         [(4, MdsConfig()), (9, MdsConfig(max_iterations=40, tolerance=1e-15))],
+                         ids=["config0", "config1"])
+def test_mds_embed_matches_reference_loop_bitwise(seed, config):
     rng = np.random.default_rng(40)
     n = 40
     cells = rng.uniform(0.0, 1.0, (n, n))
     cells = (cells + cells.T) / 2
     np.fill_diagonal(cells, 0.0)
-    embedding = mds_embed(dmatrix(cells), config=config)
-    coords, path, iterations = _reference_guttman(cells, random_init(n, config.seed), config)
+    embedding = mds_embed(dmatrix(cells), random_init(n, seed), config)
+    coords, path, iterations = _reference_guttman(cells, random_init(n, seed), config)
     assert np.array_equal(embedding.coords, coords)
     assert embedding.stress_path == tuple(path)
     assert embedding.iterations_used == iterations

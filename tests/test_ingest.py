@@ -12,7 +12,14 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from forkcast.abi import keccak256, parse_event_signature
+from forkcast.abi import (
+    _DYNAMIC_TYPES,
+    EventAbi,
+    _is_integerish,
+    _strip_0x,
+    keccak256,
+    parse_event_signature,
+)
 from forkcast.errors import (
     EmptySet,
     MalformedData,
@@ -23,11 +30,9 @@ from forkcast.errors import (
 from forkcast.ingest import (
     RawLog,
     RpcError,
-    StaticLogTransport,
     VoteEvent,
     collapse_duplicates,
     decode_vote_event,
-    encode_vote_event,
     fetch_logs,
     load_fixture_with_report,
     load_ground_truth,
@@ -55,6 +60,87 @@ KECCAK_VECTORS = [
 # Frozen after the keccak implementation reproduced all vectors above;
 # matches the widely published GovernorBravo VoteCast topic.
 NOUNS_TOPIC0 = "0xb8e138887d0aa13bab447e82de9d5c1777041ecd21ca36ba824ff1e6c07ddda4"
+
+
+def encode_vote_data(abi: EventAbi, voter: str, proposal_id: int,
+                     support: int) -> tuple[tuple[str, ...], str]:
+    """Build (topics, data) for a synthetic log of this event.
+
+    Integer parameters beyond proposal/support encode as zero; dynamic
+    parameters as empty. Inverse of decode for the fields a VoteEvent keeps.
+    """
+    integer_slots = [i for i, p in enumerate(abi.params)
+                     if i != abi.voter_index and _is_integerish(p.type)]
+    assigned = {integer_slots[0]: proposal_id, integer_slots[1]: support}
+    topics = [abi.topic0]
+    head: list[bytes] = []
+    tail: list[bytes] = []
+    data_params = [p for p in abi.params if not p.indexed]
+    tail_offset = 32 * len(data_params)
+    for i, param in enumerate(abi.params):
+        if param.type == "address":
+            word = bytes(12) + bytes.fromhex(_strip_0x(voter))
+        elif param.type in _DYNAMIC_TYPES:
+            word = tail_offset.to_bytes(32, "big")
+            tail.append((0).to_bytes(32, "big"))  # zero-length payload
+            tail_offset += 32
+        else:
+            word = assigned.get(i, 0).to_bytes(32, "big")
+        if param.indexed:
+            topics.append("0x" + word.hex())
+        else:
+            head.append(word)
+    return tuple(topics), "0x" + b"".join(head + tail).hex()
+
+
+def encode_vote_event(event: VoteEvent, signature: str,
+                      contract: str = "0x" + "00" * 20) -> RawLog:
+    """Synthesize a log that decodes back to ``event`` (round-trip inverse)."""
+    event_abi = parse_event_signature(signature)
+    topics, data = encode_vote_data(
+        event_abi, event.voter, event.proposal_id, event.support)
+    return RawLog(contract, topics, data, event.block_number, event.log_index)
+
+
+def to_rpc(log: RawLog) -> dict:
+    """The eth_getLogs entry that ``RawLog.from_rpc`` reads back as ``log``."""
+    return {
+        "address": log.address,
+        "topics": list(log.topics),
+        "data": log.data,
+        "blockNumber": hex(log.block_number),
+        "logIndex": hex(log.log_index),
+    }
+
+
+class StaticLogTransport:
+    """Replay transport answering eth_getLogs from a fixed log list; filtering
+    mirrors provider semantics (address, inclusive block range, topic0 OR-list).
+    """
+
+    def __init__(self, logs) -> None:
+        self._logs = sorted(logs, key=lambda l: (l.block_number, l.log_index))
+
+    def request(self, method: str, params: list) -> object:
+        if method != "eth_getLogs":
+            raise TransportError(f"unsupported method {method}")
+        flt = params[0]
+        lo = int(flt["fromBlock"], 16)
+        hi = int(flt["toBlock"], 16)
+        address = flt.get("address", "").lower()
+        topic0 = flt.get("topics", [None])[0]
+        accepted = {t.lower() for t in topic0} if isinstance(topic0, list) else (
+            {topic0.lower()} if topic0 else None)
+        out = []
+        for log in self._logs:
+            if not lo <= log.block_number <= hi:
+                continue
+            if address and log.address.lower() != address:
+                continue
+            if accepted is not None and (not log.topics or log.topics[0].lower() not in accepted):
+                continue
+            out.append(to_rpc(log))
+        return out
 
 
 @pytest.mark.parametrize("message,digest", KECCAK_VECTORS)

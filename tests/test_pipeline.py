@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from forkcast import (
-    MdsConfig,
+    AnalysisSpec,
     WindowSpec,
     analyze_matrix,
     build_voter_matrix,
@@ -19,7 +19,7 @@ from conftest import addr, make_matrix
 
 
 def test_pipeline_covers_all_but_first(planted_matrix):
-    result = analyze_matrix(planted_matrix, root_seed=0)
+    result = analyze_matrix(planted_matrix, AnalysisSpec(root_seed=0))
     assert len(result.analyses) + len(result.skipped) == planted_matrix.m - 1
     ids = [a.proposal_id for a in result.analyses]
     assert ids == sorted(ids)
@@ -31,7 +31,7 @@ def test_pipeline_records_unanalyzable_proposals():
     rows = [[1, 1, 1], [0, -1, -1], [1, -1, -1]]
     matrix = make_matrix(rows)
     seen = []
-    result = analyze_matrix(matrix, WindowSpec(10, 1.0), root_seed=0,
+    result = analyze_matrix(matrix, AnalysisSpec(WindowSpec(10, 1.0), root_seed=0),
                             on_dissim=seen.append)
     assert result.analyses == ()
     assert [pid for pid, _ in result.skipped] == [2, 3]
@@ -40,7 +40,7 @@ def test_pipeline_records_unanalyzable_proposals():
 
 def test_pipeline_hands_each_dissimilarity_to_the_hook(planted_matrix):
     seen = []
-    result = analyze_matrix(planted_matrix, root_seed=0, on_dissim=seen.append)
+    result = analyze_matrix(planted_matrix, AnalysisSpec(root_seed=0), on_dissim=seen.append)
     assert [d.proposal_id for d in seen] == [a.proposal_id for a in result.analyses]
     for d, analysis in zip(seen, result.analyses):
         assert d.addresses == analysis.embedding.addresses
@@ -49,7 +49,7 @@ def test_pipeline_hands_each_dissimilarity_to_the_hook(planted_matrix):
 def test_pipeline_warm_start_keeps_orientation(planted_matrix):
     """Consecutive frames move each persisting voter only slightly, so the
     chain never flips or re-randomizes the map between proposals."""
-    result = analyze_matrix(planted_matrix, root_seed=0)
+    result = analyze_matrix(planted_matrix, AnalysisSpec(root_seed=0))
     drifts = []
     for previous, current in zip(result.analyses, result.analyses[1:]):
         shared = set(previous.embedding.addresses) & set(current.embedding.addresses)
@@ -66,15 +66,16 @@ def test_pipeline_warm_start_keeps_orientation(planted_matrix):
 
 
 def test_pipeline_namespace_changes_seeds(planted_matrix):
-    base = analyze_matrix(planted_matrix, root_seed=0)
-    other = analyze_matrix(planted_matrix, root_seed=0, namespace=("shuffle", 1))
+    base = analyze_matrix(planted_matrix, AnalysisSpec(root_seed=0))
+    other = analyze_matrix(planted_matrix, AnalysisSpec(root_seed=0),
+                           namespace=("shuffle", 1))
     assert not np.array_equal(base.analyses[0].embedding.coords,
                               other.analyses[0].embedding.coords)
 
 
 def test_pipeline_deterministic(planted_matrix):
-    first = analyze_matrix(planted_matrix, root_seed=3)
-    second = analyze_matrix(planted_matrix, root_seed=3)
+    first = analyze_matrix(planted_matrix, AnalysisSpec(root_seed=3))
+    second = analyze_matrix(planted_matrix, AnalysisSpec(root_seed=3))
     for one, two in zip(first.analyses, second.analyses):
         assert np.array_equal(one.embedding.coords, two.embedding.coords)
         assert one.clustering.k_star == two.clustering.k_star

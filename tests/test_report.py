@@ -25,8 +25,7 @@ def spec_for(kind, **overrides):
     return ChartSpec(**base)
 
 
-@pytest.mark.parametrize("kind", ["bar", "stacked_bar", "line", "scatter",
-                                  "stacked_area"])
+@pytest.mark.parametrize("kind", ["stacked_bar", "line", "stacked_area"])
 def test_kinds_render_and_are_deterministic(kind, tmp_path):
     spec = spec_for(kind, labels=["a", "b", "c"] if "bar" in kind else None,
                     x=None if "bar" in kind else [1.0, 2.0, 3.0])
@@ -98,13 +97,13 @@ def test_stacked_bar_one_band_per_category(tmp_path):
 def embedding_for(coords) -> Embedding:
     coords = np.asarray(coords, dtype=np.float64)
     names = tuple(addr(i + 1) for i in range(len(coords)))
-    return Embedding(334, names, coords, 0.05, 12, 0)
+    return Embedding(334, names, coords, 0.05, 12)
 
 
 def test_scatter_two_points(tmp_path):
     embedding = embedding_for([[0.0, 0.0], [1.0, 1.0]])
     path = tmp_path / "pair.svg"
-    render_mds_scatter(embedding, {addr(1): "fork", addr(2): "stay"}, path)
+    render_mds_scatter(embedding, ["fork", "stay"], path)
     text = path.read_text()
     assert text.count("<circle") == 2
     assert FORK_COLOR in text and STAY_COLOR in text
@@ -116,7 +115,7 @@ def test_scatter_two_points(tmp_path):
 def test_scatter_label_mismatch(tmp_path):
     embedding = embedding_for([[0.0, 0.0], [1.0, 1.0]])
     with pytest.raises(LabelMismatch):
-        render_mds_scatter(embedding, {addr(1): "fork"}, tmp_path / "x.svg")
+        render_mds_scatter(embedding, ["fork", "stay", "stay"], tmp_path / "x.svg")
     with pytest.raises(LabelMismatch):
         render_mds_scatter(embedding, ["fork"], tmp_path / "x.svg")
 

@@ -9,12 +9,15 @@ from __future__ import annotations
 
 import importlib.util
 import sys
+import time
 from pathlib import Path
 
 import forkcast.cli as cli_module
 import forkcast.pipeline as pipeline_module
 
-SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+ROOT = Path(__file__).resolve().parent.parent
+SPANS = ROOT / "bench" / "spans.py"
+FIXTURE = ROOT / "data" / "planted" / "votes.jsonl"
 
 
 def load_spans(monkeypatch):
@@ -36,3 +39,23 @@ def test_tracer_installs_and_uninstalls(monkeypatch):
     finally:
         tracer.uninstall()
     assert (cli_module.analyze_matrix, pipeline_module.dissimilarity_matrix) == originals
+
+
+def test_traced_analyze_reports_layer_metrics(monkeypatch, tmp_path):
+    """A traced `analyze` run yields the per-layer numbers the benchmark
+    reports, so a change to a wrapped call's arguments (such as the position
+    of `mds_embed`'s config) fails here."""
+    spans = load_spans(monkeypatch)
+    tracer = spans.Tracer()
+    spans.install(tracer)
+    try:
+        start = time.perf_counter()
+        assert cli_module.main(["analyze", "--dao", "planted", "--fixture", str(FIXTURE),
+                                "--mds-iterations", "5", "--out", str(tmp_path)]) == 0
+        wall_s = time.perf_counter() - start
+    finally:
+        tracer.uninstall()
+    metrics = spans.layer_metrics(tracer.spans, wall_s, tmp_path / "planted")
+    assert metrics["embed.iterations"] > 0
+    assert metrics["pipeline.frames"] == 59
+    assert metrics["ingest.loads"] == 1

@@ -9,7 +9,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from forkcast import (
+    AnalysisSpec,
     ForkGroundTruth,
+    MdsConfig,
+    WindowSpec,
     analyze_matrix,
     fork_cluster_share,
     run_validation,
@@ -147,13 +150,12 @@ def test_default_iterations_and_literal_seeds():
 @pytest.fixture(scope="module")
 def planted_genuine(planted_matrix):
     """The genuine analysis run_validation summarizes, at its defaults."""
-    return analyze_matrix(planted_matrix, root_seed=0)
+    return analyze_matrix(planted_matrix, AnalysisSpec(root_seed=0))
 
 
 def test_run_validation_genuine_only(planted, planted_matrix, planted_genuine):
     _, truth = planted
-    report = run_validation(planted_matrix, planted_genuine, truth,
-                            iterations=0, root_seed=0)
+    report = run_validation(planted_matrix, planted_genuine, truth, iterations=0)
     assert report.randomized == ()
     assert report.iterations == 0
     assert len(report.genuine) == 1
@@ -163,7 +165,7 @@ def test_run_validation_genuine_only(planted, planted_matrix, planted_genuine):
 def test_run_validation_aggregates_order(planted, planted_matrix, planted_genuine):
     _, truth = planted
     report = run_validation(planted_matrix, planted_genuine, truth,
-                            ranges=[(41, 60)], iterations=3, root_seed=0)
+                            ranges=[(41, 60)], iterations=3)
     stats = report.randomized[0]
     assert stats.iterations_counted == 3
     assert stats.avg_clusters_min <= stats.avg_clusters_mean <= stats.avg_clusters_max
@@ -192,7 +194,7 @@ def test_run_validation_propagates_non_package_errors(planted, planted_matrix,
     _, truth = planted
     with pytest.raises(AssertionError, match="injected invariant break"):
         run_validation(planted_matrix, planted_genuine, truth, ranges=[(41, 60)],
-                       iterations=2, root_seed=0)
+                       iterations=2)
 
 
 def test_run_validation_records_package_errors_as_failed_seeds(
@@ -200,6 +202,33 @@ def test_run_validation_records_package_errors_as_failed_seeds(
     _raise_in_shuffle(monkeypatch, EmptyRange("injected empty range"))
     _, truth = planted
     report = run_validation(planted_matrix, planted_genuine, truth, ranges=[(41, 60)],
-                            iterations=2, root_seed=0)
+                            iterations=2)
     assert report.failed_seeds == ((1, "injected empty range"),)
     assert report.randomized[0].iterations_counted == 1
+
+
+def test_run_validation_reruns_shuffles_with_the_genuine_spec(planted, planted_matrix,
+                                                              monkeypatch):
+    """Every shuffled pass is analyzed with the genuine run's spec, here a
+    non-default one."""
+    import forkcast.validate as validate_mod
+
+    _, truth = planted
+    spec = AnalysisSpec(WindowSpec(8, 0.5), MdsConfig(20, 1e-4), k_min=2, k_max=3,
+                        root_seed=5)
+    genuine = analyze_matrix(planted_matrix, spec)
+    assert genuine.spec is spec
+    received = []
+    original = validate_mod.analyze_matrix
+
+    def recording(matrix, spec, *, namespace=(), on_dissim=None):
+        received.append((spec, namespace))
+        return original(matrix, spec, namespace=namespace, on_dissim=on_dissim)
+
+    monkeypatch.setattr(validate_mod, "analyze_matrix", recording)
+    report = run_validation(planted_matrix, genuine, truth, ranges=[(41, 60)],
+                            iterations=2)
+    assert [namespace for _, namespace in received] == [("shuffle", 0), ("shuffle", 1)]
+    assert all(shuffle_spec is genuine.spec for shuffle_spec, _ in received)
+    assert report.failed_seeds == ()
+    assert report.randomized[0].avg_clusters_max <= 3
