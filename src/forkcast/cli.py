@@ -16,8 +16,11 @@ import functools
 import json
 import os
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 from . import dissim as dissim_mod
 from . import friction as friction_mod
@@ -47,9 +50,10 @@ from .report import ChartSpec, render_chart, render_mds_scatter
 from .validate import (
     DEFAULT_ITERATIONS,
     DEFAULT_MIN_FORK_PRESENT,
-    ValidationReport,
     fork_cluster_share,
+    fork_labels,
     run_validation,
+    validation_json,
 )
 
 RPC_URL_ENV = "FORKCAST_RPC_URL"
@@ -73,11 +77,20 @@ class RunConfig:
     ranges: tuple[tuple[int, int], ...] | None = None
     output_dir: str = "out"
     min_fork_present: int = DEFAULT_MIN_FORK_PRESENT
-    rolling_stat: str = "max"
+    rolling_stat: str = friction_mod.ROLLING_STATS[0]
     export_dissim: bool = False
     from_block: int | None = None
     to_block: int | None = None
     chunk_size: int = 10_000
+
+    def __post_init__(self) -> None:
+        self.analysis_spec()  # raises on a bad window, MDS or k setting
+        if self.rolling_stat not in friction_mod.ROLLING_STATS:
+            raise ValueError(f"rolling_stat must be one of {friction_mod.ROLLING_STATS}")
+        if self.iterations < 0:
+            raise ValueError("iterations must be >= 0")
+        if self.min_fork_present < 1:
+            raise ValueError("min_fork_present must be >= 1")
 
     @property
     def out(self) -> Path:
@@ -92,20 +105,22 @@ class RunConfig:
 _CONFIG_FIELDS = {field.name for field in dataclasses.fields(RunConfig)}
 
 
-def parse_ranges(text: str) -> tuple[tuple[int, int], ...]:
-    """'319-362,349-362' -> ((319, 362), (349, 362))."""
+def parse_ranges(value: str | Sequence) -> tuple[tuple[int, int], ...]:
+    """'319-362,349-362' or [[319, 362], [349, 362]] -> ((319, 362), (349, 362))."""
+    items = value.split(",") if isinstance(value, str) else value
+    if not isinstance(items, (list, tuple)) or not items:
+        raise ConfigError(f"ranges {value!r} must be 'LO-HI,...' or a list of [LO, HI]")
     ranges = []
-    for chunk in text.split(","):
-        lo, sep, hi = chunk.strip().partition("-")
-        if not sep:
-            raise ConfigError(f"range {chunk!r} must look like LO-HI")
+    for item in items:
         try:
-            pair = (int(lo), int(hi))
-        except ValueError as exc:
-            raise ConfigError(f"bad range {chunk!r}: {exc}") from exc
-        if pair[0] > pair[1]:
-            raise ConfigError(f"range {chunk!r} is empty")
-        ranges.append(pair)
+            lo, hi = [int(b) for b in item.split("-")] if isinstance(value, str) else item
+        except (TypeError, ValueError):
+            lo = hi = None
+        if type(lo) is not int or type(hi) is not int:
+            raise ConfigError(f"range {item!r} must look like LO-HI or [LO, HI]")
+        if lo > hi:
+            raise ConfigError(f"range {item!r} is empty")
+        ranges.append((lo, hi))
     return tuple(ranges)
 
 
@@ -142,10 +157,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         values.update(defaults)
     values.update(file_values)
     values.update(cli_values)
-    if isinstance(values.get("ranges"), str):
+    if values.get("ranges") is not None:
         values["ranges"] = parse_ranges(values["ranges"])
-    elif isinstance(values.get("ranges"), (list, tuple)):
-        values["ranges"] = tuple((int(lo), int(hi)) for lo, hi in values["ranges"])
     if values.get("rpc_url") is None and os.environ.get(RPC_URL_ENV):
         values["rpc_url"] = os.environ[RPC_URL_ENV]
     try:
@@ -272,15 +285,14 @@ def _write_analysis_outputs(config: RunConfig, matrix: VoterMatrix,
         for analysis in result.analyses:
             emb = analysis.embedding
             for address, (x, y) in zip(emb.addresses, emb.coords):
-                handle.write(f"{address},{float(x)!r},{float(y)!r},"
-                             f"{emb.proposal_id}\n")
+                handle.write(f"{address},{float(x)!r},{float(y)!r},{analysis.proposal_id}\n")
     with open(out / "clusters.csv", "w", encoding="utf-8", newline="\n") as handle:
         handle.write("proposal_id,address,cluster,k_star,silhouette_mean\n")
         for analysis in result.analyses:
             clustering = analysis.clustering
             mean = clustering.silhouette_by_k[clustering.k_star]
-            for address, label in zip(clustering.addresses, clustering.assignments):
-                handle.write(f"{clustering.proposal_id},{address},{int(label)},"
+            for address, label in zip(analysis.embedding.addresses, clustering.assignments):
+                handle.write(f"{analysis.proposal_id},{address},{int(label)},"
                              f"{clustering.k_star},{mean!r}\n")
     with open(out / "silhouettes.csv", "w", encoding="utf-8", newline="\n") as handle:
         handle.write("proposal_id,k,mean_silhouette\n")
@@ -343,35 +355,6 @@ def cmd_analyze(config: RunConfig) -> int:
     return 0
 
 
-def _validation_payload(report: ValidationReport) -> dict:
-    ranges = []
-    randomized = {stats.range: stats for stats in report.randomized}
-    for summary in report.genuine:
-        stats = randomized.get(summary.range)
-        ranges.append({
-            "range": list(summary.range),
-            "proposals_counted": summary.proposals_counted,
-            "avg_clusters": {
-                "value": summary.avg_clusters,
-                "rand_min": stats.avg_clusters_min if stats else None,
-                "rand_max": stats.avg_clusters_max if stats else None,
-                "rand_avg": stats.avg_clusters_mean if stats else None,
-            },
-            "fork_share": {
-                "value": summary.fork_share,
-                "rand_min": stats.fork_share_min if stats else None,
-                "rand_max": stats.fork_share_max if stats else None,
-                "rand_avg": stats.fork_share_mean if stats else None,
-            },
-        })
-    return {
-        "iterations": report.iterations,
-        "seeds": list(report.seeds),
-        "failed_seeds": [list(pair) for pair in report.failed_seeds],
-        "ranges": ranges,
-    }
-
-
 def _validate(config: RunConfig, matrix: VoterMatrix, result: PipelineResult,
               ground_truth: ForkGroundTruth) -> None:
     report = run_validation(
@@ -381,29 +364,22 @@ def _validate(config: RunConfig, matrix: VoterMatrix, result: PipelineResult,
     )
     out = config.out
     out.mkdir(parents=True, exist_ok=True)
-    _write_json(_validation_payload(report), out / "validation.json")
+    payload = validation_json(report)
+    _write_json(payload, out / "validation.json")
     analyses = result.analyses
     with open(out / "fork_share.csv", "w", encoding="utf-8", newline="\n") as handle:
         handle.write("proposal_id,fork_share,k_star\n")
         for analysis in analyses:
-            share = fork_cluster_share(analysis.clustering, ground_truth,
-                                       config.min_fork_present)
+            share = fork_cluster_share(analysis, ground_truth, config.min_fork_present)
             text = "" if share is None else repr(share)
             handle.write(f"{analysis.proposal_id},{text},"
                          f"{analysis.clustering.k_star}\n")
     # fork addresses per cluster, largest first, per proposal (stacked area)
     rank_count = max((a.clustering.k_star for a in analyses), default=0)
-    series = {f"cluster {r + 1}": [] for r in range(rank_count)}
-    for analysis in analyses:
-        clustering = analysis.clustering
-        counts = [0] * clustering.k_star
-        for address, label in zip(clustering.addresses, clustering.assignments):
-            if address in ground_truth.addresses:
-                counts[int(label)] += 1
-        counts.sort(reverse=True)
-        for r in range(rank_count):
-            series[f"cluster {r + 1}"].append(
-                float(counts[r]) if r < len(counts) else 0.0)
+    counts = [sorted(np.bincount(fork_labels(a, ground_truth), minlength=rank_count),
+                     reverse=True) for a in analyses]
+    series = {f"cluster {r + 1}": [float(row[r]) for row in counts]
+              for r in range(rank_count)}
     render_chart(ChartSpec(
         kind="stacked_area",
         title=f"{config.dao}: fork addresses per cluster",
@@ -411,13 +387,15 @@ def _validate(config: RunConfig, matrix: VoterMatrix, result: PipelineResult,
         x=[float(a.proposal_id) for a in analyses],
         x_label="proposal id", y_label="fork addresses",
     ), out / "charts" / "fork_cluster_share.svg")
-    for summary in report.genuine:
-        stats = {s.range: s for s in report.randomized}.get(summary.range)
-        rand = (f"rand avg {stats.avg_clusters_mean:.2f} clusters / "
-                f"{(stats.fork_share_mean or 0):.4f} share" if stats else "no baseline")
-        share = "n/a" if summary.fork_share is None else f"{summary.fork_share:.4f}"
-        print(f"validate {summary.range[0]}-{summary.range[1]}: "
-              f"{summary.avg_clusters:.2f} clusters / {share} share | {rand}")
+    for entry in payload["ranges"]:
+        clusters, shares = entry["avg_clusters"], entry["fork_share"]
+        rand = ("no baseline" if clusters["rand_avg"] is None else
+                f"rand avg {clusters['rand_avg']:.2f} clusters / "
+                f"{(shares['rand_avg'] or 0):.4f} share")
+        share = "n/a" if shares["value"] is None else f"{shares['value']:.4f}"
+        lo, hi = entry["range"]
+        print(f"validate {lo}-{hi}: {clusters['value']:.2f} clusters / {share} share"
+              f" | {rand}")
 
 
 def cmd_validate(config: RunConfig) -> int:
@@ -470,7 +448,7 @@ _FLAGS = {
     "--chunk-size": dict(dest="chunk_size", type=int),
     "--ground-truth": dict(dest="ground_truth", help="fork address list, one per line"),
     "--window": dict(dest="window_size", type=int),
-    "--rolling-stat": dict(dest="rolling_stat", choices=("max", "mean")),
+    "--rolling-stat": dict(dest="rolling_stat", choices=friction_mod.ROLLING_STATS),
     "--threshold": dict(dest="participation_threshold", type=float),
     "--k-min": dict(dest="k_min", type=int),
     "--k-max": dict(dest="k_max", type=int),

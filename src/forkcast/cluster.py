@@ -1,6 +1,6 @@
 """k-means over 2D embeddings with silhouette-based selection of k.
 
-Lloyd iteration with k-means++ seeding, best of ``restarts`` runs by
+Lloyd iteration with k-means++ seeding, best of ``DEFAULT_RESTARTS`` runs by
 within-cluster sum of squares (WCSS). On tiny instances (at most
 ``_EXHAUSTIVE_SEED_LIMIT`` distinct center subsets) every possible seeding
 is tried instead, which dominates any sampled restart set and makes the
@@ -33,7 +33,6 @@ import numpy as np
 
 from .embed import pairwise_distances
 from .errors import SingleCluster, TooFewPoints
-from .ingest import Address
 from .rng import SplitMix64, derive_seed
 
 DEFAULT_K_MIN = 2
@@ -57,15 +56,12 @@ class LloydResult:
 
 @dataclass(frozen=True)
 class ClusteringResult:
-    """Chosen partition for one proposal plus the silhouette sweep behind it."""
+    """Chosen partition of one frame's points plus the silhouette sweep
+    behind it; ``assignments[i]`` labels the frame's i-th address."""
 
-    proposal_id: int
     assignments: np.ndarray
     k_star: int
     silhouette_by_k: Mapping[int, float]
-    centroids: np.ndarray
-    seed: int
-    addresses: tuple[Address, ...] = ()
 
 
 def _squared_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
@@ -174,10 +170,7 @@ def lloyd(points: np.ndarray, centers: np.ndarray,
     return LloydResult(final_assignments, final_centroids, wcss, iterations)
 
 
-def kmeans(points: np.ndarray, k: int, seed: int,
-           restarts: int = DEFAULT_RESTARTS,
-           max_iterations: int = DEFAULT_MAX_ITERATIONS,
-           ) -> tuple[np.ndarray, np.ndarray]:
+def kmeans(points: np.ndarray, k: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Best-of-restarts k-means; deterministic given seed."""
     points = np.asarray(points, dtype=np.float64)
     n = len(points)
@@ -190,8 +183,8 @@ def kmeans(points: np.ndarray, k: int, seed: int,
         centers = points[subsets]
     else:
         centers = kmeans_pp_init(points, k, [
-            SplitMix64(derive_seed(seed, "restart", r)) for r in range(restarts)])
-    result = lloyd(points, centers, max_iterations)
+            SplitMix64(derive_seed(seed, "restart", r)) for r in range(DEFAULT_RESTARTS)])
+    result = lloyd(points, centers)
     best = int(result.wcss.argmin())  # the first start with the least WCSS
     return result.assignments[best].copy(), result.centroids[best].copy()
 
@@ -238,10 +231,7 @@ def pick_k(silhouette_by_k: Mapping[int, float]) -> int:
 
 
 def select_k(points: np.ndarray, k_min: int = DEFAULT_K_MIN,
-             k_max: int = DEFAULT_K_MAX, seed: int = 0, *,
-             proposal_id: int = 0, addresses: Sequence[Address] = (),
-             restarts: int = DEFAULT_RESTARTS,
-             max_iterations: int = DEFAULT_MAX_ITERATIONS) -> ClusteringResult:
+             k_max: int = DEFAULT_K_MAX, seed: int = 0) -> ClusteringResult:
     """Sweep k in [k_min, min(k_max, n)] and keep the silhouette argmax."""
     points = np.asarray(points, dtype=np.float64)
     n = len(points)
@@ -251,22 +241,8 @@ def select_k(points: np.ndarray, k_min: int = DEFAULT_K_MIN,
     if k_min > k_hi:
         raise TooFewPoints(f"k_min={k_min} exceeds usable maximum {k_hi}")
     distances = pairwise_distances(points)
-    sweeps: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    scores: dict[int, float] = {}
-    for k in range(k_min, k_hi + 1):
-        assignments, centroids = kmeans(points, k, derive_seed(seed, "k", k),
-                                        restarts, max_iterations)
-        _, mean_score = silhouette(points, assignments, distances)
-        sweeps[k] = (assignments, centroids)
-        scores[k] = mean_score
+    sweeps = {k: kmeans(points, k, derive_seed(seed, "k", k))[0]
+              for k in range(k_min, k_hi + 1)}
+    scores = {k: silhouette(points, labels, distances)[1] for k, labels in sweeps.items()}
     k_star = pick_k(scores)
-    assignments, centroids = sweeps[k_star]
-    return ClusteringResult(
-        proposal_id=proposal_id,
-        assignments=assignments,
-        k_star=k_star,
-        silhouette_by_k=scores,
-        centroids=centroids,
-        seed=seed,
-        addresses=tuple(addresses),
-    )
+    return ClusteringResult(sweeps[k_star], k_star, scores)

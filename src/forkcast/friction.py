@@ -25,6 +25,7 @@ HIGH_CUT = 0.40
 # a DAO is flagged when its medium+high share and its rolling series exceed these
 SHARE_CUTOFF = 0.20
 ROLLING_CUTOFF = 0.15
+ROLLING_STATS = ("max", "mean")  # how flag_dao reduces the rolling series
 
 
 @dataclass(frozen=True)
@@ -91,8 +92,8 @@ def category_shares(records: Sequence[DisagreementRecord]) -> dict[str, float]:
 def flag_dao(report: FrictionReport, rolling_stat: str = "max") -> bool:
     """True iff medium+high share exceeds ``SHARE_CUTOFF`` and the rolling
     series exceeds ``ROLLING_CUTOFF`` (by max, or by mean when configured)."""
-    if rolling_stat not in ("max", "mean"):
-        raise ValueError(f"rolling_stat must be 'max' or 'mean', got {rolling_stat!r}")
+    if rolling_stat not in ROLLING_STATS:
+        raise ValueError(f"rolling_stat must be one of {ROLLING_STATS}, got {rolling_stat!r}")
     contentious = report.category_shares["medium"] + report.category_shares["high"]
     values = [value for _, value in report.rolling]
     if not values:

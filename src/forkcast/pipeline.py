@@ -34,6 +34,10 @@ class AnalysisSpec:
     k_max: int = DEFAULT_K_MAX
     root_seed: int = 0
 
+    def __post_init__(self) -> None:
+        if not 2 <= self.k_min <= self.k_max:
+            raise ValueError(f"need 2 <= k_min <= k_max, got {self.k_min}..{self.k_max}")
+
 
 @dataclass(frozen=True)
 class ProposalAnalysis:
@@ -47,10 +51,6 @@ class PipelineResult:
     analyses: tuple[ProposalAnalysis, ...]
     skipped: tuple[tuple[int, str], ...]  # (proposal_id, reason)
     spec: AnalysisSpec
-
-    @property
-    def clusterings(self) -> list[ClusteringResult]:
-        return [a.clustering for a in self.analyses]
 
 
 def analyze_matrix(matrix: VoterMatrix, spec: AnalysisSpec = AnalysisSpec(), *,
@@ -77,9 +77,7 @@ def analyze_matrix(matrix: VoterMatrix, spec: AnalysisSpec = AnalysisSpec(), *,
             embedding = mds_embed(d, init, spec.mds)
             clustering = select_k(
                 embedding.coords, spec.k_min, spec.k_max,
-                seed=derive_seed(spec.root_seed, *namespace, "kmeans", proposal_id),
-                proposal_id=proposal_id, addresses=active.addresses,
-            )
+                derive_seed(spec.root_seed, *namespace, "kmeans", proposal_id))
         except (EmptyActiveSet, AllZeroDissimilarity) as exc:
             skipped.append((proposal_id, str(exc)))
             continue

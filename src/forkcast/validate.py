@@ -10,15 +10,15 @@ literal integers 0..iterations-1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .cluster import ClusteringResult
 from .errors import EmptyRange, ForkcastError
 from .ingest import ForkGroundTruth
 # bench/spans.py wraps validate.build_voter_matrix by name; keep it importable
 from .matrix import VoterMatrix, build_voter_matrix  # noqa: F401
-from .pipeline import PipelineResult, analyze_matrix
+from .pipeline import PipelineResult, ProposalAnalysis, analyze_matrix
 from .rng import SplitMix64, derive_seed
 
 DEFAULT_ITERATIONS = 100
@@ -27,35 +27,27 @@ DEFAULT_MIN_FORK_PRESENT = 1
 
 @dataclass(frozen=True)
 class RangeSummary:
-    """Genuine-data metrics over one inclusive proposal-id range."""
+    """Metrics of one analysis pass over one inclusive proposal-id range."""
 
     range: tuple[int, int]
     avg_clusters: float
     fork_share: float | None
     proposals_counted: int
-    fork_proposals_counted: int
 
 
 @dataclass(frozen=True)
-class RandomizedRangeStats:
-    """Min/max/mean over shuffle iterations for one range."""
+class RangeValidation:
+    """One range's genuine summary and the summary of every shuffled pass
+    that succeeded, in seed order."""
 
-    range: tuple[int, int]
-    avg_clusters_min: float
-    avg_clusters_max: float
-    avg_clusters_mean: float
-    fork_share_min: float | None
-    fork_share_max: float | None
-    fork_share_mean: float | None
-    iterations_counted: int
+    genuine: RangeSummary
+    shuffled: tuple[RangeSummary, ...]
 
 
 @dataclass(frozen=True)
 class ValidationReport:
-    genuine: tuple[RangeSummary, ...]
-    randomized: tuple[RandomizedRangeStats, ...]
+    ranges: tuple[RangeValidation, ...]
     iterations: int
-    seeds: tuple[int, ...]
     failed_seeds: tuple[tuple[int, str], ...]
 
 
@@ -70,7 +62,14 @@ def shuffle_votes(matrix: VoterMatrix, seed: int) -> VoterMatrix:
     return VoterMatrix(matrix.addresses, matrix.proposal_ids, cells)
 
 
-def fork_cluster_share(result: ClusteringResult, fork: ForkGroundTruth,
+def fork_labels(analysis: ProposalAnalysis, fork: ForkGroundTruth) -> list[int]:
+    """The cluster label of each fork address in the frame, in frame order."""
+    return [int(label) for address, label
+            in zip(analysis.embedding.addresses, analysis.clustering.assignments)
+            if address in fork.addresses]
+
+
+def fork_cluster_share(analysis: ProposalAnalysis, fork: ForkGroundTruth,
                        min_fork_present: int = DEFAULT_MIN_FORK_PRESENT,
                        ) -> float | None:
     """Largest fraction of clustered fork addresses sharing one cluster.
@@ -78,49 +77,58 @@ def fork_cluster_share(result: ClusteringResult, fork: ForkGroundTruth,
     Absent when fewer than ``min_fork_present`` fork addresses were
     clustered at all.
     """
-    fork_labels = [int(result.assignments[i])
-                   for i, address in enumerate(result.addresses)
-                   if address in fork.addresses]
-    if len(fork_labels) < min_fork_present:
+    labels = fork_labels(analysis, fork)
+    if len(labels) < min_fork_present:
         return None
-    counts = np.bincount(fork_labels)
-    return float(counts.max() / len(fork_labels))
+    return float(np.bincount(labels).max() / len(labels))
 
 
-def summarize_range(results: list[ClusteringResult], fork: ForkGroundTruth,
+def summarize_range(analyses: Sequence[ProposalAnalysis], fork: ForkGroundTruth,
                     id_range: tuple[int, int],
                     min_fork_present: int = DEFAULT_MIN_FORK_PRESENT,
                     ) -> RangeSummary:
     """Mean k* and mean defined fork share over proposals in the range."""
     lo, hi = id_range
-    in_range = [r for r in results if lo <= r.proposal_id <= hi]
+    in_range = [a for a in analyses if lo <= a.proposal_id <= hi]
     if not in_range:
         raise EmptyRange(f"no analyzable proposals in {lo}..{hi}")
-    shares = [share for r in in_range
-              if (share := fork_cluster_share(r, fork, min_fork_present)) is not None]
+    shares = [share for a in in_range
+              if (share := fork_cluster_share(a, fork, min_fork_present)) is not None]
     return RangeSummary(
         range=id_range,
-        avg_clusters=float(np.mean([r.k_star for r in in_range])),
+        avg_clusters=float(np.mean([a.clustering.k_star for a in in_range])),
         fork_share=float(np.mean(shares)) if shares else None,
         proposals_counted=len(in_range),
-        fork_proposals_counted=len(shares),
     )
 
 
-def _aggregate(id_range: tuple[int, int],
-               summaries: list[RangeSummary]) -> RandomizedRangeStats:
-    clusters = [s.avg_clusters for s in summaries]
-    shares = [s.fork_share for s in summaries if s.fork_share is not None]
-    return RandomizedRangeStats(
-        range=id_range,
-        avg_clusters_min=min(clusters),
-        avg_clusters_max=max(clusters),
-        avg_clusters_mean=float(np.mean(clusters)),
-        fork_share_min=min(shares) if shares else None,
-        fork_share_max=max(shares) if shares else None,
-        fork_share_mean=float(np.mean(shares)) if shares else None,
-        iterations_counted=len(summaries),
-    )
+def metric_summary(validation: RangeValidation, metric: str) -> dict[str, float | None]:
+    """The genuine value of ``metric`` (a ``RangeSummary`` field) and the min,
+    max and mean of its defined values over the shuffled passes; the
+    ``rand_*`` entries are None when no shuffled pass defines it."""
+    values = [value for summary in validation.shuffled
+              if (value := getattr(summary, metric)) is not None]
+    return {
+        "value": getattr(validation.genuine, metric),
+        "rand_min": min(values) if values else None,
+        "rand_max": max(values) if values else None,
+        "rand_avg": float(np.mean(values)) if values else None,
+    }
+
+
+def validation_json(report: ValidationReport) -> dict:
+    """The contents of validation.json."""
+    return {
+        "iterations": report.iterations,
+        "seeds": list(range(report.iterations)),
+        "failed_seeds": [list(pair) for pair in report.failed_seeds],
+        "ranges": [{
+            "range": list(validation.genuine.range),
+            "proposals_counted": validation.genuine.proposals_counted,
+            "avg_clusters": metric_summary(validation, "avg_clusters"),
+            "fork_share": metric_summary(validation, "fork_share"),
+        } for validation in report.ranges],
+    }
 
 
 def run_validation(
@@ -136,32 +144,29 @@ def run_validation(
     ``genuine_run`` is ``analyze_matrix`` of ``matrix``; each shuffled rerun
     is analyzed with its spec. Iterations that fail with a package error (for
     example every proposal unanalyzable) are recorded with their seed and
-    excluded from aggregates. Any other exception, such as a broken shuffle
-    invariant, propagates.
+    kept out of every range's ``shuffled``. Any other exception, such as a
+    broken shuffle invariant, propagates.
     """
     if ranges is None:
         ranges = [(matrix.proposal_ids[0], matrix.proposal_ids[-1])]
-    genuine = tuple(summarize_range(genuine_run.clusterings, ground_truth,
-                                    id_range, min_fork_present)
-                    for id_range in ranges)
+    genuine = [summarize_range(genuine_run.analyses, ground_truth, id_range,
+                               min_fork_present)
+               for id_range in ranges]
     valid_mask = matrix.cells >= 0
-    seeds = tuple(range(iterations))
     failed: list[tuple[int, str]] = []
-    per_range: dict[tuple[int, int], list[RangeSummary]] = {r: [] for r in ranges}
-    for seed in seeds:
+    outcomes: list[list[RangeSummary]] = []  # per successful seed, one per range
+    for seed in range(iterations):
         try:
             shuffled = shuffle_votes(matrix, seed)
             assert np.array_equal(shuffled.cells >= 0, valid_mask), \
                 "shuffle must preserve participation"
             run = analyze_matrix(shuffled, genuine_run.spec, namespace=("shuffle", seed))
-            outcome = [summarize_range(run.clusterings, ground_truth,
-                                       id_range, min_fork_present)
-                       for id_range in ranges]
+            outcomes.append([summarize_range(run.analyses, ground_truth, id_range,
+                                             min_fork_present)
+                             for id_range in ranges])
         except ForkcastError as exc:
             failed.append((seed, str(exc)))
-            continue
-        for summary in outcome:
-            per_range[summary.range].append(summary)
-    randomized = tuple(_aggregate(id_range, summaries)
-                       for id_range, summaries in per_range.items() if summaries)
-    return ValidationReport(genuine, randomized, iterations, seeds, tuple(failed))
+    return ValidationReport(
+        tuple(RangeValidation(summary, tuple(outcome[i] for outcome in outcomes))
+              for i, summary in enumerate(genuine)),
+        iterations, tuple(failed))

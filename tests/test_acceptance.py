@@ -37,6 +37,7 @@ from forkcast import (
 from forkcast.cli import main as cli_main
 from forkcast.embed import random_init
 from forkcast.friction import categorize
+from forkcast.validate import metric_summary
 
 from conftest import make_matrix
 from test_cluster import min_wcss_exhaustive
@@ -149,7 +150,7 @@ def test_criterion_5_planted_partition_recovery(planted_run):
         late_shares = [
             share for analysis in result.analyses
             if analysis.proposal_id >= 41
-            if (share := fork_cluster_share(analysis.clustering, truth)) is not None
+            if (share := fork_cluster_share(analysis, truth)) is not None
         ]
         assert len(late_shares) == 20
         assert float(np.mean(late_shares)) >= 0.85
@@ -171,12 +172,13 @@ def test_criterion_6_shuffle_differential(shuffle_report):
     with criterion(6, "genuine vs shuffled differential", 600.0,
                    carried_seconds=elapsed):
         assert report.failed_seeds == ()
-        randomized = {stats.range: stats for stats in report.randomized}
-        for summary in report.genuine:
-            stats = randomized[summary.range]
+        for validation in report.ranges:
+            summary = validation.genuine
             assert summary.fork_share is not None
-            assert summary.fork_share - stats.fork_share_mean >= 0.2
-            assert summary.avg_clusters < stats.avg_clusters_mean
+            assert (summary.fork_share
+                    - metric_summary(validation, "fork_share")["rand_avg"] >= 0.2)
+            assert (summary.avg_clusters
+                    < metric_summary(validation, "avg_clusters")["rand_avg"])
 
 
 def test_criterion_7_shuffle_preservation(planted_run):
@@ -264,8 +266,8 @@ def test_criterion_10_chain_data_tier():
         prop334 = by_id[334].clustering
         assert prop334.k_star == 2
         fork_labels = [int(prop334.assignments[i])
-                       for i, address in enumerate(prop334.addresses)
+                       for i, address in enumerate(by_id[334].embedding.addresses)
                        if address in truth.addresses]
         assert np.bincount(fork_labels).max() >= 14
-        summary = summarize_range(result.clusterings, truth, (319, 362))
+        summary = summarize_range(result.analyses, truth, (319, 362))
         assert summary.fork_share == pytest.approx(0.9096, abs=0.05)

@@ -42,6 +42,35 @@ def test_parse_ranges():
         parse_ranges("9-3")
 
 
+@pytest.mark.parametrize("flags,config", [
+    ([], {"window_size": 0}),
+    (["--window", "0"], None),
+    ([], {"tolerance": 0}),
+    ([], {"rolling_stat": "median"}),
+    (["--k-min", "1"], None),
+    (["--k-min", "6"], None),  # above the default k_max of 5
+    (["--iterations", "-2"], None),
+    (["--min-fork-present", "0"], None),
+    ([], {"ranges": [[1]]}),
+    ([], {"ranges": 5}),
+    ([], {"ranges": [[60, 41]]}),
+], ids=["window-file", "window-flag", "tolerance", "rolling-stat", "k-min-1",
+        "k-min-above-k-max", "iterations", "min-fork-present", "ranges-short-pair",
+        "ranges-int", "ranges-empty"])
+def test_bad_setting_is_config_error_before_any_input(tmp_path, capsys, flags, config):
+    config_flags = []
+    if config is not None:
+        config_file = tmp_path / "run.json"
+        config_file.write_text(json.dumps(config))
+        config_flags = ["--config", str(config_file)]
+    out = tmp_path / "out"
+    code = run(["all", "--dao", "planted", "--fixture", str(FIXTURE),
+                "--ground-truth", str(FORKERS), "--out", str(out), *config_flags, *flags])
+    assert code == 2
+    assert "ConfigError" in capsys.readouterr().err
+    assert not out.exists()  # rejected before any stage ran
+
+
 def test_config_precedence(tmp_path):
     config_file = tmp_path / "run.json"
     config_file.write_text(json.dumps({"window_size": 7, "k_max": 4}))

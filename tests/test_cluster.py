@@ -16,8 +16,6 @@ from forkcast.embed import pairwise_distances
 from forkcast.errors import SingleCluster, TooFewPoints
 from forkcast.rng import SplitMix64, derive_seed
 
-from conftest import addr
-
 
 def min_wcss_exhaustive(points: np.ndarray, k: int) -> float:
     """Global WCSS minimum by enumerating every k-part partition."""
@@ -177,8 +175,8 @@ def test_pick_k_breaks_ties_toward_smaller():
 def test_select_k_deterministic_and_reorder_invariant():
     rng = np.random.default_rng(21)
     points = np.vstack([blob((0, 0), 7, 0.4, rng), blob((6, 6), 7, 0.4, rng)])
-    result = select_k(points, seed=5, addresses=tuple(addr(i) for i in range(14)))
-    again = select_k(points, seed=5, addresses=tuple(addr(i) for i in range(14)))
+    result = select_k(points, seed=5)
+    again = select_k(points, seed=5)
     assert result.k_star == again.k_star
     assert np.array_equal(result.assignments, again.assignments)
     order = rng.permutation(len(points))

@@ -18,6 +18,7 @@ import forkcast.pipeline as pipeline_module
 ROOT = Path(__file__).resolve().parent.parent
 SPANS = ROOT / "bench" / "spans.py"
 FIXTURE = ROOT / "data" / "planted" / "votes.jsonl"
+FORKERS = ROOT / "data" / "planted" / "forkers.txt"
 
 
 def load_spans(monkeypatch):
@@ -59,3 +60,23 @@ def test_traced_analyze_reports_layer_metrics(monkeypatch, tmp_path):
     assert metrics["embed.iterations"] > 0
     assert metrics["pipeline.frames"] == 59
     assert metrics["ingest.loads"] == 1
+
+
+def test_traced_all_reports_validation_metrics(monkeypatch, tmp_path):
+    """A traced `all` run with one shuffle reaches every validate-layer
+    wrapper, `cli.fork_cluster_share` included."""
+    spans = load_spans(monkeypatch)
+    tracer = spans.Tracer()
+    spans.install(tracer)
+    try:
+        start = time.perf_counter()
+        assert cli_module.main(["all", "--dao", "planted", "--fixture", str(FIXTURE),
+                                "--ground-truth", str(FORKERS), "--iterations", "1",
+                                "--mds-iterations", "5", "--out", str(tmp_path)]) == 0
+        wall_s = time.perf_counter() - start
+    finally:
+        tracer.uninstall()
+    metrics = spans.layer_metrics(tracer.spans, wall_s, tmp_path / "planted")
+    assert metrics["validate.iterations"] == 1
+    assert metrics["pipeline.analyze_calls"] == 2
+    assert any(span.name == "fork_cluster_share" for span in tracer.spans)

@@ -10,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 from forkcast import (
     AnalysisSpec,
+    Embedding,
     ForkGroundTruth,
     MdsConfig,
     WindowSpec,
@@ -22,6 +23,8 @@ from forkcast import (
 )
 from forkcast.cluster import ClusteringResult
 from forkcast.errors import EmptyRange
+from forkcast.pipeline import ProposalAnalysis
+from forkcast.validate import metric_summary, validation_json
 
 from conftest import addr, make_matrix
 
@@ -71,13 +74,12 @@ def test_disagreement_preserved_under_shuffle(planted_matrix):
                 == static_disagreement(planted_matrix, pid))
 
 
-def clustering(assignments, names, k_star=None) -> ClusteringResult:
+def clustering(assignments, names, k_star=None) -> ProposalAnalysis:
     assignments = np.asarray(assignments)
     k = k_star or len(set(int(a) for a in assignments))
-    return ClusteringResult(
-        proposal_id=1, assignments=assignments, k_star=k,
-        silhouette_by_k={k: 0.5}, centroids=np.zeros((k, 2)), seed=0,
-        addresses=tuple(names))
+    embedding = Embedding(1, tuple(names), np.zeros((len(names), 2)), 0.0, 1)
+    return ProposalAnalysis(1, embedding, ClusteringResult(
+        assignments=assignments, k_star=k, silhouette_by_k={k: 0.5}))
 
 
 def test_fork_share_perfect_cohesion():
@@ -156,20 +158,49 @@ def planted_genuine(planted_matrix):
 def test_run_validation_genuine_only(planted, planted_matrix, planted_genuine):
     _, truth = planted
     report = run_validation(planted_matrix, planted_genuine, truth, iterations=0)
-    assert report.randomized == ()
+    assert all(validation.shuffled == () for validation in report.ranges)
     assert report.iterations == 0
-    assert len(report.genuine) == 1
-    assert report.genuine[0].fork_share is not None
+    assert len(report.ranges) == 1
+    assert report.ranges[0].genuine.fork_share is not None
 
 
 def test_run_validation_aggregates_order(planted, planted_matrix, planted_genuine):
     _, truth = planted
     report = run_validation(planted_matrix, planted_genuine, truth,
                             ranges=[(41, 60)], iterations=3)
-    stats = report.randomized[0]
-    assert stats.iterations_counted == 3
-    assert stats.avg_clusters_min <= stats.avg_clusters_mean <= stats.avg_clusters_max
-    assert stats.fork_share_min <= stats.fork_share_mean <= stats.fork_share_max
+    assert len(report.ranges[0].shuffled) == 3
+    clusters = metric_summary(report.ranges[0], "avg_clusters")
+    shares = metric_summary(report.ranges[0], "fork_share")
+    assert clusters["rand_min"] <= clusters["rand_avg"] <= clusters["rand_max"]
+    assert shares["rand_min"] <= shares["rand_avg"] <= shares["rand_max"]
+
+
+def test_report_keeps_every_shuffle_summary(planted, planted_matrix):
+    """Each range keeps one summary per shuffled pass, in seed order, equal to
+    an independent rerun of that pass; validation.json's rand_* entries are
+    their min, max and mean."""
+    _, truth = planted
+    genuine = analyze_matrix(planted_matrix, AnalysisSpec(mds=MdsConfig(30, 1e-6)))
+    ranges = [(2, 60), (41, 60)]
+    report = run_validation(planted_matrix, genuine, truth, ranges=ranges, iterations=3)
+    runs = [analyze_matrix(shuffle_votes(planted_matrix, s), genuine.spec,
+                           namespace=("shuffle", s)) for s in range(3)]
+    payload = validation_json(report)
+    assert report.failed_seeds == ()
+    assert payload["seeds"] == [0, 1, 2]
+    for validation, entry, id_range in zip(report.ranges, payload["ranges"], ranges):
+        assert validation.genuine == summarize_range(genuine.analyses, truth, id_range)
+        assert validation.shuffled == tuple(summarize_range(run.analyses, truth, id_range)
+                                            for run in runs)
+        assert entry["range"] == list(id_range)
+        for metric in ("avg_clusters", "fork_share"):
+            values = [getattr(summary, metric) for summary in validation.shuffled]
+            assert entry[metric] == {
+                "value": getattr(validation.genuine, metric),
+                "rand_min": min(values),
+                "rand_max": max(values),
+                "rand_avg": float(np.mean(values)),
+            }
 
 
 def _raise_in_shuffle(monkeypatch, error: Exception) -> None:
@@ -204,7 +235,7 @@ def test_run_validation_records_package_errors_as_failed_seeds(
     report = run_validation(planted_matrix, planted_genuine, truth, ranges=[(41, 60)],
                             iterations=2)
     assert report.failed_seeds == ((1, "injected empty range"),)
-    assert report.randomized[0].iterations_counted == 1
+    assert len(report.ranges[0].shuffled) == 1
 
 
 def test_run_validation_reruns_shuffles_with_the_genuine_spec(planted, planted_matrix,
@@ -231,4 +262,4 @@ def test_run_validation_reruns_shuffles_with_the_genuine_spec(planted, planted_m
     assert [namespace for _, namespace in received] == [("shuffle", 0), ("shuffle", 1)]
     assert all(shuffle_spec is genuine.spec for shuffle_spec, _ in received)
     assert report.failed_seeds == ()
-    assert report.randomized[0].avg_clusters_max <= 3
+    assert metric_summary(report.ranges[0], "avg_clusters")["rand_max"] <= 3
