@@ -50,6 +50,7 @@ from .report import ChartSpec, render_chart, render_mds_scatter
 from .validate import (
     DEFAULT_ITERATIONS,
     DEFAULT_MIN_FORK_PRESENT,
+    check_ranges,
     fork_cluster_share,
     fork_labels,
     run_validation,
@@ -404,6 +405,7 @@ def cmd_validate(config: RunConfig) -> int:
     if ground_truth is None:
         raise ConfigError("validate needs --ground-truth")
     matrix = build_voter_matrix(_load_events(config))
+    check_ranges(matrix, config.ranges or ())
     _validate(config, matrix, _analyze(config, matrix), ground_truth)
     return 0
 
@@ -415,6 +417,8 @@ def cmd_all(config: RunConfig) -> int:
     if config.fixture or config.rpc_url:
         _write_ingested(config, events)
     matrix = build_voter_matrix(events)
+    if ground_truth is not None:
+        check_ranges(matrix, config.ranges or ())
     _friction(config, matrix)
     result = _analyze(config, matrix, config.export_dissim)
     _write_analysis_outputs(config, matrix, result, ground_truth)

@@ -65,9 +65,17 @@ class ClusteringResult:
 
 
 def _squared_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """(R, n, c) squared distances from each point to each start's centers."""
-    deltas = points[None, :, None, :] - centers[:, None, :, :]
-    return (deltas ** 2).sum(axis=3)
+    """(R, n, c) squared distances from each point to each start's centers.
+
+    Computed per axis as ``dx * dx + dy * dy``, which is bit for bit the sum
+    over a length-2 axis of the squared differences, without the (R, n, c, 2)
+    difference array.
+    """
+    dx = points[None, :, 0, None] - centers[:, None, :, 0]
+    dy = points[None, :, 1, None] - centers[:, None, :, 1]
+    np.multiply(dx, dx, out=dx)
+    np.multiply(dy, dy, out=dy)
+    return np.add(dx, dy, out=dx)
 
 
 def kmeans_pp_init(points: np.ndarray, k: int,

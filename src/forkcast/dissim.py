@@ -10,7 +10,6 @@ other; pairs with no shared valid votes score 1.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -108,15 +107,20 @@ def dissimilarity_matrix(matrix: VoterMatrix,
 
 
 def to_csv(d: DissimilarityMatrix, path: str | Path) -> None:
-    """Square CSV with the address list as both header row and first column."""
+    """Square CSV with the address list as both header row and first column.
+
+    Rows are joined with commas directly, which writes the bytes
+    ``csv.writer`` would: no field ever needs quoting, because the cells are
+    float ``repr``s and the addresses are normalized ``0x`` hex strings.
+    """
     # each distinct value is formatted once: a window of w proposals gives
     # few distinct opposition fractions. Cells are never -0.0 (counts over
     # positive counts, 1.0, or the 0.0 diagonal); np.unique would merge a
     # -0.0 with 0.0 and print it as "0.0".
     values, inverse = np.unique(d.cells, return_inverse=True)
     texts = np.array([repr(value) for value in values.tolist()], dtype=object)
+    rows = texts[inverse.reshape(d.cells.shape)].tolist()
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["address", *d.addresses])
-        for address, row in zip(d.addresses, texts[inverse.reshape(d.cells.shape)]):
-            writer.writerow([address, *row.tolist()])
+        handle.write(f"address,{','.join(d.addresses)}\n")
+        handle.writelines(f"{address},{','.join(row)}\n"
+                          for address, row in zip(d.addresses, rows))

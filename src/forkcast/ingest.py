@@ -15,6 +15,7 @@ f-string that reproduces ``json.dumps`` of the record.
 from __future__ import annotations
 
 import json
+import operator
 import re
 import sys
 import time
@@ -76,6 +77,11 @@ class VoteEvent:
     def order_key(self) -> tuple[int, int, str, int, int]:
         return (self.block_number, self.log_index, self.voter,
                 self.proposal_id, self.support)
+
+
+# the fields of ``VoteEvent.order_key`` read at C level, one sort key per event
+_CHAIN_ORDER = operator.attrgetter("block_number", "log_index", "voter",
+                                   "proposal_id", "support")
 
 
 @dataclass(frozen=True)
@@ -172,7 +178,7 @@ def collapse_duplicates(events: Iterable[VoteEvent],
                         ) -> tuple[list[VoteEvent], tuple[tuple[Address, int], ...]]:
     """Sort events into chain order and keep the last of each (voter, proposal)
     pair; return the kept events, in chain order, and each dropped one's key."""
-    ordered = sorted(events, key=lambda e: e.order_key)
+    ordered = sorted(events, key=_CHAIN_ORDER)
     last: dict[tuple[Address, int], VoteEvent] = {}
     duplicates: list[tuple[Address, int]] = []
     for event in ordered:
@@ -213,7 +219,7 @@ def write_fixture(events: Sequence[VoteEvent], path: str | Path) -> None:
     Each line is the one ``json.dumps`` writes for the record: the voter is
     lowercase hex and the numbers are exact ``int``s, so nothing needs escaping.
     """
-    ordered = sorted(events, key=lambda e: e.order_key)
+    ordered = sorted(events, key=_CHAIN_ORDER)
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.writelines(
             f'{{"voter": "{e.voter}", "proposal_id": {e.proposal_id}, '
@@ -326,7 +332,7 @@ def fetch_logs(
                     "unexpected topic0 from provider")
             events.append(decode_vote_event(log, signature))
         start = end + 1
-    events.sort(key=lambda e: e.order_key)
+    events.sort(key=_CHAIN_ORDER)
     return events
 
 

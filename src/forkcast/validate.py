@@ -83,6 +83,16 @@ def fork_cluster_share(analysis: ProposalAnalysis, fork: ForkGroundTruth,
     return float(np.bincount(labels).max() / len(labels))
 
 
+def check_ranges(matrix: VoterMatrix, ranges: Sequence[tuple[int, int]]) -> None:
+    """Raise ``EmptyRange`` for the first range that holds no proposal at the
+    analyzable positions 2..m, before any frame is embedded. A range whose
+    proposals are all skipped still fails later, in ``summarize_range``."""
+    analyzable = matrix.proposal_ids[1:]
+    for lo, hi in ranges:
+        if not any(lo <= pid <= hi for pid in analyzable):
+            raise EmptyRange(f"no analyzable proposals in {lo}..{hi}")
+
+
 def summarize_range(analyses: Sequence[ProposalAnalysis], fork: ForkGroundTruth,
                     id_range: tuple[int, int],
                     min_fork_present: int = DEFAULT_MIN_FORK_PRESENT,

@@ -299,6 +299,23 @@ def test_all_loads_builds_and_analyzes_once(tmp_path, monkeypatch):
                      "analyze_matrix": 3}
 
 
+@pytest.mark.parametrize("command", ["validate", "all"])
+def test_empty_range_fails_before_any_frame_is_analyzed(tmp_path, monkeypatch, capsys,
+                                                        command):
+    """A --ranges entry with no proposal at positions 2..m exits 1 with the
+    EmptyRange message before the genuine analysis runs."""
+    calls = []
+    monkeypatch.setattr(cli_module, "analyze_matrix",
+                        lambda *args, **kwargs: calls.append(1))
+    assert run([command, "--dao", "planted", "--fixture", str(FIXTURE),
+                "--ground-truth", str(FORKERS), "--ranges", "2-60,500-600",
+                "--iterations", "2", "--mds-iterations", "5",
+                "--out", str(tmp_path)]) == 1
+    assert calls == []
+    assert capsys.readouterr().err == (
+        "error: EmptyRange: no analyzable proposals in 500..600\n")
+
+
 def test_all_rpc_collapses_duplicates_like_ingest_then_all(tmp_path, monkeypatch,
                                                            capsys):
     """`all --rpc-url` collapses a fetched duplicate vote in memory and writes

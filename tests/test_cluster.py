@@ -346,6 +346,27 @@ def test_kmeans_matches_restart_at_a_time_reference_bitwise(n, k, shape, seed):
     assert centroids.tobytes() == expected[1].tobytes()
 
 
+def _reference_squared_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Squared distances through the (R, n, c, 2) difference array summed
+    over its last axis; the bit-for-bit reference for the per-axis kernel."""
+    deltas = points[None, :, None, :] - centers[:, None, :, :]
+    return (deltas ** 2).sum(axis=3)
+
+
+@pytest.mark.parametrize("starts", [1, 10])
+@pytest.mark.parametrize("k", [1, 5])
+@pytest.mark.parametrize("n", [2, 300])
+def test_squared_distances_match_4d_reference_bitwise(starts, k, n):
+    rng = np.random.default_rng(n * 100 + k * 10 + starts)
+    points = rng.normal(0, 1, (n, 2))
+    points[0] = [-0.0, 0.0]  # signed zeros reach the sums too
+    centers = points[rng.integers(0, n, (starts, k))] + rng.normal(0, 0.1, (starts, k, 2))
+    got = cluster._squared_distances(points, centers)
+    expected = _reference_squared_distances(points, centers)
+    assert got.shape == expected.shape == (starts, n, k)
+    assert got.tobytes() == expected.tobytes()
+
+
 def test_kmeans_reseeds_empty_clusters_bitwise(monkeypatch):
     # three distinct points and k = 5: k-means++ repeats centers, so Lloyd
     # starts with empty clusters in several restarts

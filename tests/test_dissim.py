@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -215,6 +217,36 @@ def test_csv_export_formats_every_cell_as_its_repr(tmp_path):
     expected += [",".join([a, *(repr(float(v)) for v in row)])
                  for a, row in zip(addresses, cells)]
     assert path.read_text(encoding="utf-8") == "\n".join(expected) + "\n"
+
+
+def _reference_to_csv(d, path) -> None:
+    """The dissimilarity CSV written field by field through ``csv.writer``;
+    the byte-for-byte reference for :func:`forkcast.dissim.to_csv`."""
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(["address", *d.addresses])
+        for address, row in zip(d.addresses, d.cells.tolist()):
+            writer.writerow([address, *(repr(value) for value in row)])
+
+
+def test_csv_export_matches_csv_writer_on_a_wide_window(tmp_path):
+    """300 voters over a 10-proposal window: the joined rows are the bytes
+    ``csv.writer`` writes."""
+    from forkcast.dissim import to_csv
+    from forkcast.ingest import normalize_address
+
+    rng = np.random.default_rng(10)
+    n, w = 300, 10
+    votes = rng.choice([-1, 0, 1], size=(n, w), p=[0.2, 0.4, 0.4])
+    matrix = make_matrix(votes.tolist())
+    d = dissimilarity_matrix(matrix, active_set(matrix, j=w, spec=WindowSpec(w, 0.0)))
+    assert len(d.addresses) == n
+    assert all(normalize_address(a) == a for a in d.addresses)
+    assert len(np.unique(d.cells)) > 10
+    written, reference = tmp_path / "a.csv", tmp_path / "b.csv"
+    to_csv(d, written)
+    _reference_to_csv(d, reference)
+    assert written.read_bytes() == reference.read_bytes()
 
 
 def test_window_spec_validation():

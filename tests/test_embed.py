@@ -212,12 +212,15 @@ def _reference_guttman(cells: np.ndarray, coords: np.ndarray,
     return coords, path, iterations
 
 
-@pytest.mark.parametrize("seed,config",
-                         [(4, MdsConfig()), (9, MdsConfig(max_iterations=40, tolerance=1e-15))],
-                         ids=["config0", "config1"])
-def test_mds_embed_matches_reference_loop_bitwise(seed, config):
+@pytest.mark.parametrize("seed,config,n",
+                         [(4, MdsConfig(), 40),
+                          (9, MdsConfig(max_iterations=40, tolerance=1e-15), 40),
+                          (2, MdsConfig(max_iterations=4, tolerance=1e-15), 300)],
+                         ids=["config0", "config1", "n300"])
+def test_mds_embed_matches_reference_loop_bitwise(seed, config, n):
+    """n = 300 puts every row sum and the stress sum past numpy's
+    128-element pairwise-summation block."""
     rng = np.random.default_rng(40)
-    n = 40
     cells = rng.uniform(0.0, 1.0, (n, n))
     cells = (cells + cells.T) / 2
     np.fill_diagonal(cells, 0.0)

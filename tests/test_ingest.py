@@ -28,6 +28,7 @@ from forkcast.errors import (
     TransportError,
 )
 from forkcast.ingest import (
+    _CHAIN_ORDER,
     RawLog,
     RpcError,
     VoteEvent,
@@ -439,6 +440,15 @@ def test_write_fixture_matches_json_dumps(tmp_path_factory, events):
     write_fixture_with_json_dumps(events, reference)
     assert written.read_bytes() == reference.read_bytes()
     assert load_fixture_with_report(written)[0] == collapse_duplicates(events)[0]
+
+
+@given(_events)
+def test_chain_order_key_equals_order_key(events):
+    """Every chain-order sort takes the C-level key; it must give each event
+    the tuple ``order_key`` documents, so the sorted order is the same."""
+    for event in events:
+        assert _CHAIN_ORDER(event) == event.order_key
+    assert sorted(events, key=_CHAIN_ORDER) == sorted(events, key=lambda e: e.order_key)
 
 
 def test_make_planted_fixture_reproduces_bundled_data(tmp_path):
