@@ -171,11 +171,10 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 def _fixture_path(config: RunConfig) -> Path:
     if config.fixture:
         path = Path(config.fixture)
-        if not path.exists():
-            raise MissingArtifact(f"fixture {path} does not exist")
+        _require_file(path, "fixture")
         return path
     fallback = config.out / "votes.jsonl"
-    if fallback.exists():
+    if fallback.is_file():
         return fallback
     raise MissingArtifact(
         f"no fixture: pass --fixture or run `forkcast ingest` (looked at {fallback})")
@@ -210,9 +209,15 @@ def _load_events(config: RunConfig, fetch: bool = False) -> list[VoteEvent]:
 def _load_ground_truth(config: RunConfig) -> ForkGroundTruth | None:
     if not config.ground_truth:
         return None
-    if not Path(config.ground_truth).exists():
-        raise MissingArtifact(f"ground truth {config.ground_truth} does not exist")
+    _require_file(Path(config.ground_truth), "ground truth")
     return load_ground_truth(config.ground_truth)
+
+
+def _require_file(path: Path, what: str) -> None:
+    if not path.exists():
+        raise MissingArtifact(f"{what} {path} does not exist")
+    if path.is_dir():
+        raise MissingArtifact(f"{what} {path} is a directory")
 
 
 def _write_json(payload: object, path: Path) -> None:

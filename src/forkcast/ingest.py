@@ -4,12 +4,30 @@ The canonical pipeline input is a line-delimited JSON fixture; ``fetch_logs``
 exists to export such fixtures from an EVM JSON-RPC endpoint and is the only
 network-touching code in the package.
 
-A fixture holds one event per line, so the per-event path is kept cheap:
-an address is checked with one precompiled regex and interned, so each
-distinct voter is one ``str`` object however many events name it;
-``VoteEvent`` is a slotted dataclass; the loader binds one JSON decoder and
-builds each event positionally; the writer formats each line with one
-f-string that reproduces ``json.dumps`` of the record.
+A fixture holds one event per line, so the load does as little per line as
+it can while naming the first bad line exactly as a line-by-line load would:
+
+- Each line goes through the JSON decoder's C scanner, and one
+  ``itemgetter`` takes the five fields. A line the scanner does not take
+  whole (leading whitespace, anything but a newline after the object, a
+  decode error) and a record without the fields take the per-line path:
+  ``decode`` the line and build its ``VoteEvent``, which raises what a
+  line-by-line load raises.
+- Rows are checked a chunk at a time, column by column: each new distinct
+  raw voter is normalized once, each number column must hold only ``int``s,
+  and the column minimums must be in range. A chunk that passes is built
+  through the ``VoteEvent`` slot descriptors without running the checks
+  again.
+- When a chunk fails a check, or a line in it takes the per-line path, the
+  chunk's earlier rows are built with the public ``VoteEvent(...)`` one by
+  one, so the ``ParseError`` names the same first bad line with the same
+  message.
+
+An address is checked with one precompiled regex and interned, so each
+distinct voter is one ``str`` object however many events name it. The
+writer formats each line with one f-string that reproduces ``json.dumps``
+of the record. Text inputs must be UTF-8; a byte that is not is a
+``ParseError`` naming its line.
 """
 
 from __future__ import annotations
@@ -21,7 +39,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Protocol, Sequence
+from typing import Callable, Iterable, Protocol, Sequence, TypeVar
 
 from . import abi
 from .errors import (
@@ -78,6 +96,16 @@ class VoteEvent:
         return (self.block_number, self.log_index, self.voter,
                 self.proposal_id, self.support)
 
+
+# the fields of a fixture record, in ``VoteEvent`` argument order
+_RECORD_FIELDS = operator.itemgetter("voter", *_INT_FIELDS)
+# set a field of a ``VoteEvent`` made by ``object.__new__``, bypassing every check
+_SETTERS = tuple(VoteEvent.__dict__[name].__set__ for name in ("voter", *_INT_FIELDS))
+# rows a fixture load checks and builds at once; a bad row re-walks its chunk
+_CHUNK_ROWS = 4096
+# what the per-line path turns into a ParseError naming the line
+_LINE_ERRORS = (KeyError, TypeError, ValueError)
+_T = TypeVar("_T")
 
 # the fields of ``VoteEvent.order_key`` read at C level, one sort key per event
 _CHAIN_ORDER = operator.attrgetter("block_number", "log_index", "voter",
@@ -194,23 +222,106 @@ def collapse_duplicates(events: Iterable[VoteEvent],
 
 def load_fixture_with_report(path: str | Path) -> tuple[list[VoteEvent], LoadReport]:
     """Parse a JSONL fixture and collapse it with ``collapse_duplicates``."""
-    decode = json.JSONDecoder().decode
-    events: list[VoteEvent] = []
-    append = events.append
-    lines = 0
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if line.isspace():
-                continue
-            lines += 1
-            try:
-                record = decode(line)
-                append(VoteEvent(record["voter"], record["proposal_id"], record["support"],
-                                 record["block_number"], record["log_index"]))
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise ParseError(str(exc), line=lineno) from exc
+    events, lines = _read_text(path, _read_events)
     kept, duplicates = collapse_duplicates(events)
     return kept, LoadReport(str(path), lines, len(kept), duplicates)
+
+
+def _read_events(handle: Iterable[str]) -> tuple[list[VoteEvent], int]:
+    """The events of a fixture's lines, in file order, and the non-blank line count."""
+    decoder = json.JSONDecoder()
+    scan, decode = decoder.scan_once, decoder.decode
+    events: list[VoteEvent] = []
+    rows: list[tuple] = []
+    linenos: list[int] = []
+    canonical: dict[str, Address] = {}
+    lines = 0
+    for lineno, line in enumerate(handle, start=1):
+        if line.isspace():
+            continue
+        lines += 1
+        try:
+            record, end = scan(line, 0)
+            row = _RECORD_FIELDS(record) if end == len(line) or line[end:] == "\n" else None
+        except (StopIteration, KeyError, TypeError, ValueError, RecursionError):
+            row = None
+        if row is None:
+            # anything the scan does not take goes the per-line way, after the
+            # chunk so far, so the first bad line is the one reported
+            events += map(_checked_event, rows, linenos)
+            rows.clear()
+            linenos.clear()
+            try:
+                row = _RECORD_FIELDS(decode(line))
+            except _LINE_ERRORS as exc:
+                raise ParseError(str(exc), line=lineno) from exc
+            events.append(_checked_event(row, lineno))
+            continue
+        rows.append(row)
+        linenos.append(lineno)
+        if len(rows) == _CHUNK_ROWS:
+            events += _chunk_events(rows, linenos, canonical)
+            rows.clear()
+            linenos.clear()
+    if rows:
+        events += _chunk_events(rows, linenos, canonical)
+    return events, lines
+
+
+def _checked_event(row: tuple, lineno: int) -> VoteEvent:
+    try:
+        return VoteEvent(*row)
+    except _LINE_ERRORS as exc:
+        raise ParseError(str(exc), line=lineno) from exc
+
+
+def _chunk_events(rows: list[tuple], linenos: list[int],
+                  canonical: dict[str, Address]) -> list[VoteEvent]:
+    """Check a chunk's rows column by column and build their events unchecked;
+    if any check fails, build each row with ``VoteEvent`` until one raises.
+
+    ``canonical`` maps each raw voter seen so far to its normalized address.
+    """
+    voters, *numbers = (list(map(operator.itemgetter(i), rows)) for i in range(5))
+    proposals, _supports, blocks, logs = numbers
+    try:
+        for raw in set(voters).difference(canonical):
+            canonical[raw] = normalize_address(raw)
+        valid = (all(set(map(type, column)) == {int} for column in numbers)
+                 and min(proposals) >= 1 and min(blocks) >= 0 and min(logs) >= 0)
+    except (TypeError, ValueError):  # an unhashable or invalid voter
+        valid = False
+    if not valid:
+        return list(map(_checked_event, rows, linenos))
+    events = list(map(object.__new__, [VoteEvent] * len(rows)))
+    for setter, column in zip(_SETTERS, (map(canonical.__getitem__, voters), *numbers)):
+        any(map(setter, events, column))  # each setter returns None
+    return events
+
+
+def _read_text(path: str | Path, read: Callable[[Iterable[str]], _T]) -> _T:
+    """``read`` the lines of a UTF-8 text file, split as text mode splits them.
+
+    A byte that is not UTF-8 is a ``ParseError`` naming its line, unless
+    ``read`` fails on an earlier line.
+    """
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return read(handle)
+    except UnicodeDecodeError:
+        data = Path(path).read_bytes()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            import io
+
+            start = exc.start
+            head = data[:max(data.rfind(b"\n", 0, start), data.rfind(b"\r", 0, start)) + 1]
+            with io.TextIOWrapper(io.BytesIO(head), encoding="utf-8") as lines:
+                read(lines)  # raises at a bad line before the bad byte
+            line = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+            raise ParseError(f"not UTF-8: byte 0x{data[start]:02x}", line=line) from exc
+        raise
 
 
 def write_fixture(events: Sequence[VoteEvent], path: str | Path) -> None:
@@ -230,19 +341,23 @@ def write_fixture(events: Sequence[VoteEvent], path: str | Path) -> None:
 
 def load_ground_truth(path: str | Path, fork_label: str = "fork") -> ForkGroundTruth:
     """Read one address per line; ``#`` starts a comment; blanks ignored."""
-    addresses: set[Address] = set()
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            try:
-                addresses.add(normalize_address(text))
-            except ValueError as exc:
-                raise ParseError(str(exc), line=lineno) from exc
+    addresses = _read_text(path, _read_addresses)
     if not addresses:
         raise EmptySet(f"{path}: no addresses")
     return ForkGroundTruth(fork_label, frozenset(addresses))
+
+
+def _read_addresses(handle: Iterable[str]) -> set[Address]:
+    addresses: set[Address] = set()
+    for lineno, line in enumerate(handle, start=1):
+        text = line.split("#", 1)[0].strip()
+        if not text:
+            continue
+        try:
+            addresses.add(normalize_address(text))
+        except ValueError as exc:
+            raise ParseError(str(exc), line=lineno) from exc
+    return addresses
 
 
 class Transport(Protocol):

@@ -60,25 +60,41 @@ def collapse_support(support: int) -> int:
 
 
 def build_voter_matrix(events: Iterable[VoteEvent]) -> VoterMatrix:
-    """Build the matrix from deduplicated events."""
-    votes: dict[tuple[Address, int], int] = {}
-    for event in events:
+    """Build the matrix from deduplicated events.
+
+    Each voter, proposal id and support value gets the integer code of its
+    rank among the distinct ones, so the duplicate check, the live rows and
+    columns, and the cell fill are numpy operations on the codes.
+    """
+    events = list(events)
+    addresses, rows = _rank_codes([event.voter for event in events])
+    proposal_ids, cols = _rank_codes([event.proposal_id for event in events])
+    supports, support_codes = _rank_codes([event.support for event in events])
+    _, first = np.unique(rows * len(proposal_ids) + cols, return_index=True)
+    if len(first) < len(events):
+        repeated = np.ones(len(events), dtype=bool)
+        repeated[first] = False
+        event = events[int(np.argmax(repeated))]  # the first repeat in input order
         key = (event.voter, event.proposal_id)
-        if key in votes:
-            raise ValueError(f"duplicate event for {key}; deduplicate first")
-        votes[key] = collapse_support(event.support)
-    live_pairs = [(a, p) for (a, p), v in votes.items() if v in (0, 1)]
-    addresses = tuple(sorted({a for a, _ in live_pairs}))
-    proposal_ids = tuple(sorted({p for _, p in live_pairs}))
-    if not addresses or not proposal_ids:
+        raise ValueError(f"duplicate event for {key}; deduplicate first")
+    values = np.array([collapse_support(s) for s in supports], dtype=np.int8)[support_codes]
+    live = values >= 0
+    if not live.any():
         raise EmptyInput("no events with support in {0, 1}")
-    row = {a: i for i, a in enumerate(addresses)}
-    col = {p: j for j, p in enumerate(proposal_ids)}
-    cells = np.full((len(addresses), len(proposal_ids)), -1, dtype=np.int8)
-    for (voter, proposal_id), value in votes.items():
-        if voter in row and proposal_id in col:
-            cells[row[voter], col[proposal_id]] = value
-    return VoterMatrix(addresses, proposal_ids, cells)
+    live_rows, row = np.unique(rows[live], return_inverse=True)
+    live_cols, col = np.unique(cols[live], return_inverse=True)
+    cells = np.full((len(live_rows), len(live_cols)), -1, dtype=np.int8)
+    cells[row, col] = values[live]
+    return VoterMatrix(tuple(addresses[i] for i in live_rows.tolist()),
+                       tuple(proposal_ids[j] for j in live_cols.tolist()), cells)
+
+
+def _rank_codes(values: list) -> tuple[list, np.ndarray]:
+    """The distinct values, sorted, and each value's index among them."""
+    distinct = sorted(set(values))
+    rank = {value: i for i, value in enumerate(distinct)}
+    return distinct, np.fromiter(map(rank.__getitem__, values), dtype=np.int64,
+                                 count=len(values))
 
 
 def column_votes(matrix: VoterMatrix,

@@ -199,6 +199,38 @@ def test_missing_ground_truth_is_structured_error(tmp_path, capsys, command):
     assert not out.exists()  # rejected before any stage ran
 
 
+def _with_bad_byte(source: Path, target: Path, line: int) -> Path:
+    """Copy ``source`` with a byte that is not UTF-8 at the end of ``line``."""
+    lines = source.read_bytes().splitlines(keepends=True)
+    lines[line - 1] = lines[line - 1].rstrip(b"\n") + b"\xff\n"
+    target.write_bytes(b"".join(lines))
+    return target
+
+
+@pytest.mark.parametrize("argv,line", [
+    (["friction", "--fixture", "{bad}"], 700),
+    (["analyze", "--fixture", str(FIXTURE), "--ground-truth", "{bad}"], 4),
+], ids=["fixture", "ground-truth"])
+def test_non_utf8_input_is_parse_error_naming_its_line(tmp_path, capsys, argv, line):
+    source = FORKERS if "--ground-truth" in argv else FIXTURE
+    bad = _with_bad_byte(source, tmp_path / source.name, line)
+    out = tmp_path / "out"
+    argv = [arg.replace("{bad}", str(bad)) for arg in argv]
+    assert run([*argv, "--dao", "planted", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"ParseError: line {line}: not UTF-8" in err
+
+
+@pytest.mark.parametrize("flag", ["--fixture", "--ground-truth"])
+def test_directory_input_is_missing_artifact(tmp_path, capsys, flag):
+    argv = ["analyze", "--dao", "planted", "--fixture", str(FIXTURE),
+            "--ground-truth", str(FORKERS), "--out", str(tmp_path / "out")]
+    argv[argv.index(flag) + 1] = str(tmp_path)
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert "MissingArtifact" in err and "is a directory" in err
+
+
 def test_friction_outputs(tmp_path):
     out = tmp_path / "out"
     assert run(["friction", "--dao", "planted", "--fixture", str(FIXTURE),

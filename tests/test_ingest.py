@@ -7,11 +7,13 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from forkcast import ingest
 from forkcast.abi import (
     _DYNAMIC_TYPES,
     EventAbi,
@@ -29,6 +31,7 @@ from forkcast.errors import (
 )
 from forkcast.ingest import (
     _CHAIN_ORDER,
+    LoadReport,
     RawLog,
     RpcError,
     VoteEvent,
@@ -378,6 +381,163 @@ def test_load_fixture_order_independent(tmp_path_factory, order):
     assert load_fixture_with_report(straight)[0] == load_fixture_with_report(shuffled)[0]
 
 
+def load_fixture_line_by_line(path):
+    """Reference: the per-line loader ``load_fixture_with_report`` replaced."""
+    decode = json.JSONDecoder().decode
+    events = []
+    lines = 0
+    with open(path, encoding="utf-8") as handle:
+        for lineno, line in enumerate(handle, start=1):
+            if line.isspace():
+                continue
+            lines += 1
+            try:
+                record = decode(line)
+                events.append(VoteEvent(record["voter"], record["proposal_id"],
+                                        record["support"], record["block_number"],
+                                        record["log_index"]))
+            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+                raise ParseError(str(exc), line=lineno) from exc
+    kept, duplicates = collapse_duplicates(events)
+    return kept, LoadReport(str(path), lines, len(kept), duplicates)
+
+
+def _load_outcome(load, path):
+    try:
+        events, report = load(path)
+    except ParseError as exc:
+        return "error", exc.line, str(exc)
+    except RecursionError as exc:  # a line nested too deep for the decoder
+        return "crash", str(exc)
+    assert all(event.voter is sys.intern(event.voter) for event in events)
+    return "ok", events, report
+
+
+_RECORD_KEYS = ("voter", "proposal_id", "support", "block_number", "log_index")
+_records = st.fixed_dictionaries({
+    "voter": st.sampled_from([addr(1), addr(2), addr(3).upper().replace("0X", "0x"),
+                              "0X" + "aB" * 20]),
+    "proposal_id": st.integers(1, 3),
+    "support": st.one_of(st.integers(-1, 3), st.just(2**70)),
+    "block_number": st.integers(0, 4),
+    "log_index": st.integers(0, 2),
+}, optional={"extra": st.just([1, {"x": None}])})
+# valid lines, with whitespace a JSON decoder skips around the object
+_valid_lines = st.builds(lambda lead, record, trail: lead + json.dumps(record) + trail,
+                         st.sampled_from(["", "", "", " ", "\t"]), _records,
+                         st.sampled_from(["", "", "", " ", "\t "]))
+_blank_lines = st.sampled_from(["", " ", "\t", "\xa0", " "])
+
+
+_GOOD_RECORD = {"voter": addr(7), "proposal_id": 2, "support": 1,
+                "block_number": 3, "log_index": 0}
+# one defect of each kind the per-line loader names: numbers that are not
+# exact ints or are out of range, bad voters, missing keys, lines that are not
+# one JSON object, and data after the object
+_DEFECT_LINES = (
+    [json.dumps({**_GOOD_RECORD, key: value}) for key in _RECORD_KEYS[1:]
+     for value in (True, False, 2.0, "5", None)]
+    + [json.dumps({**_GOOD_RECORD, key: value}) for key, value in (
+        ("proposal_id", 0), ("proposal_id", -1), ("block_number", -1), ("log_index", -1))]
+    + [json.dumps({**_GOOD_RECORD, "voter": value})
+       for value in ("0x12", "ab" * 20, 5, None, ["0x"], "0x" + "g" * 40)]
+    + [json.dumps({k: v for k, v in _GOOD_RECORD.items() if k != key})
+       for key in _RECORD_KEYS]
+    + ["[1, 2]", "5", '"text"', "null", "{", '{"voter": }', "nope", "{} {}",
+       "\xa0{}", "[" * 2000, json.dumps(_GOOD_RECORD) + " []",
+       json.dumps(_GOOD_RECORD) + "}"])
+_defects = st.sampled_from(_DEFECT_LINES)
+
+
+def _write_lines(path, lines, ending):
+    path.write_bytes(ending.join(lines).encode("utf-8"))
+    return path
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=st.lists(st.one_of(_valid_lines, _valid_lines, _blank_lines), max_size=30),
+       defects=st.lists(st.tuples(st.integers(0, 30), _defects), max_size=2),
+       ending=st.sampled_from(["\n", "\r\n", "\r"]), final=st.booleans(),
+       chunk_rows=st.sampled_from([1, 2, 3, 7, ingest._CHUNK_ROWS]))
+def test_load_fixture_matches_per_line_reference(tmp_path_factory, lines, defects,
+                                                 ending, final, chunk_rows):
+    for position, defect in defects:
+        lines.insert(position, defect)
+    path = _write_lines(tmp_path_factory.mktemp("load") / "votes.jsonl",
+                        lines + [""] * final, ending)
+    with mock.patch.object(ingest, "_CHUNK_ROWS", chunk_rows):
+        outcome = _load_outcome(load_fixture_with_report, path)
+    assert outcome == _load_outcome(load_fixture_line_by_line, path)
+
+
+@pytest.mark.parametrize("defect", _DEFECT_LINES)
+def test_load_fixture_defect_matches_per_line_reference(tmp_path, defect):
+    # the defect sits in the middle of a chunk, after two chunks of one row
+    lines = [json.dumps({**_GOOD_RECORD, "log_index": i}) for i in range(5)]
+    lines.insert(3, defect)
+    path = _write_lines(tmp_path / "votes.jsonl", lines, "\n")
+    expected = _load_outcome(load_fixture_line_by_line, path)
+    assert expected[0] != "ok"
+    for chunk_rows in (1, 2, 4, ingest._CHUNK_ROWS):
+        with mock.patch.object(ingest, "_CHUNK_ROWS", chunk_rows):
+            assert _load_outcome(load_fixture_with_report, path) == expected
+
+
+def _chain_lines(count):
+    """``count`` valid fixture lines from 40 mixed-case voters, with repeats."""
+    return [json.dumps({"voter": f"0x{i % 40:040X}", "proposal_id": i % 7 + 1,
+                        "support": i % 3, "block_number": i // 3, "log_index": i % 3})
+            for i in range(count)]
+
+
+_CHUNK = ingest._CHUNK_ROWS
+_SPAN = 2 * _CHUNK + _CHUNK // 2  # two full chunks and a partial one
+
+
+@settings(max_examples=20, deadline=None)
+@given(defects=st.lists(st.tuples(st.one_of(st.integers(0, _CHUNK - 1),
+                                            st.integers(_CHUNK, 2 * _CHUNK - 1),
+                                            st.integers(2 * _CHUNK, _SPAN)),
+                                  st.one_of(_defects, _blank_lines)),
+                        max_size=2))
+def test_load_fixture_matches_reference_across_chunks(tmp_path_factory, defects):
+    lines = _chain_lines(_SPAN)
+    for position, defect in defects:
+        lines.insert(position, defect)
+    path = _write_lines(tmp_path_factory.mktemp("chunks") / "votes.jsonl",
+                        lines + [""], "\n")
+    assert (_load_outcome(load_fixture_with_report, path)
+            == _load_outcome(load_fixture_line_by_line, path))
+
+
+def test_load_fixture_spanning_chunks_matches_reference(tmp_path):
+    path = _write_lines(tmp_path / "votes.jsonl", _chain_lines(_SPAN) + [""], "\n")
+    outcome = _load_outcome(load_fixture_with_report, path)
+    assert outcome[0] == "ok" and outcome[2].lines == _SPAN
+    assert outcome == _load_outcome(load_fixture_line_by_line, path)
+
+
+@pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"])
+def test_load_fixture_not_utf8_names_first_bad_line(tmp_path, ending):
+    lines = [line.encode() for line in _chain_lines(30)]
+    lines[19] += b"\xc3("  # a truncated two-byte sequence
+    path = tmp_path / "votes.jsonl"
+    path.write_bytes(ending.encode().join(lines))
+    with pytest.raises(ParseError, match=r"^line 20: not UTF-8: byte 0xc3$"):
+        load_fixture_with_report(path)
+
+
+def test_load_fixture_bad_line_before_bad_byte_is_reported_first(tmp_path):
+    # both lines sit in the first block the text decoder reads
+    lines = [line.encode() for line in _chain_lines(30)]
+    lines[4] = b'{"voter": "0x12"}'
+    lines[25] += b"\xff"
+    path = tmp_path / "votes.jsonl"
+    path.write_bytes(b"\n".join(lines))
+    with pytest.raises(ParseError, match="^line 5: "):
+        load_fixture_with_report(path)
+
+
 def collapse_by_sorting_twice(events):
     """Reference: sort, keep the last event per key, sort the kept ones again."""
     events = sorted(events, key=lambda e: e.order_key)
@@ -482,6 +642,21 @@ def test_load_ground_truth_empty_is_error(tmp_path):
     path = tmp_path / "forkers.txt"
     path.write_text("# nothing here\n")
     with pytest.raises(EmptySet):
+        load_ground_truth(path)
+
+
+def test_load_ground_truth_not_utf8_names_line(tmp_path):
+    path = tmp_path / "forkers.txt"
+    path.write_bytes(f"# fork cohort\n{addr(1)}\n".encode() + b"# caf\xe9\n"
+                     + f"{addr(2)}\n".encode())
+    with pytest.raises(ParseError, match="^line 3: not UTF-8: byte 0xe9$"):
+        load_ground_truth(path)
+
+
+def test_load_ground_truth_bad_address_before_bad_byte_is_reported_first(tmp_path):
+    path = tmp_path / "forkers.txt"
+    path.write_bytes(b"0x12\n\xff\n")
+    with pytest.raises(ParseError, match="^line 1: address must encode"):
         load_ground_truth(path)
 
 

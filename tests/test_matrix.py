@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from forkcast import VoteEvent, build_voter_matrix, column_votes
 from forkcast.errors import EmptyInput, UnknownProposal
-from forkcast.matrix import collapse_support, to_csv
+from forkcast.matrix import VoterMatrix, collapse_support, to_csv
 
 from conftest import addr, make_matrix
 
@@ -60,6 +60,69 @@ def test_duplicates_rejected():
     events = [VoteEvent(addr(1), 1, 1, 0, 0), VoteEvent(addr(1), 1, 0, 5, 0)]
     with pytest.raises(ValueError, match="duplicate"):
         build_voter_matrix(events)
+
+
+def build_voter_matrix_by_dict(events):
+    """Reference: the dict loop ``build_voter_matrix`` replaced."""
+    votes = {}
+    for event in events:
+        key = (event.voter, event.proposal_id)
+        if key in votes:
+            raise ValueError(f"duplicate event for {key}; deduplicate first")
+        votes[key] = collapse_support(event.support)
+    live_pairs = [(a, p) for (a, p), v in votes.items() if v in (0, 1)]
+    addresses = tuple(sorted({a for a, _ in live_pairs}))
+    proposal_ids = tuple(sorted({p for _, p in live_pairs}))
+    if not addresses or not proposal_ids:
+        raise EmptyInput("no events with support in {0, 1}")
+    row = {a: i for i, a in enumerate(addresses)}
+    col = {p: j for j, p in enumerate(proposal_ids)}
+    cells = np.full((len(addresses), len(proposal_ids)), -1, dtype=np.int8)
+    for (voter, proposal_id), value in votes.items():
+        if voter in row and proposal_id in col:
+            cells[row[voter], col[proposal_id]] = value
+    return VoterMatrix(addresses, proposal_ids, cells)
+
+
+def _build_outcome(events):
+    try:
+        matrix = build_voter_matrix_by_dict(events)
+    except (EmptyInput, ValueError) as exc:
+        expected = (type(exc), str(exc))
+    else:
+        expected = (matrix.addresses, matrix.proposal_ids, matrix.cells.tolist())
+    try:
+        matrix = build_voter_matrix(iter(events))
+    except (EmptyInput, ValueError) as exc:
+        return (type(exc), str(exc)), expected
+    assert matrix.cells.dtype == np.int8
+    assert all(type(p) is int for p in matrix.proposal_ids)
+    return (matrix.addresses, matrix.proposal_ids, matrix.cells.tolist()), expected
+
+
+# supports outside {0, 1} (abstentions, and beyond int64) are common, so some
+# voters and proposals have only abstentions; small ranges repeat keys
+_supports = st.one_of(st.integers(-2, 3), st.sampled_from([2**70, -(2**64)]))
+_proposals = st.one_of(st.integers(1, 6), st.just(2**70))
+
+
+@settings(max_examples=300)
+@given(st.lists(st.tuples(st.integers(1, 6), _proposals, _supports), max_size=40),
+       st.booleans())
+def test_build_matches_dict_loop(rows, deduplicate):
+    events = [VoteEvent(addr(v), p, s, i, 0) for i, (v, p, s) in enumerate(rows)]
+    if deduplicate:
+        events = list({(e.voter, e.proposal_id): e for e in events}.values())
+    actual, expected = _build_outcome(events)
+    assert actual == expected
+
+
+def test_duplicate_named_in_input_order():
+    events = [VoteEvent(addr(2), 5, 1, 0, 0), VoteEvent(addr(1), 9, 1, 0, 1),
+              VoteEvent(addr(1), 9, 0, 0, 2), VoteEvent(addr(2), 5, 0, 0, 3)]
+    actual, expected = _build_outcome(events)
+    assert actual == expected
+    assert actual[1] == f"duplicate event for {(addr(1), 9)!r}; deduplicate first"
 
 
 @given(st.integers(-5, 120))
