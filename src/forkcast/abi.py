@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import MalformedData
 
@@ -120,8 +121,9 @@ class EventAbi:
     def canonical(self) -> str:
         return f"{self.name}({','.join(p.type for p in self.params)})"
 
-    @property
+    @cached_property
     def topic0(self) -> str:
+        """keccak-256 of the canonical signature, hashed once per EventAbi."""
         return "0x" + keccak256(self.canonical.encode("ascii")).hex()
 
     @property

@@ -184,8 +184,7 @@ def _load_events(config: RunConfig, fetch: bool = False) -> list[VoteEvent]:
     """Vote events, one per (voter, proposal), from --fixture, else (with
     ``fetch``) from the RPC endpoint, else from out/<dao>/votes.jsonl."""
     if config.fixture or not (fetch and config.rpc_url):
-        events, report = load_fixture_with_report(_fixture_path(config))
-        duplicates = report.duplicates
+        events, duplicates = load_fixture_with_report(_fixture_path(config))
     else:
         registry = _registry(dataclasses.asdict(config))
         if config.dao not in registry:

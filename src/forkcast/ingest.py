@@ -4,24 +4,13 @@ The canonical pipeline input is a line-delimited JSON fixture; ``fetch_logs``
 exists to export such fixtures from an EVM JSON-RPC endpoint and is the only
 network-touching code in the package.
 
-A fixture holds one event per line, so the load does as little per line as
-it can while naming the first bad line exactly as a line-by-line load would:
-
-- Each line goes through the JSON decoder's C scanner, and one
-  ``itemgetter`` takes the five fields. A line the scanner does not take
-  whole (leading whitespace, anything but a newline after the object, a
-  decode error) and a record without the fields take the per-line path:
-  ``decode`` the line and build its ``VoteEvent``, which raises what a
-  line-by-line load raises.
-- Rows are checked a chunk at a time, column by column: each new distinct
-  raw voter is normalized once, each number column must hold only ``int``s,
-  and the column minimums must be in range. A chunk that passes is built
-  through the ``VoteEvent`` slot descriptors without running the checks
-  again.
-- When a chunk fails a check, or a line in it takes the per-line path, the
-  chunk's earlier rows are built with the public ``VoteEvent(...)`` one by
-  one, so the ``ParseError`` names the same first bad line with the same
-  message.
+A fixture holds one event per line, and every event, whether loaded, decoded
+from a log or planted, is built by the checked ``VoteEvent(...)``. The load
+walks the lines in order: the JSON decoder's C scanner takes a line whole, or
+``decode`` parses it and raises the line's error, and the record's five fields
+go to ``VoteEvent``. So the first bad line is the one named in the
+``ParseError``, whether its JSON is malformed or nested too deep, a field is
+missing, or a value fails a check.
 
 An address is checked with one precompiled regex and interned, so each
 distinct voter is one ``str`` object however many events name it. The
@@ -39,7 +28,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Protocol, Sequence, TypeVar
+from typing import Callable, Iterable, NamedTuple, Protocol, Sequence, TypeVar
 
 from . import abi
 from .errors import (
@@ -68,48 +57,55 @@ def normalize_address(value: str) -> Address:
 
 
 _INT_FIELDS = ("proposal_id", "support", "block_number", "log_index")
+# chain order: (block_number, log_index, voter, proposal_id, support), at C level
+_CHAIN_ORDER = operator.itemgetter(3, 4, 0, 1, 2)
 
 
-@dataclass(frozen=True, slots=True)
-class VoteEvent:
-    """One decoded on-chain vote; the four numbers must be exact ``int``s."""
-
+class _VoteFields(NamedTuple):
     voter: Address
     proposal_id: int
     support: int
     block_number: int
     log_index: int
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "voter", normalize_address(self.voter))
-        if not (type(self.proposal_id) is type(self.support) is int
-                and type(self.block_number) is type(self.log_index) is int):
-            name = next(n for n in _INT_FIELDS if type(getattr(self, n)) is not int)
-            raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        if self.proposal_id < 1:
-            raise ValueError(f"proposal_id must be >= 1, got {self.proposal_id}")
-        if self.block_number < 0 or self.log_index < 0:
-            raise ValueError("block_number and log_index must be non-negative")
 
-    @property
-    def order_key(self) -> tuple[int, int, str, int, int]:
-        return (self.block_number, self.log_index, self.voter,
-                self.proposal_id, self.support)
+class VoteEvent(_VoteFields):
+    """One decoded on-chain vote; the four numbers must be exact ``int``s.
+
+    An immutable tuple of its five fields. Every way of making one, ``_make``
+    and ``_replace`` included, runs the checks in ``__new__``.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, voter: Address, proposal_id: int, support: int,
+                block_number: int, log_index: int) -> "VoteEvent":
+        voter = normalize_address(voter)
+        if not (type(proposal_id) is type(support) is int
+                and type(block_number) is type(log_index) is int):
+            numbers = (proposal_id, support, block_number, log_index)
+            name, value = next((n, v) for n, v in zip(_INT_FIELDS, numbers)
+                               if type(v) is not int)
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        if proposal_id < 1:
+            raise ValueError(f"proposal_id must be >= 1, got {proposal_id}")
+        if block_number < 0 or log_index < 0:
+            raise ValueError("block_number and log_index must be non-negative")
+        return tuple.__new__(cls, (voter, proposal_id, support, block_number, log_index))
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "VoteEvent":
+        return cls(*iterable)
+
+    order_key = property(_CHAIN_ORDER, doc="(block_number, log_index, voter, "
+                         "proposal_id, support): the chain-order sort key")
 
 
 # the fields of a fixture record, in ``VoteEvent`` argument order
 _RECORD_FIELDS = operator.itemgetter("voter", *_INT_FIELDS)
-# set a field of a ``VoteEvent`` made by ``object.__new__``, bypassing every check
-_SETTERS = tuple(VoteEvent.__dict__[name].__set__ for name in ("voter", *_INT_FIELDS))
-# rows a fixture load checks and builds at once; a bad row re-walks its chunk
-_CHUNK_ROWS = 4096
-# what the per-line path turns into a ParseError naming the line
-_LINE_ERRORS = (KeyError, TypeError, ValueError)
+# what a fixture line can raise that is a ParseError naming the line
+_LINE_ERRORS = (KeyError, TypeError, ValueError, RecursionError)
 _T = TypeVar("_T")
-
-# the fields of ``VoteEvent.order_key`` read at C level, one sort key per event
-_CHAIN_ORDER = operator.attrgetter("block_number", "log_index", "voter",
-                                   "proposal_id", "support")
 
 
 @dataclass(frozen=True)
@@ -169,14 +165,13 @@ def _to_int(value: int | str) -> int:
     return value if isinstance(value, int) else int(value, 16)
 
 
-def decode_vote_event(raw_log: RawLog, signature: str) -> VoteEvent:
-    """Decode one log against an event signature string.
+def decode_vote_event(raw_log: RawLog, event_abi: abi.EventAbi) -> VoteEvent:
+    """Decode one log against a parsed event signature.
 
     Raises SignatureMismatch when topic0 differs from the signature hash and
     MalformedData when the payload cannot be decoded; both identify the
     offending log by block/index.
     """
-    event_abi = abi.parse_event_signature(signature)
     where = f"block {raw_log.block_number} log {raw_log.log_index}"
     if not raw_log.topics or raw_log.topics[0].lower() != event_abi.topic0:
         raise SignatureMismatch(
@@ -190,16 +185,6 @@ def decode_vote_event(raw_log: RawLog, signature: str) -> VoteEvent:
         raise MalformedData(f"{where}: {exc}") from exc
     except ValueError as exc:
         raise MalformedData(f"{where}: {exc}") from exc
-
-
-@dataclass(frozen=True)
-class LoadReport:
-    """What load_fixture_with_report saw: line counts and collapsed duplicates."""
-
-    path: str
-    lines: int
-    events: int
-    duplicates: tuple[tuple[Address, int], ...]
 
 
 def collapse_duplicates(events: Iterable[VoteEvent],
@@ -220,82 +205,33 @@ def collapse_duplicates(events: Iterable[VoteEvent],
     return kept, tuple(duplicates)
 
 
-def load_fixture_with_report(path: str | Path) -> tuple[list[VoteEvent], LoadReport]:
-    """Parse a JSONL fixture and collapse it with ``collapse_duplicates``."""
-    events, lines = _read_text(path, _read_events)
-    kept, duplicates = collapse_duplicates(events)
-    return kept, LoadReport(str(path), lines, len(kept), duplicates)
+def load_fixture_with_report(path: str | Path,
+                             ) -> tuple[list[VoteEvent], tuple[tuple[Address, int], ...]]:
+    """Parse a JSONL fixture and collapse it with ``collapse_duplicates``: the
+    kept events in chain order, and the key of each dropped duplicate."""
+    return collapse_duplicates(_read_text(path, _read_events))
 
 
-def _read_events(handle: Iterable[str]) -> tuple[list[VoteEvent], int]:
-    """The events of a fixture's lines, in file order, and the non-blank line count."""
+def _read_events(handle: Iterable[str]) -> list[VoteEvent]:
+    """The events of a fixture's lines, in file order; the first bad line is a
+    ``ParseError`` naming it."""
     decoder = json.JSONDecoder()
     scan, decode = decoder.scan_once, decoder.decode
     events: list[VoteEvent] = []
-    rows: list[tuple] = []
-    linenos: list[int] = []
-    canonical: dict[str, Address] = {}
-    lines = 0
     for lineno, line in enumerate(handle, start=1):
         if line.isspace():
             continue
-        lines += 1
         try:
-            record, end = scan(line, 0)
-            row = _RECORD_FIELDS(record) if end == len(line) or line[end:] == "\n" else None
-        except (StopIteration, KeyError, TypeError, ValueError, RecursionError):
-            row = None
-        if row is None:
-            # anything the scan does not take goes the per-line way, after the
-            # chunk so far, so the first bad line is the one reported
-            events += map(_checked_event, rows, linenos)
-            rows.clear()
-            linenos.clear()
             try:
-                row = _RECORD_FIELDS(decode(line))
-            except _LINE_ERRORS as exc:
-                raise ParseError(str(exc), line=lineno) from exc
-            events.append(_checked_event(row, lineno))
-            continue
-        rows.append(row)
-        linenos.append(lineno)
-        if len(rows) == _CHUNK_ROWS:
-            events += _chunk_events(rows, linenos, canonical)
-            rows.clear()
-            linenos.clear()
-    if rows:
-        events += _chunk_events(rows, linenos, canonical)
-    return events, lines
-
-
-def _checked_event(row: tuple, lineno: int) -> VoteEvent:
-    try:
-        return VoteEvent(*row)
-    except _LINE_ERRORS as exc:
-        raise ParseError(str(exc), line=lineno) from exc
-
-
-def _chunk_events(rows: list[tuple], linenos: list[int],
-                  canonical: dict[str, Address]) -> list[VoteEvent]:
-    """Check a chunk's rows column by column and build their events unchecked;
-    if any check fails, build each row with ``VoteEvent`` until one raises.
-
-    ``canonical`` maps each raw voter seen so far to its normalized address.
-    """
-    voters, *numbers = (list(map(operator.itemgetter(i), rows)) for i in range(5))
-    proposals, _supports, blocks, logs = numbers
-    try:
-        for raw in set(voters).difference(canonical):
-            canonical[raw] = normalize_address(raw)
-        valid = (all(set(map(type, column)) == {int} for column in numbers)
-                 and min(proposals) >= 1 and min(blocks) >= 0 and min(logs) >= 0)
-    except (TypeError, ValueError):  # an unhashable or invalid voter
-        valid = False
-    if not valid:
-        return list(map(_checked_event, rows, linenos))
-    events = list(map(object.__new__, [VoteEvent] * len(rows)))
-    for setter, column in zip(_SETTERS, (map(canonical.__getitem__, voters), *numbers)):
-        any(map(setter, events, column))  # each setter returns None
+                record, end = scan(line, 0)
+                whole = end == len(line) or line[end:] == "\n"
+            except (StopIteration, ValueError, RecursionError):
+                whole = False
+            if not whole:  # ``decode`` returns the record or raises the line's error
+                record = decode(line)
+            events.append(VoteEvent(*_RECORD_FIELDS(record)))
+        except _LINE_ERRORS as exc:
+            raise ParseError(str(exc), line=lineno) from exc
     return events
 
 
@@ -430,9 +366,8 @@ def fetch_logs(
         raise ValueError("chunk_size must be positive")
     if transport is None:
         transport = HttpTransport(endpoint)
-    by_topic = {}
-    for signature in entry.event_signatures:
-        by_topic[abi.parse_event_signature(signature).topic0] = signature
+    by_topic = {event_abi.topic0: event_abi
+                for event_abi in map(abi.parse_event_signature, entry.event_signatures)}
     events: list[VoteEvent] = []
     start = lo
     while start <= hi:
@@ -440,12 +375,12 @@ def fetch_logs(
         for raw in _get_logs_bisect(transport, entry.governance_contract,
                                     sorted(by_topic), start, end, retries, retry_wait):
             log = RawLog.from_rpc(raw)
-            signature = by_topic.get(log.topics[0].lower() if log.topics else "")
-            if signature is None:
+            event_abi = by_topic.get(log.topics[0].lower() if log.topics else "")
+            if event_abi is None:
                 raise SignatureMismatch(
                     f"block {log.block_number} log {log.log_index}: "
                     "unexpected topic0 from provider")
-            events.append(decode_vote_event(log, signature))
+            events.append(decode_vote_event(log, event_abi))
         start = end + 1
     events.sort(key=_CHAIN_ORDER)
     return events

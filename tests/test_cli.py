@@ -221,6 +221,15 @@ def test_non_utf8_input_is_parse_error_naming_its_line(tmp_path, capsys, argv, l
     assert f"ParseError: line {line}: not UTF-8" in err
 
 
+def test_deeply_nested_fixture_line_is_parse_error(tmp_path, capsys):
+    lines = FIXTURE.read_text().splitlines(keepends=True)
+    deep = tmp_path / "deep.jsonl"
+    deep.write_text("".join(lines[:2]) + "[" * 2000 + "\n" + "".join(lines[2:]))
+    assert run(["friction", "--dao", "planted", "--fixture", str(deep),
+                "--out", str(tmp_path / "out")]) == 1
+    assert "ParseError: line 3: maximum recursion depth" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flag", ["--fixture", "--ground-truth"])
 def test_directory_input_is_missing_artifact(tmp_path, capsys, flag):
     argv = ["analyze", "--dao", "planted", "--fixture", str(FIXTURE),

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from forkcast import ingest
+from forkcast import abi, planted_two_bloc_events
 from forkcast.abi import (
     _DYNAMIC_TYPES,
     EventAbi,
@@ -30,8 +30,7 @@ from forkcast.errors import (
     TransportError,
 )
 from forkcast.ingest import (
-    _CHAIN_ORDER,
-    LoadReport,
+    DaoRegistryEntry,
     RawLog,
     RpcError,
     VoteEvent,
@@ -51,6 +50,8 @@ ROOT = Path(__file__).resolve().parent.parent
 PLANTED = ROOT / "data" / "planted"
 
 NOUNS_SIG = "VoteCast(address,uint256,uint8,uint256,string)"
+NOUNS_ABI = parse_event_signature(NOUNS_SIG)
+ARAGON_SIG = "CastVote(uint256 indexed voteId,address indexed voter,bool supports,uint256 stake)"
 
 # Published keccak-256 known-answer vectors; the empty-input digest is the
 # ubiquitous Ethereum empty-code hash, the third is the ERC-20 Transfer topic.
@@ -213,6 +214,11 @@ def test_vote_event_invariants():
         VoteEvent(addr(1), 0, 1, 0, 0)  # proposal ids start at 1
     with pytest.raises(ValueError):
         VoteEvent(addr(1), 1, 1, -1, 0)
+    event = VoteEvent(addr(1), 1, 1, 0, 0)
+    with pytest.raises(ValueError):
+        event._replace(proposal_id=0)
+    with pytest.raises(ValueError):
+        VoteEvent._make(["0x12", 1, 1, 0, 0])
 
 
 @pytest.mark.parametrize("position", range(1, 5))
@@ -227,6 +233,14 @@ def test_vote_event_numbers_must_be_exact_ints(position, value):
 def test_vote_event_has_no_instance_dict():
     event = VoteEvent(addr(1), 1, 1, 0, 0)
     assert not hasattr(event, "__dict__")
+
+
+@pytest.mark.parametrize("name", ["voter", "proposal_id", "support", "block_number",
+                                  "log_index", "order_key"])
+def test_vote_event_fields_are_read_only(name):
+    event = VoteEvent(addr(1), 1, 1, 0, 0)
+    with pytest.raises(AttributeError):
+        setattr(event, name, getattr(event, name))
 
 
 def _word(value: int) -> str:
@@ -244,7 +258,7 @@ def test_decode_hand_encoded_vote_cast():
         block_number=12985453,
         log_index=3,
     )
-    event = decode_vote_event(log, NOUNS_SIG)
+    event = decode_vote_event(log, NOUNS_ABI)
     assert event == VoteEvent(voter, 7, 1, 12985453, 3)
 
 
@@ -252,7 +266,7 @@ def test_decode_signature_mismatch():
     log = RawLog("0x" + "11" * 20, ("0x" + "ff" * 32, "0x" + "00" * 32),
                  "0x" + _word(1) * 5, 5, 9)
     with pytest.raises(SignatureMismatch, match="block 5 log 9"):
-        decode_vote_event(log, NOUNS_SIG)
+        decode_vote_event(log, NOUNS_ABI)
 
 
 def test_decode_short_data_is_malformed():
@@ -260,20 +274,19 @@ def test_decode_short_data_is_malformed():
                  (NOUNS_TOPIC0, "0x" + "00" * 12 + "aa" * 20),
                  "0x" + _word(7), 5, 9)
     with pytest.raises(MalformedData, match="block 5 log 9"):
-        decode_vote_event(log, NOUNS_SIG)
+        decode_vote_event(log, NOUNS_ABI)
 
 
 def test_decode_aragon_style_indexed_layout():
-    sig = "CastVote(uint256 indexed voteId,address indexed voter,bool supports,uint256 stake)"
-    abi = parse_event_signature(sig)
+    event_abi = parse_event_signature(ARAGON_SIG)
     log = RawLog(
         address="0x" + "22" * 20,
-        topics=(abi.topic0, "0x" + _word(41), "0x" + "00" * 12 + "bb" * 20),
+        topics=(event_abi.topic0, "0x" + _word(41), "0x" + "00" * 12 + "bb" * 20),
         data="0x" + _word(1) + _word(999),
         block_number=100,
         log_index=0,
     )
-    event = decode_vote_event(log, sig)
+    event = decode_vote_event(log, event_abi)
     assert event.voter == "0x" + "bb" * 20
     assert event.proposal_id == 41
     assert event.support == 1
@@ -290,7 +303,7 @@ def test_parse_rejects_unusable_signatures():
        st.integers(0, 500), st.integers(1, 2**160 - 1))
 def test_decode_encode_round_trip(proposal, support, block, index, voter_int):
     event = VoteEvent(f"0x{voter_int:040x}", proposal, support, block, index)
-    assert decode_vote_event(encode_vote_event(event, NOUNS_SIG), NOUNS_SIG) == event
+    assert decode_vote_event(encode_vote_event(event, NOUNS_SIG), NOUNS_ABI) == event
 
 
 def test_round_trip_all_bundled_signatures():
@@ -298,7 +311,7 @@ def test_round_trip_all_bundled_signatures():
     for entry in bundled_registry().values():
         for signature in entry.event_signatures:
             log = encode_vote_event(event, signature)
-            assert decode_vote_event(log, signature) == event
+            assert decode_vote_event(log, parse_event_signature(signature)) == event
 
 
 def test_load_fixture_empty(tmp_path):
@@ -318,8 +331,8 @@ def test_load_fixture_duplicate_last_write_wins(tmp_path):
     ]
     path = tmp_path / "votes.jsonl"
     path.write_text("\n".join(json.dumps(line) for line in lines) + "\n")
-    events, report = load_fixture_with_report(path)
-    assert report.duplicates == ((addr(1), 1),)
+    events, duplicates = load_fixture_with_report(path)
+    assert duplicates == ((addr(1), 1),)
     assert len(events) == 2
     assert events[-1].support == 1 and events[-1].block_number == 12
 
@@ -329,9 +342,8 @@ def test_load_fixture_report_counts(tmp_path):
     record = {"voter": addr(1), "proposal_id": 2, "support": 1,
               "block_number": 5, "log_index": 1, "extra_key": "ignored"}
     path.write_text(json.dumps(record) + "\n\n")
-    events, report = load_fixture_with_report(path)
-    assert len(events) == 1
-    assert report.lines == 1 and report.duplicates == ()
+    events, duplicates = load_fixture_with_report(path)
+    assert len(events) == 1 and duplicates == ()
 
 
 def test_load_fixture_parse_error_carries_line(tmp_path):
@@ -385,32 +397,30 @@ def load_fixture_line_by_line(path):
     """Reference: the per-line loader ``load_fixture_with_report`` replaced."""
     decode = json.JSONDecoder().decode
     events = []
-    lines = 0
     with open(path, encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             if line.isspace():
                 continue
-            lines += 1
             try:
                 record = decode(line)
                 events.append(VoteEvent(record["voter"], record["proposal_id"],
                                         record["support"], record["block_number"],
                                         record["log_index"]))
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            except (json.JSONDecodeError, KeyError, TypeError, ValueError,
+                    RecursionError) as exc:  # RecursionError: nested too deep
                 raise ParseError(str(exc), line=lineno) from exc
-    kept, duplicates = collapse_duplicates(events)
-    return kept, LoadReport(str(path), lines, len(kept), duplicates)
+    return collapse_duplicates(events)
 
 
 def _load_outcome(load, path):
     try:
-        events, report = load(path)
+        events, duplicates = load(path)
     except ParseError as exc:
         return "error", exc.line, str(exc)
-    except RecursionError as exc:  # a line nested too deep for the decoder
-        return "crash", str(exc)
-    assert all(event.voter is sys.intern(event.voter) for event in events)
-    return "ok", events, report
+    for event in events:
+        assert type(event) is VoteEvent and event == VoteEvent(*event)
+        assert event.voter is sys.intern(event.voter)
+    return "ok", events, duplicates
 
 
 _RECORD_KEYS = ("voter", "proposal_id", "support", "block_number", "log_index")
@@ -457,30 +467,27 @@ def _write_lines(path, lines, ending):
 @settings(max_examples=300, deadline=None)
 @given(lines=st.lists(st.one_of(_valid_lines, _valid_lines, _blank_lines), max_size=30),
        defects=st.lists(st.tuples(st.integers(0, 30), _defects), max_size=2),
-       ending=st.sampled_from(["\n", "\r\n", "\r"]), final=st.booleans(),
-       chunk_rows=st.sampled_from([1, 2, 3, 7, ingest._CHUNK_ROWS]))
+       ending=st.sampled_from(["\n", "\r\n", "\r"]), final=st.booleans())
 def test_load_fixture_matches_per_line_reference(tmp_path_factory, lines, defects,
-                                                 ending, final, chunk_rows):
+                                                 ending, final):
     for position, defect in defects:
         lines.insert(position, defect)
     path = _write_lines(tmp_path_factory.mktemp("load") / "votes.jsonl",
                         lines + [""] * final, ending)
-    with mock.patch.object(ingest, "_CHUNK_ROWS", chunk_rows):
-        outcome = _load_outcome(load_fixture_with_report, path)
-    assert outcome == _load_outcome(load_fixture_line_by_line, path)
+    assert (_load_outcome(load_fixture_with_report, path)
+            == _load_outcome(load_fixture_line_by_line, path))
 
 
 @pytest.mark.parametrize("defect", _DEFECT_LINES)
 def test_load_fixture_defect_matches_per_line_reference(tmp_path, defect):
-    # the defect sits in the middle of a chunk, after two chunks of one row
+    # every defect, a line nested past the recursion limit included, is a
+    # ParseError naming its line
     lines = [json.dumps({**_GOOD_RECORD, "log_index": i}) for i in range(5)]
     lines.insert(3, defect)
     path = _write_lines(tmp_path / "votes.jsonl", lines, "\n")
     expected = _load_outcome(load_fixture_line_by_line, path)
-    assert expected[0] != "ok"
-    for chunk_rows in (1, 2, 4, ingest._CHUNK_ROWS):
-        with mock.patch.object(ingest, "_CHUNK_ROWS", chunk_rows):
-            assert _load_outcome(load_fixture_with_report, path) == expected
+    assert expected[:2] == ("error", 4)
+    assert _load_outcome(load_fixture_with_report, path) == expected
 
 
 def _chain_lines(count):
@@ -490,30 +497,26 @@ def _chain_lines(count):
             for i in range(count)]
 
 
-_CHUNK = ingest._CHUNK_ROWS
-_SPAN = 2 * _CHUNK + _CHUNK // 2  # two full chunks and a partial one
+_LONG = 10_240  # lines in a long fixture
 
 
 @settings(max_examples=20, deadline=None)
-@given(defects=st.lists(st.tuples(st.one_of(st.integers(0, _CHUNK - 1),
-                                            st.integers(_CHUNK, 2 * _CHUNK - 1),
-                                            st.integers(2 * _CHUNK, _SPAN)),
-                                  st.one_of(_defects, _blank_lines)),
+@given(defects=st.lists(st.tuples(st.integers(0, _LONG), st.one_of(_defects, _blank_lines)),
                         max_size=2))
-def test_load_fixture_matches_reference_across_chunks(tmp_path_factory, defects):
-    lines = _chain_lines(_SPAN)
+def test_load_long_fixture_with_defects_matches_reference(tmp_path_factory, defects):
+    lines = _chain_lines(_LONG)
     for position, defect in defects:
         lines.insert(position, defect)
-    path = _write_lines(tmp_path_factory.mktemp("chunks") / "votes.jsonl",
+    path = _write_lines(tmp_path_factory.mktemp("long") / "votes.jsonl",
                         lines + [""], "\n")
     assert (_load_outcome(load_fixture_with_report, path)
             == _load_outcome(load_fixture_line_by_line, path))
 
 
-def test_load_fixture_spanning_chunks_matches_reference(tmp_path):
-    path = _write_lines(tmp_path / "votes.jsonl", _chain_lines(_SPAN) + [""], "\n")
+def test_load_long_fixture_matches_reference(tmp_path):
+    path = _write_lines(tmp_path / "votes.jsonl", _chain_lines(_LONG) + [""], "\n")
     outcome = _load_outcome(load_fixture_with_report, path)
-    assert outcome[0] == "ok" and outcome[2].lines == _SPAN
+    assert outcome[0] == "ok" and len(outcome[1]) + len(outcome[2]) == _LONG
     assert outcome == _load_outcome(load_fixture_line_by_line, path)
 
 
@@ -604,11 +607,14 @@ def test_write_fixture_matches_json_dumps(tmp_path_factory, events):
 
 @given(_events)
 def test_chain_order_key_equals_order_key(events):
-    """Every chain-order sort takes the C-level key; it must give each event
-    the tuple ``order_key`` documents, so the sorted order is the same."""
+    """Every chain-order sort takes the key ``order_key`` reads at C level; it
+    must be the chain order: block, log index, then voter, proposal, support."""
+    def chain_order(e):
+        return (e.block_number, e.log_index, e.voter, e.proposal_id, e.support)
+
     for event in events:
-        assert _CHAIN_ORDER(event) == event.order_key
-    assert sorted(events, key=_CHAIN_ORDER) == sorted(events, key=lambda e: e.order_key)
+        assert event.order_key == chain_order(event)
+    assert sorted(events, key=lambda e: e.order_key) == sorted(events, key=chain_order)
 
 
 def test_make_planted_fixture_reproduces_bundled_data(tmp_path):
@@ -669,11 +675,8 @@ def _nouns_like_logs(count: int) -> list[RawLog]:
     return logs
 
 
-def _entry(lo=0, hi=10**9):
-    from forkcast.ingest import DaoRegistryEntry
-
-    return DaoRegistryEntry("test", "ethereum", "0x" + "33" * 20, lo, hi,
-                            (NOUNS_SIG,))
+def _entry(lo=0, hi=10**9, signatures=(NOUNS_SIG,)):
+    return DaoRegistryEntry("test", "ethereum", "0x" + "33" * 20, lo, hi, signatures)
 
 
 def test_fetch_logs_rejects_degenerate_range():
@@ -692,6 +695,25 @@ def test_fetch_logs_chunk_independence():
     ]
     assert results[0] == results[1] == results[2]
     assert len(results[0]) == 40
+
+
+def test_fetch_logs_hashes_each_signature_once():
+    logs = _nouns_like_logs(40)
+    entry = _entry(signatures=(NOUNS_SIG, ARAGON_SIG))
+    with mock.patch.object(abi, "keccak256", wraps=abi.keccak256) as keccak:
+        events = fetch_logs("http://unused", entry, (1000, 1039), chunk_size=7,
+                            transport=StaticLogTransport(logs))
+    assert len(events) == 40
+    assert keccak.call_count == 2
+
+
+def test_every_event_source_builds_vote_events():
+    loaded = load_fixture_with_report(PLANTED / "votes.jsonl")[0]
+    decoded = fetch_logs("http://unused", _entry(), (1000, 1011),
+                         transport=StaticLogTransport(_nouns_like_logs(12)))
+    planted = planted_two_bloc_events(bloc_sizes=(4, 2), proposals=5)[0]
+    for events in (loaded, decoded, planted):
+        assert events and all(type(event) is VoteEvent for event in events)
 
 
 def test_fetch_logs_matches_fixture_export(tmp_path):
