@@ -49,7 +49,6 @@ from .registry import bundled_registry, load_registry
 from .report import ChartSpec, render_chart, render_mds_scatter
 from .validate import (
     DEFAULT_ITERATIONS,
-    DEFAULT_MIN_FORK_PRESENT,
     check_ranges,
     fork_cluster_share,
     fork_labels,
@@ -77,8 +76,6 @@ class RunConfig:
     root_seed: int = 0
     ranges: tuple[tuple[int, int], ...] | None = None
     output_dir: str = "out"
-    min_fork_present: int = DEFAULT_MIN_FORK_PRESENT
-    rolling_stat: str = friction_mod.ROLLING_STATS[0]
     export_dissim: bool = False
     from_block: int | None = None
     to_block: int | None = None
@@ -86,12 +83,8 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         self.analysis_spec()  # raises on a bad window, MDS or k setting
-        if self.rolling_stat not in friction_mod.ROLLING_STATS:
-            raise ValueError(f"rolling_stat must be one of {friction_mod.ROLLING_STATS}")
         if self.iterations < 0:
             raise ValueError("iterations must be >= 0")
-        if self.min_fork_present < 1:
-            raise ValueError("min_fork_present must be >= 1")
 
     @property
     def out(self) -> Path:
@@ -240,9 +233,8 @@ def cmd_ingest(config: RunConfig) -> int:
 
 
 def _friction(config: RunConfig, matrix: VoterMatrix) -> None:
-    report = friction_mod.build_friction_report(
-        matrix, config.dao, window=config.window_size,
-        rolling_stat=config.rolling_stat)
+    report = friction_mod.build_friction_report(matrix, config.dao,
+                                                window=config.window_size)
     out = config.out
     out.mkdir(parents=True, exist_ok=True)
     friction_mod.to_csv(report, out / "friction.csv")
@@ -362,11 +354,9 @@ def cmd_analyze(config: RunConfig) -> int:
 
 def _validate(config: RunConfig, matrix: VoterMatrix, result: PipelineResult,
               ground_truth: ForkGroundTruth) -> None:
-    report = run_validation(
-        matrix, result, ground_truth,
-        ranges=list(config.ranges) if config.ranges else None,
-        iterations=config.iterations, min_fork_present=config.min_fork_present,
-    )
+    report = run_validation(matrix, result, ground_truth,
+                            ranges=list(config.ranges) if config.ranges else None,
+                            iterations=config.iterations)
     out = config.out
     out.mkdir(parents=True, exist_ok=True)
     payload = validation_json(report)
@@ -375,7 +365,7 @@ def _validate(config: RunConfig, matrix: VoterMatrix, result: PipelineResult,
     with open(out / "fork_share.csv", "w", encoding="utf-8", newline="\n") as handle:
         handle.write("proposal_id,fork_share,k_star\n")
         for analysis in analyses:
-            share = fork_cluster_share(analysis, ground_truth, config.min_fork_present)
+            share = fork_cluster_share(analysis, ground_truth)
             text = "" if share is None else repr(share)
             handle.write(f"{analysis.proposal_id},{text},"
                          f"{analysis.clustering.k_star}\n")
@@ -456,7 +446,6 @@ _FLAGS = {
     "--chunk-size": dict(dest="chunk_size", type=int),
     "--ground-truth": dict(dest="ground_truth", help="fork address list, one per line"),
     "--window": dict(dest="window_size", type=int),
-    "--rolling-stat": dict(dest="rolling_stat", choices=friction_mod.ROLLING_STATS),
     "--threshold": dict(dest="participation_threshold", type=float),
     "--k-min": dict(dest="k_min", type=int),
     "--k-max": dict(dest="k_max", type=int),
@@ -467,7 +456,6 @@ _FLAGS = {
                             default=None),
     "--iterations": dict(type=int, help="shuffle iterations"),
     "--ranges": dict(help="e.g. 319-362,349-362"),
-    "--min-fork-present": dict(dest="min_fork_present", type=int),
 }
 
 _COMMON = ("--dao", "--config", "--registry", "--out")
@@ -478,9 +466,9 @@ _ANALYSIS = ("--fixture", "--ground-truth", "--window", "--threshold", "--k-min"
 _COMMAND_FLAGS = {
     "ingest": (*_COMMON, "--fixture", "--rpc-url", "--from-block", "--to-block",
                "--chunk-size"),
-    "friction": (*_COMMON, "--fixture", "--window", "--rolling-stat"),
+    "friction": (*_COMMON, "--fixture", "--window"),
     "analyze": (*_COMMON, *_ANALYSIS, "--export-dissim"),
-    "validate": (*_COMMON, *_ANALYSIS, "--iterations", "--ranges", "--min-fork-present"),
+    "validate": (*_COMMON, *_ANALYSIS, "--iterations", "--ranges"),
     "all": tuple(_FLAGS),
 }
 

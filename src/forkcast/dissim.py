@@ -43,7 +43,6 @@ class ActiveSet:
     proposal_id: int
     window: tuple[int, ...]
     addresses: tuple[Address, ...]
-    participation: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -84,7 +83,6 @@ def active_set(matrix: VoterMatrix, j: int, spec: WindowSpec) -> ActiveSet:
         proposal_id=matrix.proposal_ids[j - 1],
         window=tuple(window),
         addresses=tuple(matrix.addresses[i] for i in keep),
-        participation=tuple(float(fractions[i]) for i in keep),
     )
 
 

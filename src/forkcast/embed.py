@@ -11,11 +11,11 @@ Each Guttman step computes one distance matrix: the distances that score
 the stress of an iterate are the ones the next step builds its B matrix
 from. The upper-triangle mask, target dissimilarities and stress
 denominator are computed once per embedding, and so are the n x n buffers
-(distances, a coordinate-difference scratch, B and its positive-distance
-mask) that every step refills in place with ``out=`` ufuncs. Stress gathers
-the upper triangle through a boolean ``np.triu`` mask: the same row-major
-sequence as ``np.triu_indices``, about 4x faster, so every sum adds in the
-same order and every output bit is that of the plain array expressions.
+(distances, a coordinate-difference scratch and B) that every step refills
+in place with ``out=`` ufuncs. Stress gathers the upper triangle through a
+boolean ``np.triu`` mask: the same row-major sequence as
+``np.triu_indices``, about 4x faster, so every sum adds in the same order
+and every output bit is that of the plain array expressions.
 Consecutive proposals are chained by warm-starting from the previous
 embedding, which pins down rotation/reflection across frames.
 """
@@ -88,10 +88,6 @@ def pairwise_distances(coords: np.ndarray) -> np.ndarray:
     return out
 
 
-def _cells(d: DissimilarityMatrix | np.ndarray) -> np.ndarray:
-    return d.cells if isinstance(d, DissimilarityMatrix) else np.asarray(d, dtype=np.float64)
-
-
 def _stress_terms(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     """Upper-triangle mask, target dissimilarities and stress denominator."""
     upper = np.triu(np.ones(cells.shape, dtype=bool), k=1)
@@ -111,9 +107,9 @@ def _normalized_stress(target: np.ndarray, denominator: float,
     return math.sqrt(float(fitted.sum()) / denominator)
 
 
-def stress(d: DissimilarityMatrix | np.ndarray, coords: np.ndarray) -> float:
+def stress(d: DissimilarityMatrix, coords: np.ndarray) -> float:
     """Normalized residual stress of coords against the dissimilarities."""
-    cells = _cells(d)
+    cells = d.cells
     coords = np.asarray(coords, dtype=np.float64)
     if coords.shape != (cells.shape[0], 2):
         raise ValueError(f"coords shape {coords.shape} != ({cells.shape[0]}, 2)")
@@ -147,19 +143,24 @@ def mds_embed(d: DissimilarityMatrix, init: np.ndarray,
         raise NonFiniteInput("init coordinates contain non-finite values")
     upper, target, denominator = _stress_terms(cells)
     distances, scratch, b = np.empty((n, n)), np.empty((n, n)), np.empty((n, n))
-    positive = np.empty((n, n), dtype=bool)
     _fill_distances(coords, distances, scratch)
     current = _normalized_stress(target, denominator, distances[upper])
     path = [current]
     iterations = 0
     for iteration in range(1, config.max_iterations + 1):
-        # B = -(cells / distances) off the zero distances, -0.0 on them
-        np.greater(distances, 0.0, out=positive)
-        b.fill(0.0)
-        np.divide(cells, distances, out=b, where=positive)
+        # B = -(cells / distances) where distances > 0, -0.0 elsewhere. A
+        # zero (or nan) off-diagonal distance divides to inf or nan, so its
+        # row sum is not finite; only then are those cells rewritten.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(cells, distances, out=b)
         np.negative(b, out=b)
         np.fill_diagonal(b, 0.0)
-        np.fill_diagonal(b, -b.sum(axis=1))
+        sums = b.sum(axis=1)
+        if not np.all(np.isfinite(sums)):
+            b[~(distances > 0.0)] = -0.0
+            np.fill_diagonal(b, 0.0)
+            sums = b.sum(axis=1)
+        np.fill_diagonal(b, -sums)
         coords = (b @ coords) / n
         _fill_distances(coords, distances, scratch)
         new = _normalized_stress(target, denominator, distances[upper])

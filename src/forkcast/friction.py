@@ -22,10 +22,9 @@ CATEGORIES = ("unanimous", "low", "medium", "high")
 
 LOW_CUT = 0.20
 HIGH_CUT = 0.40
-# a DAO is flagged when its medium+high share and its rolling series exceed these
+# a DAO is flagged when its medium+high share and its rolling peak exceed these
 SHARE_CUTOFF = 0.20
 ROLLING_CUTOFF = 0.15
-ROLLING_STATS = ("max", "mean")  # how flag_dao reduces the rolling series
 
 
 @dataclass(frozen=True)
@@ -89,22 +88,16 @@ def category_shares(records: Sequence[DisagreementRecord]) -> dict[str, float]:
     return {category: counts[category] / len(records) for category in CATEGORIES}
 
 
-def flag_dao(report: FrictionReport, rolling_stat: str = "max") -> bool:
+def flag_dao(report: FrictionReport) -> bool:
     """True iff medium+high share exceeds ``SHARE_CUTOFF`` and the rolling
-    series exceeds ``ROLLING_CUTOFF`` (by max, or by mean when configured)."""
-    if rolling_stat not in ROLLING_STATS:
-        raise ValueError(f"rolling_stat must be one of {ROLLING_STATS}, got {rolling_stat!r}")
+    series peaks above ``ROLLING_CUTOFF``."""
     contentious = report.category_shares["medium"] + report.category_shares["high"]
-    values = [value for _, value in report.rolling]
-    if not values:
-        return False
-    stat = max(values) if rolling_stat == "max" else sum(values) / len(values)
-    return contentious > SHARE_CUTOFF and stat > ROLLING_CUTOFF
+    peak = max((value for _, value in report.rolling), default=0.0)
+    return contentious > SHARE_CUTOFF and peak > ROLLING_CUTOFF
 
 
 def build_friction_report(matrix: VoterMatrix, dao_name: str,
-                          window: int = DEFAULT_WINDOW_SIZE,
-                          rolling_stat: str = "max") -> FrictionReport:
+                          window: int = DEFAULT_WINDOW_SIZE) -> FrictionReport:
     records = tuple(static_disagreement(matrix, pid) for pid in matrix.proposal_ids)
     report = FrictionReport(
         dao_name=dao_name,
@@ -113,7 +106,7 @@ def build_friction_report(matrix: VoterMatrix, dao_name: str,
         category_shares=category_shares(records),
         flagged=False,
     )
-    return replace(report, flagged=flag_dao(report, rolling_stat))
+    return replace(report, flagged=flag_dao(report))
 
 
 def to_csv(report: FrictionReport, path: str | Path) -> None:

@@ -133,11 +133,7 @@ class DaoRegistryEntry:
 class ForkGroundTruth:
     """Addresses known to have joined a fork ('forkers'); the rest stay."""
 
-    fork_label: str
     addresses: frozenset[Address]
-
-    def __contains__(self, address: Address) -> bool:
-        return address in self.addresses
 
 
 @dataclass(frozen=True)
@@ -275,12 +271,12 @@ def write_fixture(events: Sequence[VoteEvent], path: str | Path) -> None:
             for e in ordered)
 
 
-def load_ground_truth(path: str | Path, fork_label: str = "fork") -> ForkGroundTruth:
+def load_ground_truth(path: str | Path) -> ForkGroundTruth:
     """Read one address per line; ``#`` starts a comment; blanks ignored."""
     addresses = _read_text(path, _read_addresses)
     if not addresses:
         raise EmptySet(f"{path}: no addresses")
-    return ForkGroundTruth(fork_label, frozenset(addresses))
+    return ForkGroundTruth(frozenset(addresses))
 
 
 def _read_addresses(handle: Iterable[str]) -> set[Address]:

@@ -18,7 +18,7 @@ from .dissim import (
     dissimilarity_matrix,
 )
 from .embed import Embedding, MdsConfig, mds_embed, warm_start
-from .errors import AllZeroDissimilarity, EmptyActiveSet
+from .errors import AllZeroDissimilarity, EmptyActiveSet, TooFewPoints
 from .matrix import VoterMatrix
 from .rng import derive_seed
 
@@ -78,7 +78,7 @@ def analyze_matrix(matrix: VoterMatrix, spec: AnalysisSpec = AnalysisSpec(), *,
             clustering = select_k(
                 embedding.coords, spec.k_min, spec.k_max,
                 derive_seed(spec.root_seed, *namespace, "kmeans", proposal_id))
-        except (EmptyActiveSet, AllZeroDissimilarity) as exc:
+        except (EmptyActiveSet, AllZeroDissimilarity, TooFewPoints) as exc:
             skipped.append((proposal_id, str(exc)))
             continue
         if on_dissim is not None:

@@ -72,4 +72,4 @@ def planted_two_bloc_events(
             ))
     fork_addresses = frozenset(_address(i)
                                for i in range(majority + 1, majority + minority + 1))
-    return events, ForkGroundTruth("planted-bloc", fork_addresses)
+    return events, ForkGroundTruth(fork_addresses)

@@ -22,7 +22,6 @@ from .pipeline import PipelineResult, ProposalAnalysis, analyze_matrix
 from .rng import SplitMix64, derive_seed
 
 DEFAULT_ITERATIONS = 100
-DEFAULT_MIN_FORK_PRESENT = 1
 
 
 @dataclass(frozen=True)
@@ -69,16 +68,12 @@ def fork_labels(analysis: ProposalAnalysis, fork: ForkGroundTruth) -> list[int]:
             if address in fork.addresses]
 
 
-def fork_cluster_share(analysis: ProposalAnalysis, fork: ForkGroundTruth,
-                       min_fork_present: int = DEFAULT_MIN_FORK_PRESENT,
-                       ) -> float | None:
-    """Largest fraction of clustered fork addresses sharing one cluster.
-
-    Absent when fewer than ``min_fork_present`` fork addresses were
-    clustered at all.
-    """
+def fork_cluster_share(analysis: ProposalAnalysis,
+                       fork: ForkGroundTruth) -> float | None:
+    """Largest fraction of clustered fork addresses sharing one cluster;
+    absent when no fork address was clustered."""
     labels = fork_labels(analysis, fork)
-    if len(labels) < min_fork_present:
+    if not labels:
         return None
     return float(np.bincount(labels).max() / len(labels))
 
@@ -94,16 +89,14 @@ def check_ranges(matrix: VoterMatrix, ranges: Sequence[tuple[int, int]]) -> None
 
 
 def summarize_range(analyses: Sequence[ProposalAnalysis], fork: ForkGroundTruth,
-                    id_range: tuple[int, int],
-                    min_fork_present: int = DEFAULT_MIN_FORK_PRESENT,
-                    ) -> RangeSummary:
+                    id_range: tuple[int, int]) -> RangeSummary:
     """Mean k* and mean defined fork share over proposals in the range."""
     lo, hi = id_range
     in_range = [a for a in analyses if lo <= a.proposal_id <= hi]
     if not in_range:
         raise EmptyRange(f"no analyzable proposals in {lo}..{hi}")
     shares = [share for a in in_range
-              if (share := fork_cluster_share(a, fork, min_fork_present)) is not None]
+              if (share := fork_cluster_share(a, fork)) is not None]
     return RangeSummary(
         range=id_range,
         avg_clusters=float(np.mean([a.clustering.k_star for a in in_range])),
@@ -147,7 +140,6 @@ def run_validation(
     ground_truth: ForkGroundTruth,
     ranges: list[tuple[int, int]] | None = None,
     iterations: int = DEFAULT_ITERATIONS,
-    min_fork_present: int = DEFAULT_MIN_FORK_PRESENT,
 ) -> ValidationReport:
     """Summarize the genuine run and ``iterations`` shuffled reruns per range.
 
@@ -159,8 +151,7 @@ def run_validation(
     """
     if ranges is None:
         ranges = [(matrix.proposal_ids[0], matrix.proposal_ids[-1])]
-    genuine = [summarize_range(genuine_run.analyses, ground_truth, id_range,
-                               min_fork_present)
+    genuine = [summarize_range(genuine_run.analyses, ground_truth, id_range)
                for id_range in ranges]
     valid_mask = matrix.cells >= 0
     failed: list[tuple[int, str]] = []
@@ -171,8 +162,7 @@ def run_validation(
             assert np.array_equal(shuffled.cells >= 0, valid_mask), \
                 "shuffle must preserve participation"
             run = analyze_matrix(shuffled, genuine_run.spec, namespace=("shuffle", seed))
-            outcomes.append([summarize_range(run.analyses, ground_truth, id_range,
-                                             min_fork_present)
+            outcomes.append([summarize_range(run.analyses, ground_truth, id_range)
                              for id_range in ranges])
         except ForkcastError as exc:
             failed.append((seed, str(exc)))

@@ -14,7 +14,9 @@ import forkcast.validate as validate_module
 from forkcast import AnalysisSpec, MdsConfig, VoteEvent, WindowSpec
 from forkcast.cli import build_parser, main, parse_ranges, resolve_config
 from forkcast.errors import ConfigError
-from forkcast.ingest import load_fixture_with_report
+from forkcast.ingest import load_fixture_with_report, write_fixture
+
+from conftest import events_from_rows
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURE = ROOT / "data" / "planted" / "votes.jsonl"
@@ -50,7 +52,7 @@ def test_parse_ranges():
     (["--k-min", "1"], None),
     (["--k-min", "6"], None),  # above the default k_max of 5
     (["--iterations", "-2"], None),
-    (["--min-fork-present", "0"], None),
+    ([], {"min_fork_present": 1}),  # a deleted setting is an unknown key
     ([], {"ranges": [[1]]}),
     ([], {"ranges": 5}),
     ([], {"ranges": [[60, 41]]}),
@@ -117,12 +119,12 @@ def test_analysis_spec_carries_every_analysis_flag():
 @pytest.mark.parametrize("command,flag", [
     ("friction", "--export-dissim"), ("friction", "--seed"), ("friction", "--k-max"),
     ("ingest", "--window"), ("ingest", "--ranges"), ("ingest", "--ground-truth"),
-    ("analyze", "--iterations"), ("analyze", "--rolling-stat"),
-    ("validate", "--export-dissim"), ("validate", "--rolling-stat"),
-    ("validate", "--rpc-url"),
+    ("analyze", "--iterations"), ("analyze", "--ranges"),
+    ("validate", "--export-dissim"), ("validate", "--chunk-size"),
+    ("validate", "--rpc-url"), ("friction", "--rolling-stat"),
 ])
 def test_command_rejects_flags_it_does_not_read(tmp_path, capsys, command, flag):
-    value = [] if flag == "--export-dissim" else ["max" if flag == "--rolling-stat" else "3"]
+    value = [] if flag == "--export-dissim" else ["3"]
     with pytest.raises(SystemExit) as exit_info:
         main([command, "--out", str(tmp_path), flag, *value])
     assert exit_info.value.code == 2
@@ -273,6 +275,17 @@ def test_analyze_writes_expected_artifacts(tmp_path):
     assert (base / "charts" / "silhouette_60.csv").exists()
     skipped = (base / "skipped.csv").read_text().splitlines()
     assert skipped == ["proposal_id,reason"]
+
+
+def test_frame_smaller_than_k_min_is_skipped(tmp_path):
+    fixture = tmp_path / "three.jsonl"
+    write_fixture(events_from_rows([[1, 0, 1, 0], [0, 1, 1, 0], [1, 1, 0, 1]]), fixture)
+    out = tmp_path / "out"
+    assert run(["analyze", "--fixture", str(fixture), "--k-min", "4", "--k-max", "5",
+                "--out", str(out)]) == 0
+    skipped = (out / "dao" / "skipped.csv").read_text().splitlines()
+    assert skipped == ["proposal_id,reason"] + [
+        f"{pid},k_min=4 exceeds usable maximum 3" for pid in (2, 3, 4)]
 
 
 def test_validate_iterations_zero(tmp_path):

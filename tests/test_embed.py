@@ -212,20 +212,26 @@ def _reference_guttman(cells: np.ndarray, coords: np.ndarray,
     return coords, path, iterations
 
 
-@pytest.mark.parametrize("seed,config,n",
-                         [(4, MdsConfig(), 40),
-                          (9, MdsConfig(max_iterations=40, tolerance=1e-15), 40),
-                          (2, MdsConfig(max_iterations=4, tolerance=1e-15), 300)],
-                         ids=["config0", "config1", "n300"])
-def test_mds_embed_matches_reference_loop_bitwise(seed, config, n):
+@pytest.mark.parametrize("seed,config,n,copies",
+                         [(4, MdsConfig(), 40, 0),
+                          (9, MdsConfig(max_iterations=40, tolerance=1e-15), 40, 0),
+                          (2, MdsConfig(max_iterations=4, tolerance=1e-15), 300, 0),
+                          (5, MdsConfig(max_iterations=40, tolerance=1e-15), 40, 4)],
+                         ids=["config0", "config1", "n300", "coincident"])
+def test_mds_embed_matches_reference_loop_bitwise(seed, config, n, copies):
     """n = 300 puts every row sum and the stress sum past numpy's
-    128-element pairwise-summation block."""
+    128-element pairwise-summation block. With ``copies``, the last rows
+    repeat the first ones in the cells and the start, so those points stay
+    coincident: zero distances against zero cells in every step."""
     rng = np.random.default_rng(40)
     cells = rng.uniform(0.0, 1.0, (n, n))
     cells = (cells + cells.T) / 2
     np.fill_diagonal(cells, 0.0)
-    embedding = mds_embed(dmatrix(cells), random_init(n, seed), config)
-    coords, path, iterations = _reference_guttman(cells, random_init(n, seed), config)
+    rows = np.r_[np.arange(n - copies), np.arange(copies)]
+    cells = cells[np.ix_(rows, rows)]
+    init = random_init(n, seed)[rows]
+    embedding = mds_embed(dmatrix(cells), init, config)
+    coords, path, iterations = _reference_guttman(cells, init, config)
     assert np.array_equal(embedding.coords, coords)
     assert embedding.stress_path == tuple(path)
     assert embedding.iterations_used == iterations

@@ -122,14 +122,6 @@ def test_flag_share_boundary_is_strict():
     assert not flag_dao(_report(shares, [0.5]))  # exactly 0.20 does not exceed
 
 
-def test_flag_rolling_stat_mean():
-    report = _report(SHARES_LOUD, [0.05, 0.30])
-    assert flag_dao(report, rolling_stat="max")
-    assert flag_dao(report, rolling_stat="mean") is (0.175 > 0.15)
-    with pytest.raises(ValueError):
-        flag_dao(report, rolling_stat="median")
-
-
 def test_build_friction_report_end_to_end():
     # p1: 2-1 split (0.333 medium), p2: unanimous, p3: 1-1 tie (0.5 high)
     rows = [

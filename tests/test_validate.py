@@ -84,21 +84,21 @@ def clustering(assignments, names, k_star=None) -> ProposalAnalysis:
 
 def test_fork_share_perfect_cohesion():
     names = [addr(i) for i in range(1, 7)]
-    fork = ForkGroundTruth("f", frozenset(names[:3]))
+    fork = ForkGroundTruth(frozenset(names[:3]))
     result = clustering([0, 0, 0, 1, 1, 1], names)
     assert fork_cluster_share(result, fork) == 1.0
 
 
 def test_fork_share_even_split():
     names = [addr(i) for i in range(1, 5)]
-    fork = ForkGroundTruth("f", frozenset(names))
+    fork = ForkGroundTruth(frozenset(names))
     result = clustering([0, 0, 1, 1], names)
     assert fork_cluster_share(result, fork) == 0.5
 
 
 def test_fork_share_fourteen_of_fifteen():
     names = [addr(i) for i in range(1, 21)]
-    fork = ForkGroundTruth("f", frozenset(names[:15]))
+    fork = ForkGroundTruth(frozenset(names[:15]))
     labels = [0] * 14 + [1] + [1] * 5  # one fork address misclassified
     result = clustering(labels, names)
     assert fork_cluster_share(result, fork) == pytest.approx(14 / 15)
@@ -106,12 +106,11 @@ def test_fork_share_fourteen_of_fifteen():
 
 def test_fork_share_absent_below_minimum():
     names = [addr(i) for i in range(1, 5)]
-    fork = ForkGroundTruth("f", frozenset({addr(99)}))
+    fork = ForkGroundTruth(frozenset({addr(99)}))  # no fork address clustered
     result = clustering([0, 0, 1, 1], names)
-    assert fork_cluster_share(result, fork, min_fork_present=1) is None
-    fork_one = ForkGroundTruth("f", frozenset({addr(1)}))
-    assert fork_cluster_share(result, fork_one, min_fork_present=2) is None
-    assert fork_cluster_share(result, fork_one, min_fork_present=1) == 1.0
+    assert fork_cluster_share(result, fork) is None
+    fork_one = ForkGroundTruth(frozenset({addr(1)}))
+    assert fork_cluster_share(result, fork_one) == 1.0
 
 
 @given(st.integers(2, 5), st.lists(st.integers(0, 4), min_size=1, max_size=12))
@@ -120,7 +119,7 @@ def test_fork_share_bounds(k, labels):
     # force every cluster non-empty
     labels = labels + list(range(k))
     names = [addr(i + 1) for i in range(len(labels))]
-    fork = ForkGroundTruth("f", frozenset(names[:max(1, len(labels) // 2)]))
+    fork = ForkGroundTruth(frozenset(names[:max(1, len(labels) // 2)]))
     share = fork_cluster_share(clustering(labels, names, k_star=k), fork)
     assert share is not None
     assert 1.0 / k - 1e-12 <= share <= 1.0
@@ -128,7 +127,7 @@ def test_fork_share_bounds(k, labels):
 
 def test_summarize_range_singleton():
     names = [addr(i) for i in range(1, 5)]
-    fork = ForkGroundTruth("f", frozenset(names[:2]))
+    fork = ForkGroundTruth(frozenset(names[:2]))
     result = clustering([0, 0, 1, 1], names)
     summary = summarize_range([result], fork, (1, 1))
     assert summary.avg_clusters == 2.0
@@ -138,7 +137,7 @@ def test_summarize_range_singleton():
 
 def test_summarize_range_empty():
     names = [addr(1), addr(2)]
-    fork = ForkGroundTruth("f", frozenset(names))
+    fork = ForkGroundTruth(frozenset(names))
     with pytest.raises(EmptyRange):
         summarize_range([clustering([0, 1], names)], fork, (5, 9))
 
