@@ -7,7 +7,7 @@ validation of fork-cohort alignment.
 """
 
 from .cluster import kmeans, select_k, silhouette
-from .dissim import WindowSpec, active_set, dissimilarity_matrix, sliding_window
+from .dissim import WindowSpec, active_set, dissimilarity_matrix
 from .embed import Embedding, MdsConfig, mds_embed, stress, warm_start
 from .friction import (
     DisagreementRecord,
@@ -18,7 +18,7 @@ from .friction import (
     static_disagreement,
 )
 from .ingest import ForkGroundTruth, VoteEvent, load_ground_truth
-from .matrix import build_voter_matrix, column_votes
+from .matrix import build_voter_matrix
 from .pipeline import AnalysisSpec, analyze_matrix
 from .planted import planted_two_bloc_events
 from .report import ChartSpec, render_chart, render_mds_scatter
@@ -30,10 +30,9 @@ __all__ = [
     "AnalysisSpec", "ChartSpec", "DisagreementRecord", "Embedding", "ForkGroundTruth",
     "FrictionReport", "MdsConfig", "VoteEvent", "WindowSpec", "active_set",
     "analyze_matrix", "build_friction_report", "build_voter_matrix",
-    "column_votes", "dissimilarity_matrix", "flag_dao", "fork_cluster_share",
-    "kmeans", "load_ground_truth", "mds_embed", "planted_two_bloc_events",
-    "render_chart", "render_mds_scatter", "rolling_disagreement",
-    "run_validation", "select_k", "shuffle_votes", "silhouette",
-    "sliding_window", "static_disagreement", "stress", "summarize_range",
-    "warm_start",
+    "dissimilarity_matrix", "flag_dao", "fork_cluster_share", "kmeans",
+    "load_ground_truth", "mds_embed", "planted_two_bloc_events", "render_chart",
+    "render_mds_scatter", "rolling_disagreement", "run_validation", "select_k",
+    "shuffle_votes", "silhouette", "static_disagreement", "stress",
+    "summarize_range", "warm_start",
 ]

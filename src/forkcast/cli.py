@@ -384,10 +384,10 @@ def _validate(config: RunConfig, matrix: VoterMatrix, result: PipelineResult,
     ), out / "charts" / "fork_cluster_share.svg")
     for entry in payload["ranges"]:
         clusters, shares = entry["avg_clusters"], entry["fork_share"]
+        share, rand_share = ("n/a" if value is None else f"{value:.4f}"
+                             for value in (shares["value"], shares["rand_avg"]))
         rand = ("no baseline" if clusters["rand_avg"] is None else
-                f"rand avg {clusters['rand_avg']:.2f} clusters / "
-                f"{(shares['rand_avg'] or 0):.4f} share")
-        share = "n/a" if shares["value"] is None else f"{shares['value']:.4f}"
+                f"rand avg {clusters['rand_avg']:.2f} clusters / {rand_share} share")
         lo, hi = entry["range"]
         print(f"validate {lo}-{hi}: {clusters['value']:.2f} clusters / {share} share"
               f" | {rand}")

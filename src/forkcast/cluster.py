@@ -238,19 +238,26 @@ def pick_k(silhouette_by_k: Mapping[int, float]) -> int:
     return best_k
 
 
-def select_k(points: np.ndarray, k_min: int = DEFAULT_K_MIN,
-             k_max: int = DEFAULT_K_MAX, seed: int = 0) -> ClusteringResult:
-    """Sweep k in [k_min, min(k_max, n)] and keep the silhouette argmax."""
-    points = np.asarray(points, dtype=np.float64)
-    n = len(points)
+def k_range(n: int, k_min: int, k_max: int) -> range:
+    """The k a sweep over n points tries: [k_min, min(k_max, n)].
+
+    Raises :class:`TooFewPoints` when that range is empty or n < 2.
+    """
     if n < 2:
         raise TooFewPoints(f"cannot cluster {n} points")
     k_hi = min(k_max, n)
     if k_min > k_hi:
         raise TooFewPoints(f"k_min={k_min} exceeds usable maximum {k_hi}")
+    return range(k_min, k_hi + 1)
+
+
+def select_k(points: np.ndarray, k_min: int = DEFAULT_K_MIN,
+             k_max: int = DEFAULT_K_MAX, seed: int = 0) -> ClusteringResult:
+    """Sweep k over :func:`k_range` and keep the silhouette argmax."""
+    points = np.asarray(points, dtype=np.float64)
+    ks = k_range(len(points), k_min, k_max)
     distances = pairwise_distances(points)
-    sweeps = {k: kmeans(points, k, derive_seed(seed, "k", k))[0]
-              for k in range(k_min, k_hi + 1)}
+    sweeps = {k: kmeans(points, k, derive_seed(seed, "k", k))[0] for k in ks}
     scores = {k: silhouette(points, labels, distances)[1] for k, labels in sweeps.items()}
     k_star = pick_k(scores)
     return ClusteringResult(sweeps[k_star], k_star, scores)

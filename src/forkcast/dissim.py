@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -38,10 +37,15 @@ class WindowSpec:
 
 @dataclass(frozen=True)
 class ActiveSet:
-    """Addresses meeting the participation threshold for one proposal."""
+    """Addresses meeting the participation threshold for one proposal.
+
+    ``rows[i]`` is the matrix row of ``addresses[i]``; ``columns`` are the
+    matrix columns of the window.
+    """
 
     proposal_id: int
-    window: tuple[int, ...]
+    rows: tuple[int, ...]
+    columns: range
     addresses: tuple[Address, ...]
 
 
@@ -59,41 +63,30 @@ class DissimilarityMatrix:
         object.__setattr__(self, "cells", cells)
 
 
-def sliding_window(proposal_ids: Sequence[int], j: int, w: int) -> list[int]:
-    """Trailing w proposal ids ending at position j (1-based)."""
-    if not 1 <= j <= len(proposal_ids):
-        raise IndexOutOfRange(f"position {j} outside 1..{len(proposal_ids)}")
-    if w < 1:
-        raise ValueError("window size must be >= 1")
-    return list(proposal_ids[max(0, j - w):j])
-
-
 def active_set(matrix: VoterMatrix, j: int, spec: WindowSpec) -> ActiveSet:
     """Active addresses at position j; the first proposal is never analyzable."""
     if not 2 <= j <= matrix.m:
         raise IndexOutOfRange(f"position {j} outside analyzable range 2..{matrix.m}")
-    window = sliding_window(matrix.proposal_ids, j, spec.window_size)
-    cols = [matrix.col_index(pid) for pid in window]
-    fractions = (matrix.cells[:, cols] >= 0).mean(axis=1)
-    keep = np.flatnonzero(fractions >= spec.participation_threshold)
-    if len(keep) < 2:
+    columns = range(max(0, j - spec.window_size), j)
+    fractions = (matrix.cells[:, columns.start:j] >= 0).mean(axis=1)
+    rows = np.flatnonzero(fractions >= spec.participation_threshold).tolist()
+    if len(rows) < 2:
         raise EmptyActiveSet(
-            f"proposal {matrix.proposal_ids[j - 1]}: {len(keep)} active addresses")
+            f"proposal {matrix.proposal_ids[j - 1]}: {len(rows)} active addresses")
     return ActiveSet(
         proposal_id=matrix.proposal_ids[j - 1],
-        window=tuple(window),
-        addresses=tuple(matrix.addresses[i] for i in keep),
+        rows=tuple(rows),
+        columns=columns,
+        addresses=tuple(matrix.addresses[i] for i in rows),
     )
 
 
 def dissimilarity_matrix(matrix: VoterMatrix,
                          active: ActiveSet) -> DissimilarityMatrix:
     """Pairwise opposition fractions over the active set's window."""
-    if len(active.addresses) < 2:
+    if len(active.rows) < 2:
         raise EmptyActiveSet("need at least 2 active addresses")
-    rows = [matrix.row_index(a) for a in active.addresses]
-    cols = [matrix.col_index(p) for p in active.window]
-    sub = matrix.cells[np.ix_(rows, cols)]
+    sub = matrix.cells[np.ix_(active.rows, active.columns)]
     yes = (sub == 1).astype(np.float64)
     no = (sub == 0).astype(np.float64)
     valid = yes + no

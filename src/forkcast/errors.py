@@ -32,26 +32,14 @@ class TransportError(ForkcastError):
     """RPC endpoint unreachable or persistently failing."""
 
 
-class RangeTooLarge(ForkcastError):
-    """Provider rejected a log query range; internal signal for bisection."""
-
-
 # matrix
 class EmptyInput(ForkcastError):
     """No events yield a valid voter matrix."""
 
 
-class UnknownProposal(ForkcastError):
-    """Proposal id is not a column of the matrix."""
-
-
-class UnknownAddress(ForkcastError):
-    """Address is not a row of the matrix."""
-
-
 # dissim
 class IndexOutOfRange(ForkcastError):
-    """Proposal position outside the analyzable 1..m range."""
+    """Proposal position outside the analyzable 2..m range."""
 
 
 class EmptyActiveSet(ForkcastError):

@@ -14,9 +14,11 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .dissim import DEFAULT_WINDOW_SIZE
 from .errors import EmptyInput
-from .matrix import VoterMatrix, column_votes
+from .matrix import VoterMatrix
 
 CATEGORIES = ("unanimous", "low", "medium", "high")
 
@@ -55,11 +57,14 @@ def categorize(disagreement: float) -> str:
     return "high"
 
 
-def static_disagreement(matrix: VoterMatrix, proposal_id: int) -> DisagreementRecord:
-    """Fraction of the minority side among valid votes on one proposal."""
-    yes, no, _ = column_votes(matrix, proposal_id)
-    disagreement = min(yes, no) / (yes + no)
-    return DisagreementRecord(proposal_id, disagreement, categorize(disagreement))
+def static_disagreement(matrix: VoterMatrix) -> tuple[DisagreementRecord, ...]:
+    """Fraction of the minority side among valid votes, one record per
+    proposal in column order."""
+    yes = np.count_nonzero(matrix.cells == 1, axis=0).tolist()
+    no = np.count_nonzero(matrix.cells == 0, axis=0).tolist()
+    disagreements = [min(y, n) / (y + n) for y, n in zip(yes, no)]
+    return tuple(DisagreementRecord(proposal_id, d, categorize(d))
+                 for proposal_id, d in zip(matrix.proposal_ids, disagreements))
 
 
 def rolling_disagreement(records: Sequence[DisagreementRecord],
@@ -98,7 +103,7 @@ def flag_dao(report: FrictionReport) -> bool:
 
 def build_friction_report(matrix: VoterMatrix, dao_name: str,
                           window: int = DEFAULT_WINDOW_SIZE) -> FrictionReport:
-    records = tuple(static_disagreement(matrix, pid) for pid in matrix.proposal_ids)
+    records = static_disagreement(matrix)
     report = FrictionReport(
         dao_name=dao_name,
         records=records,
@@ -111,10 +116,9 @@ def build_friction_report(matrix: VoterMatrix, dao_name: str,
 
 def to_csv(report: FrictionReport, path: str | Path) -> None:
     """Records and the rolling series, one row per proposal."""
-    rolling = dict(report.rolling)
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["proposal_id", "disagreement", "category", "rolling_mean"])
-        for record in report.records:
+        for record, (_, mean) in zip(report.records, report.rolling, strict=True):
             writer.writerow([record.proposal_id, repr(record.disagreement),
-                             record.category, repr(rolling[record.proposal_id])])
+                             record.category, repr(mean)])

@@ -35,7 +35,6 @@ from .errors import (
     EmptySet,
     MalformedData,
     ParseError,
-    RangeTooLarge,
     SignatureMismatch,
     TransportError,
 )
@@ -368,8 +367,8 @@ def fetch_logs(
     start = lo
     while start <= hi:
         end = min(start + chunk_size - 1, hi)
-        for raw in _get_logs_bisect(transport, entry.governance_contract,
-                                    sorted(by_topic), start, end, retries, retry_wait):
+        for raw in _get_logs(transport, entry.governance_contract,
+                             sorted(by_topic), start, end, retries, retry_wait):
             log = RawLog.from_rpc(raw)
             event_abi = by_topic.get(log.topics[0].lower() if log.topics else "")
             if event_abi is None:
@@ -384,6 +383,8 @@ def fetch_logs(
 
 def _get_logs(transport: Transport, address: str, topics: list[str],
               lo: int, hi: int, retries: int, retry_wait: float) -> list[dict]:
+    """Logs of the inclusive block range; a range the provider rejects as too
+    large is split in halves, down to single blocks."""
     params = [{
         "address": address,
         "topics": [topics],
@@ -396,25 +397,17 @@ def _get_logs(transport: Transport, address: str, topics: list[str],
             return list(transport.request("eth_getLogs", params))  # type: ignore[arg-type]
         except RpcError as exc:
             message = str(exc).lower()
-            if any(hint in message for hint in _RANGE_HINTS):
-                if lo == hi:
-                    raise TransportError(
-                        f"provider rejects single-block range at {lo}: {exc}") from exc
-                raise RangeTooLarge(str(exc)) from exc
-            raise TransportError(str(exc)) from exc
+            if not any(hint in message for hint in _RANGE_HINTS):
+                raise TransportError(str(exc)) from exc
+            if lo == hi:
+                raise TransportError(
+                    f"provider rejects single-block range at {lo}: {exc}") from exc
+            break
         except TransportError:
             failures += 1
             if failures > retries:
                 raise
             time.sleep(retry_wait * 2 ** (failures - 1))
-
-
-def _get_logs_bisect(transport: Transport, address: str, topics: list[str],
-                     lo: int, hi: int, retries: int, retry_wait: float) -> list[dict]:
-    try:
-        return _get_logs(transport, address, topics, lo, hi, retries, retry_wait)
-    except RangeTooLarge:
-        mid = (lo + hi) // 2
-        left = _get_logs_bisect(transport, address, topics, lo, mid, retries, retry_wait)
-        right = _get_logs_bisect(transport, address, topics, mid + 1, hi, retries, retry_wait)
-        return left + right
+    mid = (lo + hi) // 2
+    return (_get_logs(transport, address, topics, lo, mid, retries, retry_wait)
+            + _get_logs(transport, address, topics, mid + 1, hi, retries, retry_wait))

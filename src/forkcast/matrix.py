@@ -14,7 +14,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import EmptyInput, UnknownAddress, UnknownProposal
+from .errors import EmptyInput
 from .ingest import Address, VoteEvent
 
 
@@ -30,8 +30,6 @@ class VoterMatrix:
         cells = np.asarray(self.cells, dtype=np.int8)
         cells.setflags(write=False)
         object.__setattr__(self, "cells", cells)
-        object.__setattr__(self, "_row", {a: i for i, a in enumerate(self.addresses)})
-        object.__setattr__(self, "_col", {p: j for j, p in enumerate(self.proposal_ids)})
 
     @property
     def n(self) -> int:
@@ -40,18 +38,6 @@ class VoterMatrix:
     @property
     def m(self) -> int:
         return len(self.proposal_ids)
-
-    def row_index(self, address: Address) -> int:
-        try:
-            return self._row[address]  # type: ignore[attr-defined]
-        except KeyError:
-            raise UnknownAddress(address) from None
-
-    def col_index(self, proposal_id: int) -> int:
-        try:
-            return self._col[proposal_id]  # type: ignore[attr-defined]
-        except KeyError:
-            raise UnknownProposal(str(proposal_id)) from None
 
 
 def collapse_support(support: int) -> int:
@@ -95,16 +81,6 @@ def _rank_codes(values: list) -> tuple[list, np.ndarray]:
     rank = {value: i for i, value in enumerate(distinct)}
     return distinct, np.fromiter(map(rank.__getitem__, values), dtype=np.int64,
                                  count=len(values))
-
-
-def column_votes(matrix: VoterMatrix,
-                 proposal_id: int) -> tuple[int, int, list[Address]]:
-    """(yes_count, no_count, voters with a valid cell) for one proposal."""
-    column = matrix.cells[:, matrix.col_index(proposal_id)]
-    yes = int(np.count_nonzero(column == 1))
-    no = int(np.count_nonzero(column == 0))
-    voters = [matrix.addresses[i] for i in np.flatnonzero(column >= 0)]
-    return yes, no, voters
 
 
 def to_csv(matrix: VoterMatrix, path: str | Path) -> None:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from .cluster import DEFAULT_K_MAX, DEFAULT_K_MIN, ClusteringResult, select_k
+from .cluster import DEFAULT_K_MAX, DEFAULT_K_MIN, ClusteringResult, k_range, select_k
 from .dissim import (
     DissimilarityMatrix,
     WindowSpec,
@@ -71,6 +71,7 @@ def analyze_matrix(matrix: VoterMatrix, spec: AnalysisSpec = AnalysisSpec(), *,
         proposal_id = matrix.proposal_ids[j - 1]
         try:
             active = active_set(matrix, j, spec.window)
+            k_range(len(active.addresses), spec.k_min, spec.k_max)  # before any embedding
             d = dissimilarity_matrix(matrix, active)
             init = warm_start(previous, active.addresses,
                               derive_seed(spec.root_seed, *namespace, "mds", proposal_id))

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import forkcast.cli as cli_module
+import forkcast.pipeline as pipeline_module
 import forkcast.validate as validate_module
 from forkcast import AnalysisSpec, MdsConfig, VoteEvent, WindowSpec
 from forkcast.cli import build_parser, main, parse_ranges, resolve_config
@@ -277,10 +278,16 @@ def test_analyze_writes_expected_artifacts(tmp_path):
     assert skipped == ["proposal_id,reason"]
 
 
-def test_frame_smaller_than_k_min_is_skipped(tmp_path):
+def test_frame_smaller_than_k_min_is_skipped(tmp_path, monkeypatch):
     fixture = tmp_path / "three.jsonl"
     write_fixture(events_from_rows([[1, 0, 1, 0], [0, 1, 1, 0], [1, 1, 0, 1]]), fixture)
     out = tmp_path / "out"
+
+    def never_called(*args, **kwargs):
+        raise AssertionError("a frame below k_min reached the dissimilarity or MDS step")
+
+    monkeypatch.setattr(pipeline_module, "dissimilarity_matrix", never_called)
+    monkeypatch.setattr(pipeline_module, "mds_embed", never_called)
     assert run(["analyze", "--fixture", str(fixture), "--k-min", "4", "--k-max", "5",
                 "--out", str(out)]) == 0
     skipped = (out / "dao" / "skipped.csv").read_text().splitlines()
@@ -302,6 +309,24 @@ def test_validate_iterations_zero(tmp_path):
     assert entry["avg_clusters"]["rand_avg"] is None
     assert (out / "planted" / "fork_share.csv").exists()
     assert (out / "planted" / "charts" / "fork_cluster_share.svg").exists()
+
+
+def test_validate_summary_without_any_fork_share(tmp_path, capsys):
+    """Ground truth naming only an address that never votes defines no fork
+    share, genuine or shuffled; the summary says so for both."""
+    truth = tmp_path / "nobody.txt"
+    truth.write_text(f"0x{999:040x}\n")
+    out = tmp_path / "out"
+    assert run(["validate", "--dao", "planted", "--fixture", str(FIXTURE),
+                "--ground-truth", str(truth), "--iterations", "1",
+                "--ranges", "41-60", "--out", str(out)]) == 0
+    [entry] = json.loads((out / "planted" / "validation.json").read_text())["ranges"]
+    assert entry["fork_share"]["value"] is None
+    assert entry["fork_share"]["rand_avg"] is None
+    [line] = [text for text in capsys.readouterr().out.splitlines()
+              if text.startswith("validate 41-60:")]
+    assert line.endswith(" clusters / n/a share")
+    assert "/ n/a share | rand avg " in line
 
 
 def test_validate_requires_ground_truth(tmp_path):

@@ -10,12 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from forkcast import (
-    WindowSpec,
-    active_set,
-    dissimilarity_matrix,
-    sliding_window,
-)
+from forkcast import WindowSpec, active_set, dissimilarity_matrix
 from forkcast.errors import EmptyActiveSet, IndexOutOfRange
 
 from conftest import addr, make_matrix
@@ -37,28 +32,36 @@ def brute_force_dissim(window_cells: np.ndarray) -> np.ndarray:
     return out
 
 
-def test_sliding_window_tail():
-    pids = list(range(1, 31))
-    assert sliding_window(pids, j=20, w=10) == list(range(11, 21))
+def full_matrix(m: int, proposal_ids: list[int] | None = None):
+    """Two voters who vote on every one of m proposals."""
+    return make_matrix([[1] * m, [0] * m], proposal_ids)
 
 
-def test_sliding_window_history_start():
-    pids = [1, 2, 3]
-    assert sliding_window(pids, j=1, w=10) == [1]
-    assert sliding_window(pids, j=2, w=10) == [1, 2]
+def test_window_tail():
+    active = active_set(full_matrix(30), j=20, spec=WindowSpec(10, 0.0))
+    assert active.columns == range(10, 20)
 
 
-def test_sliding_window_positions_not_ids():
+def test_window_history_start():
+    matrix = full_matrix(3)
+    assert active_set(matrix, j=2, spec=WindowSpec(10, 0.0)).columns == range(0, 2)
+    assert active_set(matrix, j=3, spec=WindowSpec(10, 0.0)).columns == range(0, 3)
+
+
+def test_window_positions_not_ids():
     # gaps from dropped proposals must not shrink windows
-    pids = [1, 5, 9, 40]
-    assert sliding_window(pids, j=4, w=2) == [9, 40]
+    matrix = full_matrix(4, proposal_ids=[1, 5, 9, 40])
+    active = active_set(matrix, j=4, spec=WindowSpec(2, 0.0))
+    assert [matrix.proposal_ids[c] for c in active.columns] == [9, 40]
+    assert active.proposal_id == 40
 
 
-def test_sliding_window_out_of_range():
+def test_window_out_of_range():
+    matrix = full_matrix(2)
     with pytest.raises(IndexOutOfRange):
-        sliding_window([1, 2], j=3, w=2)
+        active_set(matrix, j=3, spec=WindowSpec(2, 0.0))
     with pytest.raises(IndexOutOfRange):
-        sliding_window([1, 2], j=0, w=2)
+        active_set(matrix, j=0, spec=WindowSpec(2, 0.0))
 
 
 def test_active_set_threshold_inclusive():
@@ -71,7 +74,8 @@ def test_active_set_threshold_inclusive():
     matrix = make_matrix(rows)
     active = active_set(matrix, j=10, spec=WindowSpec(10, 0.40))
     assert active.addresses == (addr(1), addr(2))  # addr(2) sits at exactly 0.4
-    assert active.window == tuple(range(1, 11))
+    assert active.rows == (0, 1)
+    assert active.columns == range(0, 10)
 
 
 def test_active_set_empty_is_error():
@@ -87,6 +91,26 @@ def test_active_set_skips_first_proposal():
         active_set(matrix, j=1, spec=WindowSpec())
     active = active_set(matrix, j=2, spec=WindowSpec())
     assert active.proposal_id == 2
+
+
+@given(st.integers(2, 8).flatmap(
+           lambda m: st.tuples(arrays(np.int8, st.tuples(st.integers(1, 8), st.just(m)),
+                                      elements=st.sampled_from([1, 0, -1])),
+                               st.integers(2, m))),
+       st.integers(1, 10), st.sampled_from([0.0, 0.4, 1.0]))
+def test_active_set_rows_and_columns_are_matrix_positions(cells_and_j, w, threshold):
+    cells, j = cells_and_j
+    matrix = make_matrix(cells.tolist())
+    try:
+        active = active_set(matrix, j, WindowSpec(w, threshold))
+    except EmptyActiveSet:
+        return
+    assert active.columns == range(max(0, j - w), j)
+    assert active.addresses == tuple(matrix.addresses[r] for r in active.rows)
+    window = [[cells[i][c] for c in active.columns] for i in range(len(cells))]
+    assert list(active.rows) == [
+        i for i, row in enumerate(window)
+        if sum(v >= 0 for v in row) / len(row) >= threshold]
 
 
 def test_dissimilarity_identical_vectors():

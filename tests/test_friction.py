@@ -27,19 +27,19 @@ def column_matrix(yes: int, no: int, others: int = 0):
 
 
 def test_unanimous_column():
-    record = static_disagreement(column_matrix(yes=10, no=0), 1)
+    record = static_disagreement(column_matrix(yes=10, no=0))[0]
     assert record.disagreement == 0.0
     assert record.category == "unanimous"
 
 
 def test_three_two_split_is_high_boundary():
-    record = static_disagreement(column_matrix(yes=3, no=2), 1)
+    record = static_disagreement(column_matrix(yes=3, no=2, others=4))[0]
     assert record.disagreement == pytest.approx(0.4)
     assert record.category == "high"  # the 0.40 boundary is inclusive
 
 
 def test_tie_counts_as_half():
-    record = static_disagreement(column_matrix(yes=5, no=5), 1)
+    record = static_disagreement(column_matrix(yes=5, no=5))[0]
     assert record.disagreement == 0.5
     assert record.category == "high"
 
@@ -48,8 +48,8 @@ def test_tie_counts_as_half():
 def test_label_swap_invariance(yes, no):
     if yes + no == 0:
         return
-    a = static_disagreement(column_matrix(yes=yes, no=no), 1)
-    b = static_disagreement(column_matrix(yes=no, no=yes), 1)
+    a = static_disagreement(column_matrix(yes=yes, no=no))[0]
+    b = static_disagreement(column_matrix(yes=no, no=yes))[0]
     assert a.disagreement == b.disagreement
     assert a.category == b.category
 
@@ -133,6 +133,7 @@ def test_build_friction_report_end_to_end():
     from forkcast import build_friction_report
 
     report = build_friction_report(matrix, "toy", window=2)
+    assert [r.proposal_id for r in report.records] == [1, 2, 3]
     assert [r.category for r in report.records] == ["medium", "unanimous", "high"]
     assert report.category_shares["medium"] == pytest.approx(1 / 3)
     means = [value for _, value in report.rolling]
@@ -155,5 +156,4 @@ def test_friction_csv(tmp_path):
     to_csv(report, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "proposal_id,disagreement,category,rolling_mean"
-    assert lines[1].startswith("1,0.5,high,")
-    assert lines[2].startswith("2,0.0,unanimous,")
+    assert lines[1:] == ["1,0.5,high,0.5", "2,0.0,unanimous,0.25"]

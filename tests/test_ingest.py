@@ -780,3 +780,9 @@ def test_fetch_logs_bisects_oversized_ranges():
     limited = fetch_logs("http://unused", _entry(), (1000, 1039),
                          transport=LimitedTransport(logs, max_span=7))
     assert limited == plain
+
+
+def test_fetch_logs_names_a_single_block_the_provider_rejects():
+    transport = LimitedTransport(_nouns_like_logs(4), max_span=0)
+    with pytest.raises(TransportError, match="single-block range at 1000"):
+        fetch_logs("http://unused", _entry(), (1000, 1003), transport=transport)

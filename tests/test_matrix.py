@@ -1,4 +1,4 @@
-"""Voter matrix construction and column queries."""
+"""Voter matrix construction and export."""
 
 from __future__ import annotations
 
@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from forkcast import VoteEvent, build_voter_matrix, column_votes
-from forkcast.errors import EmptyInput, UnknownProposal
+from forkcast import VoteEvent, build_voter_matrix
+from forkcast.errors import EmptyInput
 from forkcast.matrix import VoterMatrix, collapse_support, to_csv
 
 from conftest import addr, make_matrix
@@ -130,19 +130,6 @@ def test_collapse_totality(support):
     assert collapse_support(support) in (1, 0, -1)
 
 
-def test_column_votes_counts_and_voters():
-    matrix = make_matrix([[1], [1], [0], [-1]])
-    yes, no, voters = column_votes(matrix, 1)
-    assert (yes, no) == (2, 1)
-    assert voters == [addr(1), addr(2), addr(3)]
-
-
-def test_column_votes_unknown_proposal():
-    matrix = make_matrix([[1, 0]], proposal_ids=[1, 3])
-    with pytest.raises(UnknownProposal):
-        column_votes(matrix, 2)  # never existed / dropped
-
-
 @st.composite
 def event_batches(draw):
     voters = draw(st.integers(1, 5))
@@ -176,15 +163,17 @@ def test_build_is_permutation_invariant(events, rnd):
 
 
 @given(event_batches())
-def test_column_votes_round_trip(events):
-    valid = sum(1 for e in events if e.support in (0, 1))
+def test_valid_votes_round_trip(events):
+    yes = sum(1 for e in events if e.support == 1)
+    no = sum(1 for e in events if e.support == 0)
     try:
         matrix = build_voter_matrix(events)
     except EmptyInput:
-        assert valid == 0
+        assert yes + no == 0
         return
-    total = sum(sum(column_votes(matrix, pid)[:2]) for pid in matrix.proposal_ids)
-    assert total == valid
+    assert int(np.count_nonzero(matrix.cells == 1)) == yes
+    assert int(np.count_nonzero(matrix.cells == 0)) == no
+    assert int(np.count_nonzero(matrix.cells >= 0)) == yes + no
 
 
 def test_csv_export(tmp_path):

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from forkcast import (
     AnalysisSpec,
+    MdsConfig,
     WindowSpec,
     analyze_matrix,
     build_voter_matrix,
@@ -36,6 +41,43 @@ def test_pipeline_records_unanalyzable_proposals():
     assert result.analyses == ()
     assert [pid for pid, _ in result.skipped] == [2, 3]
     assert seen == []
+
+
+# the reasons a frame can be skipped for: too few active voters, nothing to
+# embed, too few voters for k_min
+SKIP_REASONS = re.compile(r"proposal \d+: [01] active addresses"
+                          r"|all dissimilarities are zero"
+                          r"|k_min=\d+ exceeds usable maximum \d+")
+
+
+@st.composite
+def tiny_matrices(draw):
+    """n <= 6 voters over m <= 6 proposals, drawn from a few distinct rows,
+    so identical voters are common."""
+    m = draw(st.integers(1, 6))
+    distinct = draw(st.lists(st.lists(st.sampled_from([1, 0, -1]), min_size=m, max_size=m),
+                             min_size=1, max_size=6))
+    picks = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=1, max_size=6))
+    return make_matrix([distinct[i] for i in picks])
+
+
+@given(tiny_matrices(), st.integers(2, 5), st.sampled_from([0.0, 0.4, 1.0]),
+       st.integers(1, 10), st.sampled_from([1, 2]))
+@settings(max_examples=200, deadline=None)
+def test_degenerate_frames_are_analyzed_or_skipped(matrix, k_min, threshold, w,
+                                                   iterations):
+    spec = AnalysisSpec(WindowSpec(w, threshold), MdsConfig(max_iterations=iterations),
+                        k_min=k_min, root_seed=0)
+    result = analyze_matrix(matrix, spec)
+    frames = sorted([a.proposal_id for a in result.analyses]
+                    + [pid for pid, _ in result.skipped])
+    assert frames == list(matrix.proposal_ids[1:])
+    for _, reason in result.skipped:
+        assert SKIP_REASONS.fullmatch(reason), reason
+    for analysis in result.analyses:
+        n = len(analysis.embedding.addresses)
+        assert k_min <= analysis.clustering.k_star <= min(spec.k_max, n)
+        assert len(analysis.clustering.assignments) == n
 
 
 def test_pipeline_hands_each_dissimilarity_to_the_hook(planted_matrix):
