@@ -24,8 +24,6 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import MalformedData
-
 _MASK64 = (1 << 64) - 1
 
 _ROUND_CONSTANTS = (
@@ -106,7 +104,6 @@ def _is_integerish(abi_type: str) -> bool:
 @dataclass(frozen=True)
 class EventParam:
     type: str
-    name: str = ""
     indexed: bool = False
 
 
@@ -157,18 +154,17 @@ def parse_event_signature(signature: str) -> EventAbi:
         if not _TYPE_RE.match(abi_type):
             raise ValueError(f"unsupported parameter type {tokens[0]!r}")
         indexed = len(tokens) > 1 and tokens[1] == "indexed"
-        name_tokens = tokens[2:] if indexed else tokens[1:]
-        if len(name_tokens) > 1:
+        if len(tokens) > (3 if indexed else 2):  # type [indexed] [name]
             raise ValueError(f"cannot parse parameter {raw.strip()!r}")
         if indexed and abi_type in _DYNAMIC_TYPES:
             raise ValueError(f"indexed dynamic parameter unsupported in {signature!r}")
         saw_indexed = saw_indexed or indexed
-        params.append(EventParam(abi_type, name_tokens[0] if name_tokens else "", indexed))
+        params.append(EventParam(abi_type, indexed))
     if not saw_indexed:
         # bare canonical signature: governor convention, voter topic-indexed
         for i, p in enumerate(params):
             if p.type == "address":
-                params[i] = EventParam(p.type, p.name, True)
+                params[i] = EventParam(p.type, True)
                 break
     abi = EventAbi(name, tuple(params))
     if not any(p.type == "address" for p in params):
@@ -188,19 +184,19 @@ def decode_fields(abi: EventAbi, topics: tuple[str, ...], data: str) -> dict[int
     """Decode per-parameter values; addresses as hex strings, ints as ints.
 
     Dynamic data parameters decode to their head offsets and are never used
-    by callers. Raises MalformedData on short topics/data segments.
+    by callers. Raises ValueError on short or non-hex topics/data segments.
     """
     indexed = [p for p in abi.params if p.indexed]
     if len(topics) != 1 + len(indexed):
-        raise MalformedData(
+        raise ValueError(
             f"expected {1 + len(indexed)} topics, got {len(topics)}")
     try:
         blob = bytes.fromhex(_strip_0x(data))
     except ValueError as exc:
-        raise MalformedData(f"data segment is not hex: {exc}") from exc
+        raise ValueError(f"data segment is not hex: {exc}") from exc
     head_count = sum(1 for p in abi.params if not p.indexed)
     if len(blob) < 32 * head_count:
-        raise MalformedData(
+        raise ValueError(
             f"data segment too short: {len(blob)} bytes for {head_count} words")
     values: dict[int, int | str] = {}
     topic_pos, word_pos = 1, 0
@@ -208,7 +204,7 @@ def decode_fields(abi: EventAbi, topics: tuple[str, ...], data: str) -> dict[int
         if param.indexed:
             word_hex = _strip_0x(topics[topic_pos])
             if len(word_hex) != 64:
-                raise MalformedData(f"topic {topic_pos} is not 32 bytes")
+                raise ValueError(f"topic {topic_pos} is not 32 bytes")
             word = bytes.fromhex(word_hex)
             topic_pos += 1
         else:

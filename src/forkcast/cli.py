@@ -82,6 +82,12 @@ class RunConfig:
     chunk_size: int = 10_000
 
     def __post_init__(self) -> None:
+        for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
+            if field.type == "int | None" and value is None:
+                continue
+            if field.type in ("int", "int | None") and type(value) is not int:
+                raise ValueError(f"{field.name} must be an integer, got {value!r}")
         self.analysis_spec()  # raises on a bad window, MDS or k setting
         if self.iterations < 0:
             raise ValueError("iterations must be >= 0")
@@ -122,7 +128,7 @@ def _registry(config_values: dict):
     path = config_values.get("registry_path")
     try:
         return load_registry(path) if path else bundled_registry()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
         raise ConfigError(f"cannot read registry {path}: {exc}") from exc
 
 
@@ -134,8 +140,10 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         try:
             with open(args.config, encoding="utf-8") as handle:
                 file_values = json.load(handle)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
             raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
+        if not isinstance(file_values, dict):
+            raise ConfigError(f"config {args.config} must hold a JSON object")
         unknown = set(file_values) - _CONFIG_FIELDS
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")

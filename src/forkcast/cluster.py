@@ -32,7 +32,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .embed import pairwise_distances
-from .errors import SingleCluster, TooFewPoints
+from .errors import TooFewPoints
 from .rng import SplitMix64, derive_seed
 
 DEFAULT_K_MIN = 2
@@ -183,7 +183,7 @@ def kmeans(points: np.ndarray, k: int, seed: int) -> tuple[np.ndarray, np.ndarra
     points = np.asarray(points, dtype=np.float64)
     n = len(points)
     if k > n:
-        raise TooFewPoints(f"k={k} exceeds {n} points")
+        raise ValueError(f"k={k} exceeds {n} points")
     if k < 1:
         raise ValueError("k must be >= 1")
     if comb(n, k) <= _EXHAUSTIVE_SEED_LIMIT:
@@ -208,7 +208,7 @@ def silhouette(points: np.ndarray, assignments: np.ndarray,
     labels, own, sizes = np.unique(np.asarray(assignments), return_inverse=True,
                                    return_counts=True)
     if len(labels) < 2:
-        raise SingleCluster("silhouette needs at least 2 clusters")
+        raise ValueError("silhouette needs at least 2 clusters")
     if distances is None:
         distances = pairwise_distances(np.asarray(points, dtype=np.float64))
     # contiguous copy: see the module docstring

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EmptyActiveSet, IndexOutOfRange
+from .errors import EmptyActiveSet
 from .ingest import Address
 from .matrix import VoterMatrix
 
@@ -66,7 +66,7 @@ class DissimilarityMatrix:
 def active_set(matrix: VoterMatrix, j: int, spec: WindowSpec) -> ActiveSet:
     """Active addresses at position j; the first proposal is never analyzable."""
     if not 2 <= j <= matrix.m:
-        raise IndexOutOfRange(f"position {j} outside analyzable range 2..{matrix.m}")
+        raise ValueError(f"position {j} outside analyzable range 2..{matrix.m}")
     columns = range(max(0, j - spec.window_size), j)
     fractions = (matrix.cells[:, columns.start:j] >= 0).mean(axis=1)
     rows = np.flatnonzero(fractions >= spec.participation_threshold).tolist()
@@ -85,7 +85,7 @@ def dissimilarity_matrix(matrix: VoterMatrix,
                          active: ActiveSet) -> DissimilarityMatrix:
     """Pairwise opposition fractions over the active set's window."""
     if len(active.rows) < 2:
-        raise EmptyActiveSet("need at least 2 active addresses")
+        raise ValueError("need at least 2 active addresses")
     sub = matrix.cells[np.ix_(active.rows, active.columns)]
     yes = (sub == 1).astype(np.float64)
     no = (sub == 0).astype(np.float64)

@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .dissim import DissimilarityMatrix
-from .errors import AllZeroDissimilarity, NonFiniteInput
+from .errors import AllZeroDissimilarity
 from .ingest import Address
 from .rng import SplitMix64, derive_seed
 
@@ -135,12 +135,12 @@ def mds_embed(d: DissimilarityMatrix, init: np.ndarray,
     if n < 2:
         raise ValueError("need at least 2 points")
     if not np.all(np.isfinite(cells)):
-        raise NonFiniteInput("dissimilarity matrix contains non-finite values")
+        raise ValueError("dissimilarity matrix contains non-finite values")
     coords = np.array(init, dtype=np.float64)
     if coords.shape != (n, 2):
         raise ValueError(f"init shape {coords.shape} != ({n}, 2)")
     if not np.all(np.isfinite(coords)):
-        raise NonFiniteInput("init coordinates contain non-finite values")
+        raise ValueError("init coordinates contain non-finite values")
     upper, target, denominator = _stress_terms(cells)
     distances, scratch, b = np.empty((n, n)), np.empty((n, n)), np.empty((n, n))
     _fill_distances(coords, distances, scratch)

@@ -1,4 +1,8 @@
-"""Exception hierarchy shared across the pipeline."""
+"""Package errors: bad outside input, or an expected skip of a frame or range
+with nothing to analyze. Anything else is a bug: internal checks raise
+``ValueError`` (or fail an ``assert``), which nothing catches, so a broken
+invariant crashes instead of becoming a skipped frame or a failed seed.
+"""
 
 from __future__ import annotations
 
@@ -7,13 +11,13 @@ class ForkcastError(Exception):
     """Base class for all package errors."""
 
 
-# ingest
-class SignatureMismatch(ForkcastError):
-    """Log topic0 does not match the event signature hash."""
+# bad outside input: settings, paths, fixtures, registries, provider data
+class ConfigError(ForkcastError):
+    """Run configuration or registry is invalid or incomplete."""
 
 
-class MalformedData(ForkcastError):
-    """Log data segment too short or not decodable for the signature."""
+class MissingArtifact(ForkcastError):
+    """An upstream artifact required by this command is absent."""
 
 
 class ParseError(ForkcastError):
@@ -28,60 +32,34 @@ class EmptySet(ForkcastError):
     """Ground-truth file contained no addresses."""
 
 
-class TransportError(ForkcastError):
-    """RPC endpoint unreachable or persistently failing."""
-
-
-# matrix
 class EmptyInput(ForkcastError):
     """No events yield a valid voter matrix."""
 
 
-# dissim
-class IndexOutOfRange(ForkcastError):
-    """Proposal position outside the analyzable 2..m range."""
+class SignatureMismatch(ForkcastError):
+    """Log topic0 does not match the event signature hash."""
 
 
+class MalformedData(ForkcastError):
+    """Provider log entry or its data segment cannot be decoded."""
+
+
+class TransportError(ForkcastError):
+    """RPC endpoint unreachable or persistently failing."""
+
+
+# expected skips: a frame or range with nothing to analyze
 class EmptyActiveSet(ForkcastError):
     """Fewer than two addresses met the participation threshold."""
 
 
-# embed
 class AllZeroDissimilarity(ForkcastError):
     """Dissimilarity matrix has no nonzero cell; stress is undefined."""
 
 
-class NonFiniteInput(ForkcastError):
-    """Coordinates or dissimilarities contain NaN or infinity."""
-
-
-# cluster
 class TooFewPoints(ForkcastError):
-    """Fewer points than requested clusters."""
+    """A frame has fewer points than ``cluster.k_range`` needs."""
 
 
-class SingleCluster(ForkcastError):
-    """Silhouette needs at least two non-empty clusters."""
-
-
-# validate
 class EmptyRange(ForkcastError):
     """No analyzable proposals fall inside the requested range."""
-
-
-# report
-class InconsistentSeries(ForkcastError):
-    """Chart series lengths do not agree."""
-
-
-class LabelMismatch(ForkcastError):
-    """Labels do not cover all embedded addresses."""
-
-
-# cli
-class ConfigError(ForkcastError):
-    """Run configuration is invalid or incomplete."""
-
-
-class MissingArtifact(ForkcastError):
-    """An upstream artifact required by this command is absent."""

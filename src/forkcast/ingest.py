@@ -147,17 +147,20 @@ class RawLog:
 
     @classmethod
     def from_rpc(cls, entry: dict) -> "RawLog":
-        return cls(
-            address=entry["address"],
-            topics=tuple(entry["topics"]),
-            data=entry.get("data", "0x"),
-            block_number=_to_int(entry["blockNumber"]),
-            log_index=_to_int(entry["logIndex"]),
-        )
+        """The log of one ``eth_getLogs`` entry; a missing or ill-typed field
+        is ``MalformedData``."""
+        try:
+            topics, data = tuple(entry["topics"]), entry.get("data", "0x")
+            if not all(isinstance(text, str) for text in (*topics, data)):
+                raise TypeError("topics and data must be hex strings")
+            return cls(entry["address"], topics, data,
+                       _to_int(entry["blockNumber"]), _to_int(entry["logIndex"]))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise MalformedData(f"bad eth_getLogs entry {entry!r}: {exc!r}") from exc
 
 
 def _to_int(value: int | str) -> int:
-    return value if isinstance(value, int) else int(value, 16)
+    return value if type(value) is int else int(value, 16)
 
 
 def decode_vote_event(raw_log: RawLog, event_abi: abi.EventAbi) -> VoteEvent:
@@ -176,8 +179,6 @@ def decode_vote_event(raw_log: RawLog, event_abi: abi.EventAbi) -> VoteEvent:
         voter, proposal_id, support = abi.vote_fields(event_abi, values)
         return VoteEvent(voter, proposal_id, support,
                          raw_log.block_number, raw_log.log_index)
-    except MalformedData as exc:
-        raise MalformedData(f"{where}: {exc}") from exc
     except ValueError as exc:
         raise MalformedData(f"{where}: {exc}") from exc
 
@@ -298,19 +299,20 @@ class Transport(Protocol):
 
 
 class RpcError(Exception):
-    """JSON-RPC level error (carries the provider code and message)."""
+    """JSON-RPC level error; the message names the provider's code."""
 
-    def __init__(self, code: int, message: str) -> None:
+    def __init__(self, code: object, message: str) -> None:
         super().__init__(f"rpc error {code}: {message}")
-        self.code = code
+
+
+_HTTP_TIMEOUT_S = 30.0
 
 
 class HttpTransport:
     """requests-based JSON-RPC over HTTPS."""
 
-    def __init__(self, endpoint: str, timeout: float = 30.0) -> None:
+    def __init__(self, endpoint: str) -> None:
         self.endpoint = endpoint
-        self.timeout = timeout
 
     def request(self, method: str, params: list) -> object:
         import requests
@@ -319,15 +321,17 @@ class HttpTransport:
             response = requests.post(
                 self.endpoint,
                 json={"jsonrpc": "2.0", "id": 1, "method": method, "params": params},
-                timeout=self.timeout,
+                timeout=_HTTP_TIMEOUT_S,
             )
             response.raise_for_status()
             payload = response.json()
         except requests.RequestException as exc:
             raise TransportError(str(exc)) from exc
+        if not isinstance(payload, dict) or not isinstance(payload.get("error", {}), dict):
+            raise MalformedData(f"not a JSON-RPC response: {payload!r}")
         if "error" in payload:
             error = payload["error"]
-            raise RpcError(int(error.get("code", -32000)), str(error.get("message", "")))
+            raise RpcError(error.get("code", -32000), str(error.get("message", "")))
         return payload.get("result")
 
 
@@ -394,7 +398,10 @@ def _get_logs(transport: Transport, address: str, topics: list[str],
     failures = 0
     while True:
         try:
-            return list(transport.request("eth_getLogs", params))  # type: ignore[arg-type]
+            result = transport.request("eth_getLogs", params)
+            if isinstance(result, list):
+                return result
+            raise MalformedData(f"eth_getLogs result {result!r} is not a list")
         except RpcError as exc:
             message = str(exc).lower()
             if not any(hint in message for hint in _RANGE_HINTS):

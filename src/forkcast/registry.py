@@ -16,8 +16,11 @@ from .ingest import DaoRegistryEntry
 
 
 def parse_registry(document: dict) -> dict[str, DaoRegistryEntry]:
+    daos = document.get("daos", []) if isinstance(document, dict) else None
+    if not isinstance(daos, list) or not all(isinstance(raw, dict) for raw in daos):
+        raise ConfigError('registry must be {"daos": [ {entry}, ... ]}')
     entries: dict[str, DaoRegistryEntry] = {}
-    for raw in document.get("daos", []):
+    for raw in daos:
         try:
             entry = DaoRegistryEntry(
                 name=raw["name"],

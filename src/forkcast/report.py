@@ -15,7 +15,6 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .embed import Embedding
-from .errors import InconsistentSeries, LabelMismatch
 
 PALETTE = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd",
            "#8c564b", "#e377c2", "#7f7f7f", "#bcbd22", "#17becf")
@@ -59,11 +58,11 @@ def _validate(spec: ChartSpec) -> int:
         raise ValueError(f"unknown chart kind {spec.kind!r}")
     lengths = {len(values) for values in spec.series.values()}
     if len(lengths) > 1:
-        raise InconsistentSeries(f"series lengths differ: {sorted(lengths)}")
+        raise ValueError(f"series lengths differ: {sorted(lengths)}")
     n = lengths.pop() if lengths else 0
     for axis in (spec.x, spec.labels):
         if axis is not None and len(axis) != n:
-            raise InconsistentSeries(f"axis length {len(axis)} != {n}")
+            raise ValueError(f"axis length {len(axis)} != {n}")
     return n
 
 
@@ -247,10 +246,10 @@ def render_mds_scatter(embedding: Embedding, labels: Sequence[str],
 
     ``labels`` holds one label per embedded address, in address order
     (ground truth fork/stay or a cluster id); a length mismatch raises
-    LabelMismatch.
+    ValueError.
     """
     if len(labels) != len(embedding.addresses):
-        raise LabelMismatch(
+        raise ValueError(
             f"{len(labels)} labels for {len(embedding.addresses)} addresses")
     label_list = [str(v) for v in labels]
     path = Path(path)

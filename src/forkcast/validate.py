@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import EmptyRange, ForkcastError
+from .errors import EmptyRange
 from .ingest import ForkGroundTruth
 # bench/spans.py wraps validate.build_voter_matrix by name; keep it importable
 from .matrix import VoterMatrix, build_voter_matrix  # noqa: F401
@@ -144,10 +144,10 @@ def run_validation(
     """Summarize the genuine run and ``iterations`` shuffled reruns per range.
 
     ``genuine_run`` is ``analyze_matrix`` of ``matrix``; each shuffled rerun
-    is analyzed with its spec. Iterations that fail with a package error (for
-    example every proposal unanalyzable) are recorded with their seed and
-    kept out of every range's ``shuffled``. Any other exception, such as a
-    broken shuffle invariant, propagates.
+    is analyzed with its spec. An iteration in which a range has no
+    analyzable proposal (``EmptyRange``) is recorded with its seed and kept
+    out of every range's ``shuffled``. Any other exception, such as a broken
+    shuffle invariant, propagates.
     """
     if ranges is None:
         ranges = [(matrix.proposal_ids[0], matrix.proposal_ids[-1])]
@@ -164,7 +164,7 @@ def run_validation(
             run = analyze_matrix(shuffled, genuine_run.spec, namespace=("shuffle", seed))
             outcomes.append([summarize_range(run.analyses, ground_truth, id_range)
                              for id_range in ranges])
-        except ForkcastError as exc:
+        except EmptyRange as exc:
             failed.append((seed, str(exc)))
     return ValidationReport(
         tuple(RangeValidation(summary, tuple(outcome[i] for outcome in outcomes))

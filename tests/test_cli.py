@@ -57,14 +57,26 @@ def test_parse_ranges():
     ([], {"ranges": [[1]]}),
     ([], {"ranges": 5}),
     ([], {"ranges": [[60, 41]]}),
+    ([], "[{}]"),  # a config file that is not a JSON object
+    ([], "null"),
+    ([], {"window_size": 2.5}),
+    ([], {"window_size": True}),
+    ([], {"k_min": 2.0}),
+    ([], {"iterations": 1.5}),
+    ([], {"root_seed": 2.5}),
+    ([], {"from_block": 2.5}),
 ], ids=["window-file", "window-flag", "tolerance", "rolling-stat", "k-min-1",
         "k-min-above-k-max", "iterations", "min-fork-present", "ranges-short-pair",
-        "ranges-int", "ranges-empty"])
+        "ranges-int", "ranges-empty", "config-list", "config-null", "window-float",
+        "window-bool", "k-min-float", "iterations-float", "seed-float",
+        "from-block-float"])
 def test_bad_setting_is_config_error_before_any_input(tmp_path, capsys, flags, config):
+    """``config`` is the config file's contents: a value to write as JSON, or
+    the file's text when it is a string."""
     config_flags = []
     if config is not None:
         config_file = tmp_path / "run.json"
-        config_file.write_text(json.dumps(config))
+        config_file.write_text(config if isinstance(config, str) else json.dumps(config))
         config_flags = ["--config", str(config_file)]
     out = tmp_path / "out"
     code = run(["all", "--dao", "planted", "--fixture", str(FIXTURE),
@@ -72,6 +84,30 @@ def test_bad_setting_is_config_error_before_any_input(tmp_path, capsys, flags, c
     assert code == 2
     assert "ConfigError" in capsys.readouterr().err
     assert not out.exists()  # rejected before any stage ran
+
+
+_PLANTED_ENTRY = {"name": "planted", "chain": "ethereum",
+                  "governance_contract": "0x" + "11" * 20, "deploy_block": 0,
+                  "end_block": 1, "event_signatures": ["VoteCast(address,uint256,uint8)"]}
+
+
+@pytest.mark.parametrize("text", [
+    '{"daos": [',
+    '[]',
+    '{"daos": {}}',
+    '{"daos": [1]}',
+    json.dumps({"daos": [{**_PLANTED_ENTRY, "analysis_defaults": {"window_size": 2.5}}]}),
+], ids=["malformed-json", "top-level-list", "daos-object", "entry-int",
+        "float-default"])
+def test_bad_registry_is_config_error_before_any_input(tmp_path, capsys, text):
+    registry = tmp_path / "registry.json"
+    registry.write_text(text)
+    out = tmp_path / "out"
+    code = run(["all", "--dao", "planted", "--fixture", str(FIXTURE),
+                "--registry", str(registry), "--out", str(out)])
+    assert code == 2
+    assert "ConfigError" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_config_precedence(tmp_path):

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from forkcast import cluster, kmeans, select_k, silhouette
 from forkcast.cluster import kmeans_pp_init, lloyd, pick_k
 from forkcast.embed import pairwise_distances
-from forkcast.errors import SingleCluster, TooFewPoints
+from forkcast.errors import TooFewPoints
 from forkcast.rng import SplitMix64, derive_seed
 
 
@@ -69,7 +69,7 @@ def test_k_equals_n_zero_wcss():
 
 
 def test_k_beyond_n_rejected():
-    with pytest.raises(TooFewPoints):
+    with pytest.raises(ValueError, match="^k=4 exceeds 3 points$"):
         kmeans(np.zeros((3, 2)), 4, seed=0)
 
 
@@ -118,7 +118,7 @@ def test_silhouette_singleton_cluster_scores_zero():
 
 
 def test_silhouette_single_cluster_rejected():
-    with pytest.raises(SingleCluster):
+    with pytest.raises(ValueError, match="^silhouette needs at least 2 clusters$"):
         silhouette(np.zeros((3, 2)), np.array([0, 0, 0]))
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from forkcast import WindowSpec, active_set, dissimilarity_matrix
-from forkcast.errors import EmptyActiveSet, IndexOutOfRange
+from forkcast.errors import EmptyActiveSet
 
 from conftest import addr, make_matrix
 
@@ -58,9 +59,9 @@ def test_window_positions_not_ids():
 
 def test_window_out_of_range():
     matrix = full_matrix(2)
-    with pytest.raises(IndexOutOfRange):
+    with pytest.raises(ValueError, match="^position 3 outside analyzable range 2..2$"):
         active_set(matrix, j=3, spec=WindowSpec(2, 0.0))
-    with pytest.raises(IndexOutOfRange):
+    with pytest.raises(ValueError, match="^position 0 outside analyzable range 2..2$"):
         active_set(matrix, j=0, spec=WindowSpec(2, 0.0))
 
 
@@ -87,7 +88,7 @@ def test_active_set_empty_is_error():
 
 def test_active_set_skips_first_proposal():
     matrix = make_matrix([[1, 1], [0, 0]])
-    with pytest.raises(IndexOutOfRange):
+    with pytest.raises(ValueError, match="^position 1 outside analyzable range 2..2$"):
         active_set(matrix, j=1, spec=WindowSpec())
     active = active_set(matrix, j=2, spec=WindowSpec())
     assert active.proposal_id == 2
@@ -133,6 +134,16 @@ def test_dissimilarity_no_overlap_is_one():
     active = active_set(matrix, j=4, spec=WindowSpec(4, 0.5))
     d = dissimilarity_matrix(matrix, active)
     assert d.cells[0, 1] == 1.0
+
+
+def test_dissimilarity_of_a_one_row_active_set_is_a_bug():
+    """``active_set`` never yields fewer than two rows, so a hand-built one
+    is a caller's bug, not a skip."""
+    matrix = full_matrix(3)
+    active = dataclasses.replace(active_set(matrix, j=3, spec=WindowSpec(2, 0.0)),
+                                 rows=(0,), addresses=(matrix.addresses[0],))
+    with pytest.raises(ValueError, match="^need at least 2 active addresses$"):
+        dissimilarity_matrix(matrix, active)
 
 
 def random_window_cells(draw) -> np.ndarray:

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from forkcast import Embedding, MdsConfig, mds_embed, stress, warm_start
 from forkcast.dissim import DissimilarityMatrix
 from forkcast.embed import random_init
-from forkcast.errors import AllZeroDissimilarity, NonFiniteInput
+from forkcast.errors import AllZeroDissimilarity
 
 from conftest import addr
 
@@ -102,9 +102,10 @@ def test_stress_path_monotone_on_random_instance():
 
 def test_rejects_non_finite():
     cells = np.array([[0.0, np.nan], [np.nan, 0.0]])
-    with pytest.raises(NonFiniteInput):
+    with pytest.raises(ValueError,
+                       match="^dissimilarity matrix contains non-finite values$"):
         mds_embed(dmatrix(cells), random_init(2, 0))
-    with pytest.raises(NonFiniteInput):
+    with pytest.raises(ValueError, match="^init coordinates contain non-finite values$"):
         mds_embed(pair_matrix(0.5), init=np.array([[0.0, np.inf], [0.0, 0.0]]))
 
 

@@ -297,6 +297,10 @@ def test_parse_rejects_unusable_signatures():
         parse_event_signature("Transfer(address,address)")  # no support field
     with pytest.raises(ValueError):
         parse_event_signature("Voted(uint256,uint8)")  # no voter
+    for two_names in ("Voted(address voter who,uint256,uint8)",
+                      "Voted(address indexed voter who,uint256,uint8)"):
+        with pytest.raises(ValueError, match="^cannot parse parameter"):
+            parse_event_signature(two_names)
 
 
 @given(st.integers(1, 10**6), st.integers(0, 2), st.integers(0, 10**8),
@@ -786,3 +790,53 @@ def test_fetch_logs_names_a_single_block_the_provider_rejects():
     transport = LimitedTransport(_nouns_like_logs(4), max_span=0)
     with pytest.raises(TransportError, match="single-block range at 1000"):
         fetch_logs("http://unused", _entry(), (1000, 1003), transport=transport)
+
+
+class OneAnswerTransport:
+    """Answers every eth_getLogs request with the same result."""
+
+    def __init__(self, result) -> None:
+        self.result = result
+
+    def request(self, method: str, params: list) -> object:
+        return self.result
+
+
+_RPC_ENTRY = to_rpc(_nouns_like_logs(1)[0])  # block 1000
+
+
+@pytest.mark.parametrize("result", [
+    [{key: value for key, value in _RPC_ENTRY.items() if key != "logIndex"}],
+    [{**_RPC_ENTRY, "blockNumber": "0xzz"}],
+    [{**_RPC_ENTRY, "blockNumber": True}],
+    [{**_RPC_ENTRY, "topics": None}],
+    [{**_RPC_ENTRY, "topics": [None]}],
+    [{**_RPC_ENTRY, "data": None}],
+    [None],
+    None,
+    {"logs": []},
+], ids=["no-log-index", "block-not-hex", "block-bool", "topics-null", "topic-null",
+        "data-null", "entry-null", "result-null", "result-object"])
+def test_fetch_logs_rejects_malformed_provider_data(result):
+    with pytest.raises(MalformedData):
+        fetch_logs("http://unused", _entry(), (1000, 1000),
+                   transport=OneAnswerTransport(result))
+
+
+@pytest.mark.parametrize("payload", [["not", "an", "object"], {"error": "boom"}],
+                         ids=["list", "error-string"])
+def test_http_transport_rejects_a_response_that_is_not_json_rpc(monkeypatch, payload):
+    import requests
+
+    from forkcast.ingest import HttpTransport
+
+    class Response:
+        def raise_for_status(self) -> None:
+            pass
+
+        def json(self) -> object:
+            return payload
+
+    monkeypatch.setattr(requests, "post", lambda *args, **kwargs: Response())
+    with pytest.raises(MalformedData, match="not a JSON-RPC response"):
+        HttpTransport("http://unused").request("eth_getLogs", [])

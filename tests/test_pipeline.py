@@ -43,6 +43,18 @@ def test_pipeline_records_unanalyzable_proposals():
     assert seen == []
 
 
+def test_bug_inside_a_frame_crashes_instead_of_being_skipped(planted_matrix,
+                                                             monkeypatch):
+    """A k-means call with more clusters than points is a broken invariant,
+    not a skipped frame: it propagates out of analyze_matrix."""
+    import forkcast.cluster as cluster_module
+
+    monkeypatch.setattr(cluster_module, "k_range",
+                        lambda n, k_min, k_max: range(n + 1, n + 2))
+    with pytest.raises(ValueError, match=r"^k=\d+ exceeds \d+ points$"):
+        analyze_matrix(planted_matrix, AnalysisSpec(root_seed=0))
+
+
 # the reasons a frame can be skipped for: too few active voters, nothing to
 # embed, too few voters for k_min
 SKIP_REASONS = re.compile(r"proposal \d+: [01] active addresses"

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from forkcast import ChartSpec, Embedding, render_chart, render_mds_scatter
-from forkcast.errors import InconsistentSeries, LabelMismatch
 from forkcast.report import FORK_COLOR, STAY_COLOR, label_colors
 
 from conftest import addr
@@ -50,11 +49,11 @@ def test_empty_chart_has_no_data_annotation(tmp_path):
 def test_inconsistent_series_rejected(tmp_path):
     spec = ChartSpec(kind="line", title="bad",
                      series={"a": [1.0, 2.0], "b": [1.0]})
-    with pytest.raises(InconsistentSeries):
+    with pytest.raises(ValueError, match=r"^series lengths differ: \[1, 2\]$"):
         render_chart(spec, tmp_path / "bad.svg")
     spec = ChartSpec(kind="line", title="bad", series={"a": [1.0, 2.0]},
                      x=[1.0])
-    with pytest.raises(InconsistentSeries):
+    with pytest.raises(ValueError, match="^axis length 1 != 2$"):
         render_chart(spec, tmp_path / "bad.svg")
 
 
@@ -114,9 +113,9 @@ def test_scatter_two_points(tmp_path):
 
 def test_scatter_label_mismatch(tmp_path):
     embedding = embedding_for([[0.0, 0.0], [1.0, 1.0]])
-    with pytest.raises(LabelMismatch):
+    with pytest.raises(ValueError, match="^3 labels for 2 addresses$"):
         render_mds_scatter(embedding, ["fork", "stay", "stay"], tmp_path / "x.svg")
-    with pytest.raises(LabelMismatch):
+    with pytest.raises(ValueError, match="^1 labels for 2 addresses$"):
         render_mds_scatter(embedding, ["fork"], tmp_path / "x.svg")
 
 

@@ -22,7 +22,7 @@ from forkcast import (
     summarize_range,
 )
 from forkcast.cluster import ClusteringResult
-from forkcast.errors import EmptyRange
+from forkcast.errors import EmptyInput, EmptyRange
 from forkcast.pipeline import ProposalAnalysis
 from forkcast.validate import metric_summary, validation_json
 
@@ -233,6 +233,17 @@ def test_run_validation_records_package_errors_as_failed_seeds(
                             iterations=2)
     assert report.failed_seeds == ((1, "injected empty range"),)
     assert len(report.ranges[0].shuffled) == 1
+
+
+def test_run_validation_propagates_other_package_errors(planted, planted_matrix,
+                                                        planted_genuine, monkeypatch):
+    """Only a range with nothing to analyze fails a seed; any other package
+    error in a shuffled pass crashes the run."""
+    _raise_in_shuffle(monkeypatch, EmptyInput("injected empty input"))
+    _, truth = planted
+    with pytest.raises(EmptyInput, match="injected empty input"):
+        run_validation(planted_matrix, planted_genuine, truth, ranges=[(41, 60)],
+                       iterations=2)
 
 
 def test_run_validation_reruns_shuffles_with_the_genuine_spec(planted, planted_matrix,
