@@ -241,13 +241,12 @@ def cmd_ingest(config: RunConfig) -> int:
 
 
 def _friction(config: RunConfig, matrix: VoterMatrix) -> None:
-    report = friction_mod.build_friction_report(matrix, config.dao,
-                                                window=config.window_size)
+    report = friction_mod.build_friction_report(matrix, window=config.window_size)
     out = config.out
     out.mkdir(parents=True, exist_ok=True)
     friction_mod.to_csv(report, out / "friction.csv")
     _write_json({
-        "dao": report.dao_name,
+        "dao": config.dao,
         "proposals": len(report.records),
         "category_shares": dict(report.category_shares),
         "flagged": report.flagged,

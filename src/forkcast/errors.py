@@ -21,10 +21,11 @@ class MissingArtifact(ForkcastError):
 
 
 class ParseError(ForkcastError):
-    """Input file line could not be parsed; carries the 1-based line number."""
+    """An input file line could not be parsed; ``line`` is always its 1-based
+    number, and the message starts with it."""
 
-    def __init__(self, message: str, line: int | None = None) -> None:
-        super().__init__(message if line is None else f"line {line}: {message}")
+    def __init__(self, message: str, line: int) -> None:
+        super().__init__(f"line {line}: {message}")
         self.line = line
 
 

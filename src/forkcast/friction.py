@@ -10,7 +10,7 @@ analysis window.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -38,7 +38,6 @@ class DisagreementRecord:
 
 @dataclass(frozen=True)
 class FrictionReport:
-    dao_name: str
     records: tuple[DisagreementRecord, ...]
     rolling: tuple[tuple[int, float], ...]
     category_shares: Mapping[str, float]
@@ -93,25 +92,21 @@ def category_shares(records: Sequence[DisagreementRecord]) -> dict[str, float]:
     return {category: counts[category] / len(records) for category in CATEGORIES}
 
 
-def flag_dao(report: FrictionReport) -> bool:
+def flag_dao(shares: Mapping[str, float],
+             rolling: Sequence[tuple[int, float]]) -> bool:
     """True iff medium+high share exceeds ``SHARE_CUTOFF`` and the rolling
     series peaks above ``ROLLING_CUTOFF``."""
-    contentious = report.category_shares["medium"] + report.category_shares["high"]
-    peak = max((value for _, value in report.rolling), default=0.0)
+    contentious = shares["medium"] + shares["high"]
+    peak = max((value for _, value in rolling), default=0.0)
     return contentious > SHARE_CUTOFF and peak > ROLLING_CUTOFF
 
 
-def build_friction_report(matrix: VoterMatrix, dao_name: str,
+def build_friction_report(matrix: VoterMatrix,
                           window: int = DEFAULT_WINDOW_SIZE) -> FrictionReport:
     records = static_disagreement(matrix)
-    report = FrictionReport(
-        dao_name=dao_name,
-        records=records,
-        rolling=tuple(rolling_disagreement(records, window)),
-        category_shares=category_shares(records),
-        flagged=False,
-    )
-    return replace(report, flagged=flag_dao(report))
+    rolling = tuple(rolling_disagreement(records, window))
+    shares = category_shares(records)
+    return FrictionReport(records, rolling, shares, flag_dao(shares, rolling))
 
 
 def to_csv(report: FrictionReport, path: str | Path) -> None:

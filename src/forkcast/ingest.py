@@ -28,7 +28,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, NamedTuple, Protocol, Sequence, TypeVar
+from typing import Iterable, NamedTuple, Protocol, Sequence
 
 from . import abi
 from .errors import (
@@ -104,7 +104,9 @@ class VoteEvent(_VoteFields):
 _RECORD_FIELDS = operator.itemgetter("voter", *_INT_FIELDS)
 # what a fixture line can raise that is a ParseError naming the line
 _LINE_ERRORS = (KeyError, TypeError, ValueError, RecursionError)
-_T = TypeVar("_T")
+# text files are read with errors="surrogateescape", which turns each byte that
+# is not UTF-8 into one of U+DC80..U+DCFF; decoding valid UTF-8 never yields one
+_escaped_byte = re.compile("[\udc80-\udcff]").search
 
 
 @dataclass(frozen=True)
@@ -122,6 +124,8 @@ class DaoRegistryEntry:
     def __post_init__(self) -> None:
         object.__setattr__(self, "governance_contract",
                            normalize_address(self.governance_contract))
+        if not type(self.deploy_block) is type(self.end_block) is int:
+            raise ValueError(f"{self.name}: deploy_block and end_block must be integers")
         if self.deploy_block > self.end_block:
             raise ValueError(f"{self.name}: deploy_block > end_block")
         if not self.event_signatures:
@@ -139,7 +143,7 @@ class ForkGroundTruth:
 class RawLog:
     """Undecoded EVM log entry as returned by eth_getLogs."""
 
-    address: str
+    address: Address
     topics: tuple[str, ...]
     data: str
     block_number: int
@@ -153,7 +157,7 @@ class RawLog:
             topics, data = tuple(entry["topics"]), entry.get("data", "0x")
             if not all(isinstance(text, str) for text in (*topics, data)):
                 raise TypeError("topics and data must be hex strings")
-            return cls(entry["address"], topics, data,
+            return cls(normalize_address(entry["address"]), topics, data,
                        _to_int(entry["blockNumber"]), _to_int(entry["logIndex"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise MalformedData(f"bad eth_getLogs entry {entry!r}: {exc!r}") from exc
@@ -205,7 +209,9 @@ def load_fixture_with_report(path: str | Path,
                              ) -> tuple[list[VoteEvent], tuple[tuple[Address, int], ...]]:
     """Parse a JSONL fixture and collapse it with ``collapse_duplicates``: the
     kept events in chain order, and the key of each dropped duplicate."""
-    return collapse_duplicates(_read_text(path, _read_events))
+    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
+        events = _read_events(handle)
+    return collapse_duplicates(events)
 
 
 def _read_events(handle: Iterable[str]) -> list[VoteEvent]:
@@ -215,6 +221,8 @@ def _read_events(handle: Iterable[str]) -> list[VoteEvent]:
     scan, decode = decoder.scan_once, decoder.decode
     events: list[VoteEvent] = []
     for lineno, line in enumerate(handle, start=1):
+        if not line.isascii() and (bad := _escaped_byte(line)):
+            raise ParseError(f"not UTF-8: byte 0x{ord(bad[0]) - 0xDC00:02x}", line=lineno)
         if line.isspace():
             continue
         try:
@@ -229,31 +237,6 @@ def _read_events(handle: Iterable[str]) -> list[VoteEvent]:
         except _LINE_ERRORS as exc:
             raise ParseError(str(exc), line=lineno) from exc
     return events
-
-
-def _read_text(path: str | Path, read: Callable[[Iterable[str]], _T]) -> _T:
-    """``read`` the lines of a UTF-8 text file, split as text mode splits them.
-
-    A byte that is not UTF-8 is a ``ParseError`` naming its line, unless
-    ``read`` fails on an earlier line.
-    """
-    try:
-        with open(path, encoding="utf-8") as handle:
-            return read(handle)
-    except UnicodeDecodeError:
-        data = Path(path).read_bytes()
-        try:
-            data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            import io
-
-            start = exc.start
-            head = data[:max(data.rfind(b"\n", 0, start), data.rfind(b"\r", 0, start)) + 1]
-            with io.TextIOWrapper(io.BytesIO(head), encoding="utf-8") as lines:
-                read(lines)  # raises at a bad line before the bad byte
-            line = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
-            raise ParseError(f"not UTF-8: byte 0x{data[start]:02x}", line=line) from exc
-        raise
 
 
 def write_fixture(events: Sequence[VoteEvent], path: str | Path) -> None:
@@ -273,7 +256,8 @@ def write_fixture(events: Sequence[VoteEvent], path: str | Path) -> None:
 
 def load_ground_truth(path: str | Path) -> ForkGroundTruth:
     """Read one address per line; ``#`` starts a comment; blanks ignored."""
-    addresses = _read_text(path, _read_addresses)
+    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
+        addresses = _read_addresses(handle)
     if not addresses:
         raise EmptySet(f"{path}: no addresses")
     return ForkGroundTruth(frozenset(addresses))
@@ -282,6 +266,8 @@ def load_ground_truth(path: str | Path) -> ForkGroundTruth:
 def _read_addresses(handle: Iterable[str]) -> set[Address]:
     addresses: set[Address] = set()
     for lineno, line in enumerate(handle, start=1):
+        if not line.isascii() and (bad := _escaped_byte(line)):
+            raise ParseError(f"not UTF-8: byte 0x{ord(bad[0]) - 0xDC00:02x}", line=lineno)
         text = line.split("#", 1)[0].strip()
         if not text:
             continue
@@ -374,6 +360,10 @@ def fetch_logs(
         for raw in _get_logs(transport, entry.governance_contract,
                              sorted(by_topic), start, end, retries, retry_wait):
             log = RawLog.from_rpc(raw)
+            if log.address != entry.governance_contract:
+                raise MalformedData(
+                    f"block {log.block_number} log {log.log_index}: address "
+                    f"{log.address} is not {entry.governance_contract}")
             event_abi = by_topic.get(log.topics[0].lower() if log.topics else "")
             if event_abi is None:
                 raise SignatureMismatch(

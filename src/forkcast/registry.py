@@ -22,13 +22,18 @@ def parse_registry(document: dict) -> dict[str, DaoRegistryEntry]:
     entries: dict[str, DaoRegistryEntry] = {}
     for raw in daos:
         try:
+            signatures = raw["event_signatures"]
+            if not (isinstance(signatures, list)
+                    and all(isinstance(signature, str) for signature in signatures)):
+                raise TypeError("event_signatures must be a list of strings, "
+                                f"got {signatures!r}")
             entry = DaoRegistryEntry(
                 name=raw["name"],
                 chain=raw["chain"],
                 governance_contract=raw["governance_contract"],
-                deploy_block=int(raw["deploy_block"]),
-                end_block=int(raw["end_block"]),
-                event_signatures=tuple(raw["event_signatures"]),
+                deploy_block=raw["deploy_block"],
+                end_block=raw["end_block"],
+                event_signatures=tuple(signatures),
                 analysis_defaults=dict(raw.get("analysis_defaults", {})),
             )
         except (KeyError, TypeError, ValueError) as exc:

@@ -97,8 +97,14 @@ _PLANTED_ENTRY = {"name": "planted", "chain": "ethereum",
     '{"daos": {}}',
     '{"daos": [1]}',
     json.dumps({"daos": [{**_PLANTED_ENTRY, "analysis_defaults": {"window_size": 2.5}}]}),
+    json.dumps({"daos": [{**_PLANTED_ENTRY, "deploy_block": 1.9}]}),
+    json.dumps({"daos": [{**_PLANTED_ENTRY, "end_block": True}]}),
+    json.dumps({"daos": [{**_PLANTED_ENTRY,
+                          "event_signatures": "VoteCast(address,uint256,uint8)"}]}),
+    json.dumps({"daos": [{**_PLANTED_ENTRY, "event_signatures": [None]}]}),
 ], ids=["malformed-json", "top-level-list", "daos-object", "entry-int",
-        "float-default"])
+        "float-default", "float-block", "bool-block", "signatures-string",
+        "signature-null"])
 def test_bad_registry_is_config_error_before_any_input(tmp_path, capsys, text):
     registry = tmp_path / "registry.json"
     registry.write_text(text)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from forkcast import (
     DisagreementRecord,
-    FrictionReport,
     build_voter_matrix,
     flag_dao,
     rolling_disagreement,
@@ -99,10 +98,8 @@ def test_rolling_bounded_by_inputs(values, window):
         assert min(values) - 1e-12 <= mean <= max(values) + 1e-12
 
 
-def _report(shares, rolling_values):
-    records = tuple(_records([0.0]))
-    rolling = tuple((i + 1, v) for i, v in enumerate(rolling_values))
-    return FrictionReport("test", records, rolling, shares, flagged=False)
+def _flag(shares, rolling_values):
+    return flag_dao(shares, [(i + 1, v) for i, v in enumerate(rolling_values)])
 
 
 SHARES_QUIET = {"unanimous": 0.8, "low": 0.2, "medium": 0.0, "high": 0.0}
@@ -110,16 +107,16 @@ SHARES_LOUD = {"unanimous": 0.3, "low": 0.4, "medium": 0.2, "high": 0.1}
 
 
 def test_flag_requires_both_conditions():
-    assert flag_dao(_report(SHARES_LOUD, [0.05, 0.2]))
-    assert not flag_dao(_report(SHARES_QUIET, [0.2]))  # share condition fails
+    assert _flag(SHARES_LOUD, [0.05, 0.2])
+    assert not _flag(SHARES_QUIET, [0.2])  # share condition fails
     # 25% medium+high but rolling never exceeds 0.15
     shares = {"unanimous": 0.5, "low": 0.25, "medium": 0.2, "high": 0.05}
-    assert not flag_dao(_report(shares, [0.10, 0.08]))
+    assert not _flag(shares, [0.10, 0.08])
 
 
 def test_flag_share_boundary_is_strict():
     shares = {"unanimous": 0.8, "low": 0.0, "medium": 0.1, "high": 0.1}
-    assert not flag_dao(_report(shares, [0.5]))  # exactly 0.20 does not exceed
+    assert not _flag(shares, [0.5])  # exactly 0.20 does not exceed
 
 
 def test_build_friction_report_end_to_end():
@@ -132,7 +129,7 @@ def test_build_friction_report_end_to_end():
     matrix = build_voter_matrix(events_from_rows(rows))
     from forkcast import build_friction_report
 
-    report = build_friction_report(matrix, "toy", window=2)
+    report = build_friction_report(matrix, window=2)
     assert [r.proposal_id for r in report.records] == [1, 2, 3]
     assert [r.category for r in report.records] == ["medium", "unanimous", "high"]
     assert report.category_shares["medium"] == pytest.approx(1 / 3)
@@ -151,7 +148,7 @@ def test_friction_csv(tmp_path):
     from forkcast import build_friction_report
 
     matrix = build_voter_matrix(events_from_rows([[1, 1], [0, 1]]))
-    report = build_friction_report(matrix, "toy")
+    report = build_friction_report(matrix)
     path = tmp_path / "friction.csv"
     to_csv(report, path)
     lines = path.read_text().splitlines()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import subprocess
@@ -31,6 +32,7 @@ from forkcast.errors import (
 )
 from forkcast.ingest import (
     DaoRegistryEntry,
+    ForkGroundTruth,
     RawLog,
     RpcError,
     VoteEvent,
@@ -399,21 +401,41 @@ def test_load_fixture_order_independent(tmp_path_factory, order):
 
 def load_fixture_line_by_line(path):
     """Reference: the per-line loader ``load_fixture_with_report`` replaced."""
+    with open(path, encoding="utf-8") as handle:
+        return events_line_by_line(handle)
+
+
+def events_line_by_line(lines):
     decode = json.JSONDecoder().decode
     events = []
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if line.isspace():
-                continue
-            try:
-                record = decode(line)
-                events.append(VoteEvent(record["voter"], record["proposal_id"],
-                                        record["support"], record["block_number"],
-                                        record["log_index"]))
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError,
-                    RecursionError) as exc:  # RecursionError: nested too deep
-                raise ParseError(str(exc), line=lineno) from exc
+    for lineno, line in enumerate(lines, start=1):
+        if line.isspace():
+            continue
+        try:
+            record = decode(line)
+            events.append(VoteEvent(record["voter"], record["proposal_id"],
+                                    record["support"], record["block_number"],
+                                    record["log_index"]))
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError,
+                RecursionError) as exc:  # RecursionError: nested too deep
+            raise ParseError(str(exc), line=lineno) from exc
     return collapse_duplicates(events)
+
+
+def strict_decode_reference(path, parse_lines):
+    """Reference for a text input: decode the whole file strictly; at the first
+    byte that is not UTF-8, parse the lines before the one holding it, then
+    name the byte."""
+    data = path.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = io.StringIO(data[:exc.start].decode("utf-8"), newline=None).readlines()
+        before = [line for line in head if line.endswith("\n")]
+        parse_lines(before)
+        raise ParseError(f"not UTF-8: byte 0x{data[exc.start]:02x}",
+                         line=len(before) + 1) from None
+    return parse_lines(io.StringIO(text, newline=None))
 
 
 def _load_outcome(load, path):
@@ -545,6 +567,39 @@ def test_load_fixture_bad_line_before_bad_byte_is_reported_first(tmp_path):
         load_fixture_with_report(path)
 
 
+_BAD_BYTES = [b"\xff", b"\xe9", b"\x80", b"\xc3(", b"\xe2\x82", b"\xc0\xaf",
+              b"\xed\xa0\x80", b"\xf4\x90\x80\x80"]
+_bad_bytes = st.sampled_from(_BAD_BYTES)
+# a line holding bytes that are not UTF-8: inside the string of a key the
+# loader ignores, after the object, or on an otherwise blank line
+_bad_byte_lines = st.one_of(
+    st.builds(lambda record, bad: json.dumps({**record, "extra": "caf@"})
+              .encode().replace(b"@", bad), _records, _bad_bytes),
+    st.builds(lambda line, bad: line.encode() + bad, _valid_lines, _bad_bytes),
+    st.builds(lambda blank, bad: blank.encode() + bad, _blank_lines, _bad_bytes))
+# valid lines that are not ASCII
+_non_ascii_lines = st.builds(
+    lambda record, text: json.dumps({**record, "extra": text}, ensure_ascii=False),
+    _records, st.sampled_from(["café", "\u2603", "\U0001f600", "é\xa0"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=st.lists(st.one_of(_valid_lines, _valid_lines, _non_ascii_lines,
+                                _blank_lines, _defects), max_size=20),
+       bad=st.lists(st.tuples(st.integers(0, 20), _bad_byte_lines), max_size=2),
+       ending=st.sampled_from([b"\n", b"\r\n", b"\r"]), final=st.booleans())
+def test_load_fixture_matches_strict_decode_reference(tmp_path_factory, lines, bad,
+                                                      ending, final):
+    encoded = [line.encode() for line in lines]
+    for position, line in bad:
+        encoded.insert(position, line)
+    path = tmp_path_factory.mktemp("bytes") / "votes.jsonl"
+    path.write_bytes(ending.join(encoded + [b""] * final))
+    assert (_load_outcome(load_fixture_with_report, path)
+            == _load_outcome(lambda p: strict_decode_reference(p, events_line_by_line),
+                             path))
+
+
 def collapse_by_sorting_twice(events):
     """Reference: sort, keep the last event per key, sort the kept ones again."""
     events = sorted(events, key=lambda e: e.order_key)
@@ -668,6 +723,55 @@ def test_load_ground_truth_bad_address_before_bad_byte_is_reported_first(tmp_pat
     path.write_bytes(b"0x12\n\xff\n")
     with pytest.raises(ParseError, match="^line 1: address must encode"):
         load_ground_truth(path)
+
+
+def addresses_line_by_line(lines):
+    addresses = set()
+    for lineno, line in enumerate(lines, start=1):
+        text = line.split("#", 1)[0].strip()
+        if text:
+            try:
+                addresses.add(normalize_address(text))
+            except ValueError as exc:
+                raise ParseError(str(exc), line=lineno) from exc
+    return addresses
+
+
+def _ground_truth_outcome(load, path):
+    try:
+        return "ok", load(path)
+    except (ParseError, EmptySet) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _ground_truth_reference(path):
+    addresses = strict_decode_reference(path, addresses_line_by_line)
+    if not addresses:
+        raise EmptySet(f"{path}: no addresses")
+    return ForkGroundTruth(frozenset(addresses))
+
+
+_address_lines = st.sampled_from(
+    ["", " ", "\xa0", "# fork cohort", "# caf\xe9", "0x12", addr(1),
+     f"{addr(2)}  # \u2603", addr(3).upper().replace("0X", "0x")])
+# bytes that are not UTF-8 in a comment, after an address or on a blank line
+_bad_address_lines = st.builds(lambda head, bad: head.encode() + bad,
+                               st.sampled_from(["# caf", f"{addr(4)} ", ""]), _bad_bytes)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lines=st.lists(_address_lines, max_size=12),
+       bad=st.lists(st.tuples(st.integers(0, 12), _bad_address_lines), max_size=2),
+       ending=st.sampled_from([b"\n", b"\r\n", b"\r"]), final=st.booleans())
+def test_load_ground_truth_matches_strict_decode_reference(tmp_path_factory, lines, bad,
+                                                           ending, final):
+    encoded = [line.encode() for line in lines]
+    for position, line in bad:
+        encoded.insert(position, line)
+    path = tmp_path_factory.mktemp("truth") / "forkers.txt"
+    path.write_bytes(ending.join(encoded + [b""] * final))
+    assert (_ground_truth_outcome(load_ground_truth, path)
+            == _ground_truth_outcome(_ground_truth_reference, path))
 
 
 def _nouns_like_logs(count: int) -> list[RawLog]:
@@ -812,11 +916,14 @@ _RPC_ENTRY = to_rpc(_nouns_like_logs(1)[0])  # block 1000
     [{**_RPC_ENTRY, "topics": None}],
     [{**_RPC_ENTRY, "topics": [None]}],
     [{**_RPC_ENTRY, "data": None}],
+    [{**_RPC_ENTRY, "address": "0x" + "44" * 20}],
+    [{**_RPC_ENTRY, "address": None}],
     [None],
     None,
     {"logs": []},
 ], ids=["no-log-index", "block-not-hex", "block-bool", "topics-null", "topic-null",
-        "data-null", "entry-null", "result-null", "result-object"])
+        "data-null", "other-contract", "address-null", "entry-null", "result-null",
+        "result-object"])
 def test_fetch_logs_rejects_malformed_provider_data(result):
     with pytest.raises(MalformedData):
         fetch_logs("http://unused", _entry(), (1000, 1000),

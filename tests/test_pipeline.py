@@ -170,13 +170,6 @@ def test_planted_agreement_rates_near_calibration():
     assert across == pytest.approx(0.2, abs=0.04)
 
 
-def test_planted_generator_rejects_bad_calibration():
-    with pytest.raises(ValueError):
-        planted_two_bloc_events(within_agreement=0.3)
-    with pytest.raises(ValueError):
-        planted_two_bloc_events(within_agreement=0.9, across_agreement=0.95)
-
-
 def test_bundled_registry_entries():
     registry = bundled_registry()
     assert set(registry) == {"nouns", "compound", "uniswap", "lido",
