@@ -9,12 +9,16 @@ reseeded to the point farthest from its assigned centroid. All randomness
 comes from SplitMix64 streams derived per (seed, restart) and per (seed, k),
 so results are reproducible and independent of evaluation order.
 
-All starts of one :func:`kmeans` call run in lockstep as an (R, k, 2)
-center stack: one set of array operations per Lloyd iteration serves every
-start still moving, and each start ends exactly where it would alone. The
-first start with the least WCSS wins.
+:func:`select_k` runs every start of every k in its sweep as one
+(R, k_max, 2) center stack through :func:`kmeans_sweep`: one set of array
+operations per Lloyd iteration serves every start still moving, and each
+start ends exactly where it would alone. A start with k < k_max pads its
+trailing centers with inf, which no point is nearer to. Each k keeps the
+first of its own starts with the least WCSS; :func:`kmeans` is the one-k
+sweep. The k-means++ draws of all starts come from one
+:class:`~forkcast.rng.SplitMix64Batch`, one draw per center per start.
 
-The silhouette sweep in :func:`select_k` shares one point distance matrix
+The silhouette scores in :func:`select_k` share one point distance matrix
 per proposal across every k; only the partition changes between k.
 :func:`silhouette` sums each cluster's distance columns from a C-contiguous
 copy, so every row sum adds in the same pairwise order as a 1-D sum over
@@ -33,7 +37,7 @@ import numpy as np
 
 from .embed import pairwise_distances
 from .errors import TooFewPoints
-from .rng import SplitMix64, derive_seed
+from .rng import SplitMix64Batch, derive_seed
 
 DEFAULT_K_MIN = 2
 DEFAULT_K_MAX = 5
@@ -78,29 +82,37 @@ def _squared_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return np.add(dx, dy, out=dx)
 
 
-def kmeans_pp_init(points: np.ndarray, k: int,
-                   rngs: Sequence[SplitMix64]) -> np.ndarray:
-    """k-means++ seeding, one start per stream: (R, k, 2) centers.
+def kmeans_pp_init(points: np.ndarray, ks: Sequence[int],
+                   seeds: Sequence[int]) -> np.ndarray:
+    """k-means++ seeding, one start per (k, stream seed): (R, max(ks), 2)
+    centers, where start r's rows past ``ks[r]`` are inf padding.
 
-    Each start takes a uniform first center, then D^2-weighted draws; start r
-    draws only from ``rngs[r]``, so batching does not change its draws.
+    Each start takes a uniform first center, then D^2-weighted draws, one
+    draw of its own SplitMix64 stream per center, so batching does not
+    change its draws. Starts past their k keep drawing; nothing reads those.
     """
     n = len(points)
-    centers = np.empty((len(rngs), k, points.shape[1]))
-    centers[:, 0] = points[[rng.below(n) for rng in rngs]]
-    d2 = np.full((len(rngs), n), np.inf)
-    for c in range(1, k):
+    streams = SplitMix64Batch(seeds)
+    ks = np.asarray(ks)
+    starts = len(ks)
+    centers = np.empty((starts, int(ks.max()), points.shape[1]))
+    centers[:, 0] = points[streams.below(n)]
+    d2 = np.full((starts, n), np.inf)
+    for c in range(1, centers.shape[1]):
         d2 = np.minimum(d2, _squared_distances(points, centers[:, c - 1:c])[:, :, 0])
-        totals = d2.sum(axis=1).tolist()
-        thresholds = [0.0 if total == 0.0 else rng.uniform() * total
-                      for rng, total in zip(rngs, totals)]
+        totals = d2.sum(axis=1)
+        zero = totals == 0.0
+        if zero.any():
+            thresholds = np.zeros(starts)
+            thresholds[~zero] = streams.uniform(~zero) * totals[~zero]
+        else:
+            thresholds = streams.uniform() * totals
         # searchsorted(side="right") on each non-decreasing cumulative row
-        picks = (np.cumsum(d2, axis=1) <= np.array(thresholds)[:, None]).sum(axis=1)
-        picks = np.minimum(picks, n - 1).tolist()
-        for r, total in enumerate(totals):
-            if total == 0.0:
-                picks[r] = rngs[r].below(n)
+        picks = np.minimum((np.cumsum(d2, axis=1) <= thresholds[:, None]).sum(axis=1), n - 1)
+        if zero.any():
+            picks[zero] = streams.below(n, zero)
         centers[:, c] = points[picks]
+    centers[np.arange(centers.shape[1]) >= ks[:, None]] = np.inf
     return centers
 
 
@@ -126,17 +138,26 @@ def lloyd(points: np.ndarray, centers: np.ndarray,
           max_iterations: int = DEFAULT_MAX_ITERATIONS) -> LloydResult:
     """Lloyd iteration from R sets of initial centers, shape (R, k, 2).
 
+    A start with fewer than k clusters pads its trailing center rows with
+    inf: no point is nearer to a padded slot, so it never wins the argmin,
+    never counts as an empty cluster and stays inf.
+
     All starts advance together; a start stops, and leaves the live set,
     when its assignments repeat those of its previous iteration or after
     ``max_iterations``. Centroid sums come from a weighted ``np.bincount``,
     which adds each cluster's points in index order exactly as
     ``points[members].mean(axis=0)`` does, so every start ends bit for bit
-    where a lone Lloyd run from its centers would.
+    where a lone Lloyd run from its real centers would.
     """
     points = np.asarray(points, dtype=np.float64)
     centroids = np.array(centers, dtype=np.float64)
     starts, k, dims = centroids.shape
     n = len(points)
+    padded = ~np.isfinite(centroids[:, :, 0])
+    ks = k - padded.sum(axis=1)
+    # padded slots count one member: never empty, and 0 / 1 is finite
+    pad_counts = padded.astype(np.int64).ravel()
+    pad_offsets = np.where(padded, np.inf, -0.0)[:, :, None]  # x + -0.0 is x
     final_assignments = np.empty((starts, n), dtype=np.int64)
     final_centroids = np.empty_like(centroids)
     iterations = np.empty(starts, dtype=np.int64)
@@ -147,15 +168,16 @@ def lloyd(points: np.ndarray, centers: np.ndarray,
     for iteration in range(1, max_iterations + 1):
         assignments = _squared_distances(points, centroids).argmin(axis=2)
         bins = (assignments + offsets).ravel()
-        counts = np.bincount(bins, minlength=len(live) * k)
+        counts = np.bincount(bins, minlength=len(live) * k) + pad_counts
         if not counts.all():
             for row in np.flatnonzero((counts.reshape(-1, k) == 0).any(axis=1)):
-                _fill_empty_clusters(points, centroids[row], assignments[row])
+                _fill_empty_clusters(points, centroids[row, :ks[row]], assignments[row])
             bins = (assignments + offsets).ravel()
-            counts = np.bincount(bins, minlength=len(live) * k)
+            counts = np.bincount(bins, minlength=len(live) * k) + pad_counts
         sums = np.bincount((bins[:, None] * dims + np.arange(dims)).ravel(),
                            weights, minlength=len(live) * k * dims)
         centroids = (sums.reshape(-1, dims) / counts[:, None]).reshape(-1, k, dims)
+        centroids += pad_offsets
         if previous is None:
             done = np.full(len(live), iteration == max_iterations)
         else:
@@ -172,29 +194,54 @@ def lloyd(points: np.ndarray, centers: np.ndarray,
                 break
             offsets = offsets[:len(live)]
             weights = weights[:len(live) * n * dims]
+            ks, pad_offsets = ks[running], pad_offsets[running]
+            pad_counts = pad_counts.reshape(-1, k)[running].ravel()
         previous = assignments
     residuals = points - final_centroids[np.arange(starts)[:, None], final_assignments]
     wcss = (residuals ** 2).reshape(starts, -1).sum(axis=1)
     return LloydResult(final_assignments, final_centroids, wcss, iterations)
 
 
-def kmeans(points: np.ndarray, k: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Best-of-restarts k-means; deterministic given seed."""
+def kmeans_sweep(points: np.ndarray,
+                 seeds: Mapping[int, int]) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    """Best-of-restarts k-means for every k in ``seeds`` (k -> stream seed).
+
+    Every start of every k runs in one :func:`lloyd` stack padded to the
+    largest k, and each k keeps the first of its own starts with the least
+    WCSS. Returns (assignments, (k, 2) centroids) per k, in ``seeds`` order.
+    """
     points = np.asarray(points, dtype=np.float64)
     n = len(points)
-    if k > n:
-        raise ValueError(f"k={k} exceeds {n} points")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if comb(n, k) <= _EXHAUSTIVE_SEED_LIMIT:
+    for k in seeds:
+        if k > n:
+            raise ValueError(f"k={k} exceeds {n} points")
+        if k < 1:
+            raise ValueError("k must be >= 1")
+    exhaustive = [k for k in seeds if comb(n, k) <= _EXHAUSTIVE_SEED_LIMIT]
+    sampled = [k for k in seeds if k not in exhaustive]
+    counts = [comb(n, k) for k in exhaustive] + [DEFAULT_RESTARTS] * len(sampled)
+    firsts = np.cumsum([0] + counts).tolist()
+    centers = np.full((firsts[-1], max(seeds), points.shape[1]), np.inf)
+    for k, first, count in zip(exhaustive, firsts, counts):
         subsets = np.array(list(itertools.combinations(range(n), k)))
-        centers = points[subsets]
-    else:
-        centers = kmeans_pp_init(points, k, [
-            SplitMix64(derive_seed(seed, "restart", r)) for r in range(DEFAULT_RESTARTS)])
+        centers[first:first + count, :k] = points[subsets]
+    if sampled:
+        seeded = kmeans_pp_init(
+            points, np.repeat(sampled, DEFAULT_RESTARTS),
+            [derive_seed(seeds[k], "restart", r)
+             for k in sampled for r in range(DEFAULT_RESTARTS)])
+        centers[firsts[len(exhaustive)]:, :seeded.shape[1]] = seeded
     result = lloyd(points, centers)
-    best = int(result.wcss.argmin())  # the first start with the least WCSS
-    return result.assignments[best].copy(), result.centroids[best].copy()
+    best = {}
+    for k, first, count in zip(exhaustive + sampled, firsts, counts):
+        r = first + int(result.wcss[first:first + count].argmin())  # the first least WCSS
+        best[k] = result.assignments[r].copy(), result.centroids[r, :k].copy()
+    return {k: best[k] for k in seeds}
+
+
+def kmeans(points: np.ndarray, k: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Best-of-restarts k-means; deterministic given seed."""
+    return kmeans_sweep(points, {k: seed})[k]
 
 
 def silhouette(points: np.ndarray, assignments: np.ndarray,
@@ -257,7 +304,8 @@ def select_k(points: np.ndarray, k_min: int = DEFAULT_K_MIN,
     points = np.asarray(points, dtype=np.float64)
     ks = k_range(len(points), k_min, k_max)
     distances = pairwise_distances(points)
-    sweeps = {k: kmeans(points, k, derive_seed(seed, "k", k))[0] for k in ks}
-    scores = {k: silhouette(points, labels, distances)[1] for k, labels in sweeps.items()}
+    sweeps = kmeans_sweep(points, {k: derive_seed(seed, "k", k) for k in ks})
+    scores = {k: silhouette(points, labels, distances)[1]
+              for k, (labels, _) in sweeps.items()}
     k_star = pick_k(scores)
-    return ClusteringResult(sweeps[k_star], k_star, scores)
+    return ClusteringResult(sweeps[k_star][0], k_star, scores)

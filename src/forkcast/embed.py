@@ -12,7 +12,11 @@ the stress of an iterate are the ones the next step builds its B matrix
 from. The upper-triangle mask, target dissimilarities and stress
 denominator are computed once per embedding, and so are the n x n buffers
 (distances, a coordinate-difference scratch and B) that every step refills
-in place with ``out=`` ufuncs. Stress gathers the upper triangle through a
+in place with ``out=`` ufuncs. B is the negated cells divided by the
+distances, since (-c)/d is -(c/d) bit for bit; its diagonal is written
+through a strided view, and ``B @ X`` goes into a preallocated buffer and
+is divided by n into the coordinate array, whose column views the distance
+fill keeps from step to step. Stress gathers the upper triangle through a
 boolean ``np.triu`` mask: the same row-major sequence as
 ``np.triu_indices``, about 4x faster, so every sum adds in the same order
 and every output bit is that of the plain array expressions.
@@ -67,14 +71,22 @@ class Embedding:
         object.__setattr__(self, "coords", coords)
 
 
-def _fill_distances(coords: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
-    """Write the Euclidean distances between the rows of an (n, 2)
-    coordinate array into ``out``, using ``scratch`` (same shape) for the
-    second axis; the bits are those of ``sqrt(dx * dx + dy * dy)``."""
-    x, y = coords[:, 0], coords[:, 1]
-    np.subtract(x[:, None], x[None, :], out=out)
+def _axis_views(coords: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Column and row views (x[:, None], x[None, :], y[:, None], y[None, :])
+    of an (n, 2) coordinate array; they follow its later in-place updates."""
+    return coords[:, 0, None], coords[None, :, 0], coords[:, 1, None], coords[None, :, 1]
+
+
+def _fill_distances(axes: tuple[np.ndarray, ...], out: np.ndarray,
+                    scratch: np.ndarray) -> None:
+    """Write the Euclidean distances between the rows of the coordinate
+    array behind ``axes`` (see :func:`_axis_views`) into ``out``, using
+    ``scratch`` (same shape) for the second axis; the bits are those of
+    ``sqrt(dx * dx + dy * dy)``."""
+    x_column, x_row, y_column, y_row = axes
+    np.subtract(x_column, x_row, out=out)
     np.multiply(out, out, out=out)
-    np.subtract(y[:, None], y[None, :], out=scratch)
+    np.subtract(y_column, y_row, out=scratch)
     np.multiply(scratch, scratch, out=scratch)
     np.add(out, scratch, out=out)
     np.sqrt(out, out=out)
@@ -84,7 +96,7 @@ def pairwise_distances(coords: np.ndarray) -> np.ndarray:
     """Euclidean distances between the rows of an (n, 2) coordinate array."""
     n = coords.shape[0]
     out = np.empty((n, n))
-    _fill_distances(coords, out, np.empty((n, n)))
+    _fill_distances(_axis_views(coords), out, np.empty((n, n)))
     return out
 
 
@@ -143,32 +155,37 @@ def mds_embed(d: DissimilarityMatrix, init: np.ndarray,
         raise ValueError("init coordinates contain non-finite values")
     upper, target, denominator = _stress_terms(cells)
     distances, scratch, b = np.empty((n, n)), np.empty((n, n)), np.empty((n, n))
-    _fill_distances(coords, distances, scratch)
+    negated = np.negative(cells)  # (-c) / d is -(c / d), bit for bit
+    diagonal = b.reshape(-1)[::n + 1]
+    product = np.empty((n, 2))
+    axes = _axis_views(coords)
+    _fill_distances(axes, distances, scratch)
     current = _normalized_stress(target, denominator, distances[upper])
     path = [current]
     iterations = 0
-    for iteration in range(1, config.max_iterations + 1):
-        # B = -(cells / distances) where distances > 0, -0.0 elsewhere. A
-        # zero (or nan) off-diagonal distance divides to inf or nan, so its
-        # row sum is not finite; only then are those cells rewritten.
-        with np.errstate(divide="ignore", invalid="ignore"):
-            np.divide(cells, distances, out=b)
-        np.negative(b, out=b)
-        np.fill_diagonal(b, 0.0)
-        sums = b.sum(axis=1)
-        if not np.all(np.isfinite(sums)):
-            b[~(distances > 0.0)] = -0.0
-            np.fill_diagonal(b, 0.0)
-            sums = b.sum(axis=1)
-        np.fill_diagonal(b, -sums)
-        coords = (b @ coords) / n
-        _fill_distances(coords, distances, scratch)
-        new = _normalized_stress(target, denominator, distances[upper])
-        path.append(new)
-        iterations = iteration
-        if current - new <= config.tolerance * current:
-            break
-        current = new
+    # B = -(cells / distances) where distances > 0, -0.0 elsewhere. A zero
+    # (or nan) off-diagonal distance divides to inf or nan, so its row sum
+    # is not finite; only then are those cells rewritten.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for iteration in range(1, config.max_iterations + 1):
+            np.divide(negated, distances, out=b)
+            diagonal[:] = 0.0
+            sums = np.add.reduce(b, axis=1)
+            if not np.isfinite(sums).all():
+                b[~(distances > 0.0)] = -0.0
+                diagonal[:] = 0.0
+                sums = np.add.reduce(b, axis=1)
+            np.negative(sums, out=diagonal)
+            # X <- (B @ X) / n, written back into the buffer behind ``axes``
+            np.matmul(b, coords, out=product)
+            np.divide(product, n, out=coords)
+            _fill_distances(axes, distances, scratch)
+            new = _normalized_stress(target, denominator, distances[upper])
+            path.append(new)
+            iterations = iteration
+            if current - new <= config.tolerance * current:
+                break
+            current = new
     return Embedding(
         proposal_id=d.proposal_id,
         addresses=d.addresses,

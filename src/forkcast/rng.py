@@ -9,12 +9,18 @@ across machines, worker counts, and unrelated code changes:
   the golden-gamma constant, then finalized with two xor-multiply mixes.
 * ``derive_seed(root, *path)`` is the big-endian first 8 bytes of
   ``BLAKE2b(str(root) + ":" + ":".join(path), digest_size=8)``.
+
+Draw t of the stream seeded s is ``mix(s + t * gamma mod 2**64)``, so
+:class:`SplitMix64Batch` advances many streams at once with ``np.uint64``
+array arithmetic, bit for bit as each :class:`SplitMix64` would alone.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import MutableSequence
+from typing import MutableSequence, Sequence
+
+import numpy as np
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN_GAMMA = 0x9E3779B97F4A7C15
@@ -39,9 +45,7 @@ class SplitMix64:
 
     def below(self, bound: int) -> int:
         """Unbiased integer in [0, bound) via rejection sampling."""
-        if bound <= 0:
-            raise ValueError("bound must be positive")
-        threshold = ((_MASK64 + 1) // bound) * bound
+        threshold = _below_threshold(bound)
         while True:
             value = self.next_u64()
             if value < threshold:
@@ -52,6 +56,51 @@ class SplitMix64:
         for i in range(len(items) - 1, 0, -1):
             j = self.below(i + 1)
             items[i], items[j] = items[j], items[i]
+
+
+class SplitMix64Batch:
+    """SplitMix64 streams advanced in lockstep, one per seed.
+
+    Each method draws once from every stream picked by ``rows`` (a boolean
+    mask or index array; all streams by default) and returns the draws as
+    an array, bit for bit what :class:`SplitMix64` returns stream by stream.
+    """
+
+    def __init__(self, seeds: Sequence[int]) -> None:
+        self._state = np.array([seed & _MASK64 for seed in seeds], dtype=np.uint64)
+
+    def next_u64(self, rows=slice(None)) -> np.ndarray:
+        # uint64 arrays wrap silently; numpy scalars would warn on overflow
+        state = self._state[rows] + np.uint64(_GOLDEN_GAMMA)
+        self._state[rows] = state
+        z = (state ^ (state >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        return z ^ (z >> np.uint64(31))
+
+    def uniform(self, rows=slice(None)) -> np.ndarray:
+        return (self.next_u64(rows) >> np.uint64(11)) * 2.0**-53
+
+    def below(self, bound: int, rows=slice(None)) -> np.ndarray:
+        """Integers in [0, bound); a stream whose draw is rejected finishes
+        this draw on a scalar :class:`SplitMix64` from its own state."""
+        threshold = _below_threshold(bound)
+        indices = np.arange(len(self._state))[rows]
+        values = self.next_u64(indices)
+        # a bound that divides 2**64 has threshold 2**64 and rejects nothing
+        rejected = (np.flatnonzero(values >= np.uint64(threshold)).tolist()
+                    if threshold <= _MASK64 else [])
+        for i in rejected:
+            rng = SplitMix64(int(self._state[indices[i]]))
+            values[i] = rng.below(bound)
+            self._state[indices[i]] = rng._state
+        return values % np.uint64(bound)
+
+
+def _below_threshold(bound: int) -> int:
+    """Draws at or above this are rejected by ``below(bound)``."""
+    if bound <= 0:
+        raise ValueError("bound must be positive")
+    return ((_MASK64 + 1) // bound) * bound
 
 
 def derive_seed(root: int, *path: object) -> int:

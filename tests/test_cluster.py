@@ -82,7 +82,7 @@ def test_wcss_never_increases_within_lloyd():
         k = int(rng.integers(2, 5))
         if k > len(points):
             continue
-        init = kmeans_pp_init(points, k, [SplitMix64(derive_seed(trial, "t"))])
+        init = kmeans_pp_init(points, [k], [derive_seed(trial, "t")])
         iterations = int(lloyd(points, init).iterations[0])
         path = [float(lloyd(points, init, t).wcss[0]) for t in range(1, iterations + 1)]
         assert all(path[i + 1] <= path[i] + 1e-9 for i in range(len(path) - 1))
@@ -387,24 +387,27 @@ def test_kmeans_reseeds_empty_clusters_bitwise(monkeypatch):
     assert len(set(assignments.tolist())) == 5
 
 
-def test_lloyd_batch_equals_each_start_alone():
+@pytest.mark.parametrize("ks", [[4] * 6, [2, 5, 3, 4, 2, 5]], ids=["one-k", "padded"])
+def test_lloyd_batch_equals_each_start_alone(ks):
     rng = np.random.default_rng(8)
     points = rng.normal(0, 1, (50, 2))
-    centers = kmeans_pp_init(points, 4, [SplitMix64(r) for r in range(6)])
+    centers = kmeans_pp_init(points, ks, range(6))
     batch = lloyd(points, centers)
     assert len(set(batch.iterations.tolist())) > 1  # starts leave at different times
-    for r in range(len(centers)):
-        alone = lloyd(points, centers[r:r + 1])
+    for r, k in enumerate(ks):
+        assert np.isinf(centers[r, k:]).all() and np.isfinite(centers[r, :k]).all()
+        alone = lloyd(points, centers[r:r + 1, :k])
         assert alone.assignments[0].tobytes() == batch.assignments[r].tobytes()
-        assert alone.centroids[0].tobytes() == batch.centroids[r].tobytes()
+        assert alone.centroids[0].tobytes() == batch.centroids[r, :k].tobytes()
+        assert np.isinf(batch.centroids[r, k:]).all()
         assert alone.wcss[0] == batch.wcss[r]
         assert alone.iterations[0] == batch.iterations[r]
 
 
 def test_select_k_calls_kmeans_and_silhouette_as_module_globals(monkeypatch):
-    # traced runs time clustering by wrapping these two module attributes;
-    # inlining either call would silently zero its timings
-    calls = {"kmeans": 0, "silhouette": 0}
+    # traced runs time clustering by wrapping module attributes; inlining
+    # either call would silently zero its timings. One sweep runs every k.
+    calls = {"kmeans_sweep": 0, "silhouette": 0}
     for name in calls:
         def counted(*args, _name=name, _original=getattr(cluster, name), **kwargs):
             calls[_name] += 1
@@ -413,4 +416,71 @@ def test_select_k_calls_kmeans_and_silhouette_as_module_globals(monkeypatch):
         monkeypatch.setattr(cluster, name, counted)
     points = np.random.default_rng(4).uniform(0, 1, (12, 2))
     select_k(points, k_min=2, k_max=5, seed=0)
-    assert calls == {"kmeans": 4, "silhouette": 4}
+    assert calls == {"kmeans_sweep": 1, "silhouette": 4}
+
+
+@given(n=st.integers(2, 120), k_min=st.integers(2, 4), k_max=st.integers(1, 7),
+       shape=st.sampled_from(["spread", "duplicates", "few_distinct", "signed_zeros"]),
+       seed=st.integers(0, 2**64 - 1))
+@example(n=9, k_min=2, k_max=5, shape="spread", seed=1)  # exhaustive, then k-means++
+@example(n=9, k_min=2, k_max=5, shape="duplicates", seed=2)
+@example(n=60, k_min=2, k_max=6, shape="few_distinct", seed=3)  # reseeding, padded
+@example(n=3, k_min=2, k_max=5, shape="spread", seed=4)  # k_max clamped to n
+@settings(max_examples=60, deadline=None)
+def test_select_k_matches_per_k_reference_bitwise(n, k_min, k_max, shape, seed):
+    points = _cluster_points(n, shape, seed % 2**32)
+    try:
+        ks = cluster.k_range(n, k_min, k_max)
+    except TooFewPoints:
+        with pytest.raises(TooFewPoints):
+            select_k(points, k_min, k_max, seed)
+        return
+    result = select_k(points, k_min, k_max, seed)
+    expected_labels = {k: _reference_kmeans(points, k, derive_seed(seed, "k", k))[0]
+                       for k in ks}
+    expected_scores = {k: _reference_silhouette(points, labels)[1]
+                       for k, labels in expected_labels.items()}
+    assert list(result.silhouette_by_k.items()) == list(expected_scores.items())
+    assert result.k_star == pick_k(expected_scores)
+    assert result.assignments.tobytes() == expected_labels[result.k_star].tobytes()
+
+
+def test_select_k_runs_one_lloyd_stack_for_the_whole_sweep(monkeypatch):
+    # n = 9: C(9, 2) = 36 and C(9, 3) = 84 starts are enumerated, while
+    # C(9, 4) = C(9, 5) = 126 exceed the limit and take 10 k-means++ starts
+    starts = []
+    original = cluster.lloyd
+
+    def recorded(points, centers, *args):
+        starts.append(np.isfinite(centers[:, :, 0]).sum(axis=1).tolist())
+        return original(points, centers, *args)
+
+    monkeypatch.setattr(cluster, "lloyd", recorded)
+    select_k(_cluster_points(9, "spread", 6), 2, 5, seed=6)
+    assert starts == [[2] * 36 + [3] * 84 + [4] * 10 + [5] * 10]
+
+
+def test_select_k_reseeds_empty_clusters_in_the_padded_stack(monkeypatch):
+    # three distinct points: every start of k = 4 and k = 5 meets empty
+    # clusters, while k = 2 and k = 3 starts share the stack
+    points = np.repeat([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], 20, axis=0)
+    sizes = []
+    original = cluster._fill_empty_clusters
+
+    def recorded(points, centroids, assignments):
+        sizes.append(len(centroids))
+        return original(points, centroids, assignments)
+
+    monkeypatch.setattr(cluster, "_fill_empty_clusters", recorded)
+    result = select_k(points, 2, 5, seed=12)
+    assert {4, 5} <= set(sizes)  # each start sees only its real slots
+    for k in range(2, 6):
+        labels, _ = _reference_kmeans(points, k, derive_seed(12, "k", k))
+        assert result.silhouette_by_k[k] == _reference_silhouette(points, labels)[1]
+        if k == result.k_star:
+            assert result.assignments.tobytes() == labels.tobytes()
+
+
+def test_kmeans_sweep_rejects_k_beyond_n():
+    with pytest.raises(ValueError, match="^k=4 exceeds 3 points$"):
+        cluster.kmeans_sweep(np.zeros((3, 2)), {2: 0, 4: 1})

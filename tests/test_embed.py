@@ -217,8 +217,12 @@ def _reference_guttman(cells: np.ndarray, coords: np.ndarray,
                          [(4, MdsConfig(), 40, 0),
                           (9, MdsConfig(max_iterations=40, tolerance=1e-15), 40, 0),
                           (2, MdsConfig(max_iterations=4, tolerance=1e-15), 300, 0),
-                          (5, MdsConfig(max_iterations=40, tolerance=1e-15), 40, 4)],
-                         ids=["config0", "config1", "n300", "coincident"])
+                          (5, MdsConfig(max_iterations=40, tolerance=1e-15), 40, 4),
+                          (6, MdsConfig(max_iterations=40, tolerance=1e-15), 2, 0),
+                          (7, MdsConfig(max_iterations=40, tolerance=1e-15), 3, 0),
+                          (8, MdsConfig(max_iterations=40, tolerance=1e-15), 3, 1)],
+                         ids=["config0", "config1", "n300", "coincident", "n2", "n3",
+                              "n3-coincident"])
 def test_mds_embed_matches_reference_loop_bitwise(seed, config, n, copies):
     """n = 300 puts every row sum and the stress sum past numpy's
     128-element pairwise-summation block. With ``copies``, the last rows

@@ -13,11 +13,16 @@ that moves bits on purpose re-pins the manifest and says why in CHANGES.md:
     (cd OUT && find . -type f | sed 's|^\\./||' | LC_ALL=C sort \\
         | xargs sha256sum) > tests/golden/planted_all.sha256
 
-Pinned with numpy 2.4.6 on OpenBLAS 0.3.31 (scipy-openblas, DYNAMIC_ARCH,
-Haswell kernels) at its default thread count of 2 on a 2-core x86-64 host,
-Python 3.11. The same digests came out with ``OPENBLAS_NUM_THREADS=1``; a
-different BLAS or CPU kernel may round the Guttman product ``B @ X``
-differently and fail this test without any change to forkcast.
+Pinned with numpy 2.4.6 on OpenBLAS 0.3.31 (scipy-openblas, DYNAMIC_ARCH)
+at its default thread count of 2 on a 2-core AVX-512 x86-64 host, Python
+3.11. The same digests came out with ``OPENBLAS_NUM_THREADS=1``. On that
+host the test passes with OpenBLAS's default kernel choice and with
+``OPENBLAS_CORETYPE`` forced to SkylakeX or SapphireRapids. It fails with
+Haswell, Sandybridge or Prescott forced (286, 287 and 288 files change):
+each kernel rounds the Guttman product ``B @ X`` in its own order, so a
+host whose OpenBLAS picks a kernel without AVX-512 fails this test without
+any change to forkcast. ``numpy.show_runtime()`` names the SIMD features
+of the host a result came from.
 """
 
 from __future__ import annotations

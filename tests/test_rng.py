@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import copy
 from collections import Counter
 
+import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from forkcast.rng import SplitMix64, derive_seed
+from forkcast.rng import SplitMix64, SplitMix64Batch, derive_seed
 
 # Reference outputs of splitmix64 (Vigna's public-domain C version).
 SEED0_OUTPUTS = (0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F)
@@ -58,3 +61,39 @@ def test_derive_seed_stable_and_label_sensitive():
     assert derive_seed(0, "mds", 5) != derive_seed(1, "mds", 5)
     assert derive_seed(0, "kmeans", 5) != derive_seed(0, "mds", 5)
     assert 0 <= derive_seed(3, "x") < 2**64
+
+
+@given(st.lists(st.integers(min_value=0, max_value=2**64 - 1), min_size=1, max_size=8))
+def test_batch_draws_match_each_scalar_stream(seeds):
+    seeds = [0, 2**64 - 1] + seeds
+    batch, scalars = SplitMix64Batch(seeds), [SplitMix64(seed) for seed in seeds]
+    for _ in range(5):
+        draws = batch.next_u64()
+        assert draws.dtype == np.uint64
+        assert draws.tolist() == [rng.next_u64() for rng in scalars]
+    assert batch.uniform().tolist() == [rng.uniform() for rng in scalars]
+    for bound in (1, 7, 16, 2**64 - 1):
+        assert batch.below(bound).tolist() == [rng.below(bound) for rng in scalars]
+
+
+def test_batch_draws_on_picked_rows_only():
+    seeds = [3, 4, 5, 6]
+    batch, scalars = SplitMix64Batch(seeds), [SplitMix64(seed) for seed in seeds]
+    rows = np.array([True, False, True, False])
+    assert batch.uniform(rows).tolist() == [scalars[0].uniform(), scalars[2].uniform()]
+    assert batch.below(9, ~rows).tolist() == [scalars[1].below(9), scalars[3].below(9)]
+    assert batch.next_u64().tolist() == [rng.next_u64() for rng in scalars]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**64 - 1, 0x9E3779B97F4A7C15])
+def test_batch_below_falls_back_to_the_scalar_stream_on_rejection(seed):
+    # bound 2**63 + 1 rejects every draw at or above it, about half of them
+    bound = 2**63 + 1
+    seeds = [seed, seed ^ 1, derive_seed(seed, "a"), derive_seed(seed, "b")]
+    batch, scalars = SplitMix64Batch(seeds), [SplitMix64(seed) for seed in seeds]
+    rejected = 0
+    for _ in range(8):
+        rejected += sum(copy.copy(rng).next_u64() >= bound for rng in scalars)
+        assert batch.below(bound).tolist() == [rng.below(bound) for rng in scalars]
+        assert batch.next_u64().tolist() == [rng.next_u64() for rng in scalars]
+    assert rejected > 0
