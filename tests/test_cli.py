@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import collections
+import csv
 import hashlib
 import json
 from pathlib import Path
@@ -14,7 +15,7 @@ import forkcast.pipeline as pipeline_module
 import forkcast.validate as validate_module
 from forkcast import AnalysisSpec, MdsConfig, VoteEvent, WindowSpec
 from forkcast.cli import build_parser, main, parse_ranges, resolve_config
-from forkcast.errors import ConfigError
+from forkcast.errors import ConfigError, EmptyActiveSet
 from forkcast.ingest import load_fixture_with_report, write_fixture
 
 from conftest import events_from_rows
@@ -283,6 +284,64 @@ def test_directory_input_is_missing_artifact(tmp_path, capsys, flag):
     assert run(argv) == 2
     err = capsys.readouterr().err
     assert "MissingArtifact" in err and "is a directory" in err
+
+
+@pytest.mark.parametrize("command", ["ingest", "friction", "analyze", "validate", "all"])
+def test_out_that_cannot_be_a_directory_is_config_error_before_any_input(
+        tmp_path, monkeypatch, capsys, command):
+    def never_called(*args, **kwargs):
+        raise AssertionError("an input was read before the output directory was made")
+
+    monkeypatch.setattr(cli_module, "load_fixture_with_report", never_called)
+    monkeypatch.setattr(cli_module, "load_ground_truth", never_called)
+    out = tmp_path / "regular_file"
+    out.write_text("")
+    argv = [command, "--dao", "planted", "--fixture", str(FIXTURE), "--out", str(out)]
+    if command in ("analyze", "validate", "all"):
+        argv += ["--ground-truth", str(FORKERS)]
+    assert run(argv) == 2
+    assert "ConfigError" in capsys.readouterr().err
+
+
+def _read_csv(path: Path) -> list[list[str]]:
+    with open(path, encoding="utf-8", newline="") as handle:
+        return list(csv.reader(handle))
+
+
+def test_every_output_csv_has_rows_as_wide_as_its_header(tmp_path):
+    out = tmp_path / "out"
+    assert run(["all", "--dao", "planted", "--fixture", str(FIXTURE),
+                "--ground-truth", str(FORKERS), "--iterations", "1", "--export-dissim",
+                "--mds-iterations", "20", "--out", str(out)]) == 0
+    paths = sorted(out.rglob("*.csv"))
+    assert {path.parent.name for path in paths} == {"planted", "charts", "mds", "dissim"}
+    for path in paths:
+        header, *rows = _read_csv(path)
+        assert all(len(row) == len(header) for row in rows), path
+
+
+def test_csv_fields_with_commas_read_back_verbatim(tmp_path, monkeypatch):
+    """A field holding a comma or a quote is quoted, not rewritten: the DAO
+    name in the category chart's CSV, and a skip reason in skipped.csv."""
+    out = tmp_path / "out"
+    assert run(["friction", "--dao", "a,b", "--fixture", str(FIXTURE),
+                "--out", str(out)]) == 0
+    rows = _read_csv(out / "a,b" / "charts" / "disagreement_categories.csv")
+    assert [row[0] for row in rows[1:]] == ["a,b"]
+
+    reason = 'proposal 3: "odd", says the test'
+    active_set = pipeline_module.active_set
+
+    def skip_third(matrix, j, window):
+        if j == 3:
+            raise EmptyActiveSet(reason)
+        return active_set(matrix, j, window)
+
+    monkeypatch.setattr(pipeline_module, "active_set", skip_third)
+    assert run(["analyze", "--dao", "planted", "--fixture", str(FIXTURE),
+                "--mds-iterations", "5", "--out", str(out)]) == 0
+    assert _read_csv(out / "planted" / "skipped.csv") == [["proposal_id", "reason"],
+                                                          ["3", reason]]
 
 
 def test_friction_outputs(tmp_path):

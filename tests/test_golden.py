@@ -22,7 +22,10 @@ Haswell, Sandybridge or Prescott forced (286, 287 and 288 files change):
 each kernel rounds the Guttman product ``B @ X`` in its own order, so a
 host whose OpenBLAS picks a kernel without AVX-512 fails this test without
 any change to forkcast. ``numpy.show_runtime()`` names the SIMD features
-of the host a result came from.
+of the host a result came from; with ``OPENBLAS_VERBOSE=2`` set, as on the
+CI workflow's "numpy runtime" step, OpenBLAS also prints the kernel it
+picked (``Core: SkylakeX``), which ``show_runtime`` leaves out when
+``threadpoolctl`` is not installed.
 """
 
 from __future__ import annotations
