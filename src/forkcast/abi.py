@@ -1,4 +1,4 @@
-"""Minimal EVM event codec: keccak-256 topics plus head-word ABI decoding.
+"""Minimal EVM event codec: keccak-256 topics plus vote-word decoding.
 
 No keccak implementation ships with the standard library (hashlib's sha3 is
 the NIST-padded variant), so the permutation is implemented here and pinned
@@ -12,6 +12,10 @@ Vote events are decoded by convention rather than full ABI metadata:
   are the proposal id and the raw support value (``bool`` counts as an
   integer: 0 or 1),
 * every other parameter is ignored.
+
+Each signature is parsed once, when the registry is read: only
+``parse_event_signature`` picks these three parameters and fixes their log
+slots, and ``decode_vote`` decodes only those three words of a log.
 
 This covers GovernorBravo-style ``VoteCast(address,uint256,uint8,...)``
 layouts with the bare canonical signature, and Aragon-style layouts when
@@ -109,10 +113,15 @@ class EventParam:
 
 @dataclass(frozen=True)
 class EventAbi:
-    """Parsed vote-event signature with topic/data slot assignments."""
+    """Parsed vote-event signature. A log's words are its topics after topic0
+    (the indexed parameters), then its data head words (the others), each in
+    declaration order; ``vote_slots`` are the voter's, proposal id's and
+    support's positions in them."""
 
     name: str
     params: tuple[EventParam, ...]
+    topic_count: int
+    vote_slots: tuple[int, int, int]
 
     @property
     def canonical(self) -> str:
@@ -122,13 +131,6 @@ class EventAbi:
     def topic0(self) -> str:
         """keccak-256 of the canonical signature, hashed once per EventAbi."""
         return "0x" + keccak256(self.canonical.encode("ascii")).hex()
-
-    @property
-    def voter_index(self) -> int:
-        for i, p in enumerate(self.params):
-            if p.type == "address":
-                return i
-        raise AssertionError("validated at parse time")
 
 
 def parse_event_signature(signature: str) -> EventAbi:
@@ -145,7 +147,6 @@ def parse_event_signature(signature: str) -> EventAbi:
     if not body:
         raise ValueError(f"vote event needs parameters: {signature!r}")
     params: list[EventParam] = []
-    saw_indexed = False
     for raw in body.split(","):
         tokens = raw.split()
         if not tokens:
@@ -158,69 +159,49 @@ def parse_event_signature(signature: str) -> EventAbi:
             raise ValueError(f"cannot parse parameter {raw.strip()!r}")
         if indexed and abi_type in _DYNAMIC_TYPES:
             raise ValueError(f"indexed dynamic parameter unsupported in {signature!r}")
-        saw_indexed = saw_indexed or indexed
         params.append(EventParam(abi_type, indexed))
-    if not saw_indexed:
-        # bare canonical signature: governor convention, voter topic-indexed
-        for i, p in enumerate(params):
-            if p.type == "address":
-                params[i] = EventParam(p.type, True)
-                break
-    abi = EventAbi(name, tuple(params))
-    if not any(p.type == "address" for p in params):
+    voter = next((i for i, p in enumerate(params) if p.type == "address"), None)
+    if voter is None:
         raise ValueError(f"no address (voter) parameter in {signature!r}")
-    integer_params = [p for i, p in enumerate(params)
-                      if i != abi.voter_index and _is_integerish(p.type)]
-    if len(integer_params) < 2:
+    if not any(p.indexed for p in params):
+        # bare canonical signature: governor convention, voter topic-indexed
+        params[voter] = EventParam("address", True)
+    integers = [i for i, p in enumerate(params) if i != voter and _is_integerish(p.type)]
+    if len(integers) < 2:
         raise ValueError(f"need proposal and support parameters in {signature!r}")
-    return abi
+    # parameter indices in word order: the indexed ones first (a stable sort)
+    words = sorted(range(len(params)), key=lambda i: not params[i].indexed)
+    return EventAbi(name, tuple(params), sum(p.indexed for p in params),
+                    (words.index(voter), words.index(integers[0]), words.index(integers[1])))
 
 
 def _strip_0x(value: str) -> str:
     return value[2:] if value.startswith(("0x", "0X")) else value
 
 
-def decode_fields(abi: EventAbi, topics: tuple[str, ...], data: str) -> dict[int, int | str]:
-    """Decode per-parameter values; addresses as hex strings, ints as ints.
+def decode_vote(abi: EventAbi, topics: tuple[str, ...], data: str) -> tuple[str, int, int]:
+    """(voter, proposal_id, support) of one log: the voter as hex, the others
+    as unsigned ints; no other word is decoded.
 
-    Dynamic data parameters decode to their head offsets and are never used
-    by callers. Raises ValueError on short or non-hex topics/data segments.
+    Raises ValueError on a wrong topic count or short or non-hex topics/data.
     """
-    indexed = [p for p in abi.params if p.indexed]
-    if len(topics) != 1 + len(indexed):
-        raise ValueError(
-            f"expected {1 + len(indexed)} topics, got {len(topics)}")
+    if len(topics) != 1 + abi.topic_count:
+        raise ValueError(f"expected {1 + abi.topic_count} topics, got {len(topics)}")
     try:
         blob = bytes.fromhex(_strip_0x(data))
     except ValueError as exc:
         raise ValueError(f"data segment is not hex: {exc}") from exc
-    head_count = sum(1 for p in abi.params if not p.indexed)
+    head_count = len(abi.params) - abi.topic_count
     if len(blob) < 32 * head_count:
         raise ValueError(
             f"data segment too short: {len(blob)} bytes for {head_count} words")
-    values: dict[int, int | str] = {}
-    topic_pos, word_pos = 1, 0
-    for i, param in enumerate(abi.params):
-        if param.indexed:
-            word_hex = _strip_0x(topics[topic_pos])
-            if len(word_hex) != 64:
-                raise ValueError(f"topic {topic_pos} is not 32 bytes")
-            word = bytes.fromhex(word_hex)
-            topic_pos += 1
-        else:
-            word = blob[32 * word_pos:32 * word_pos + 32]
-            word_pos += 1
-        if param.type == "address":
-            values[i] = "0x" + word[-20:].hex()
-        else:
-            values[i] = int.from_bytes(word, "big")
-    return values
-
-
-def vote_fields(abi: EventAbi, values: dict[int, int | str]) -> tuple[str, int, int]:
-    """Extract (voter, proposal_id, support) per the decoding convention."""
-    voter = values[abi.voter_index]
-    assert isinstance(voter, str)
-    integers = [values[i] for i, p in enumerate(abi.params)
-                if i != abi.voter_index and _is_integerish(p.type)]
-    return voter, int(integers[0]), int(integers[1])
+    words = []
+    for position, topic in enumerate(topics[1:], start=1):
+        word_hex = _strip_0x(topic)
+        if len(word_hex) != 64:
+            raise ValueError(f"topic {position} is not 32 bytes")
+        words.append(bytes.fromhex(word_hex))
+    words.extend(blob[start:start + 32] for start in range(0, 32 * head_count, 32))
+    voter, proposal_id, support = (words[slot] for slot in abi.vote_slots)
+    return ("0x" + voter[-20:].hex(), int.from_bytes(proposal_id, "big"),
+            int.from_bytes(support, "big"))

@@ -15,6 +15,8 @@ import dataclasses
 import json
 import os
 import sys
+import types
+import typing
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import repeat
@@ -57,6 +59,15 @@ from .validate import (
 
 RPC_URL_ENV = "FORKCAST_RPC_URL"
 
+# the exact types a setting of each declared type takes, and their name: true
+# is not a number, a flag is only true or false, an int is a valid float
+_SETTING_TYPES = {
+    int: ((int,), "an integer"),
+    float: ((int, float), "a number"),
+    bool: ((bool,), "true or false"),
+    str: ((str,), "a string"),
+}
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -81,12 +92,14 @@ class RunConfig:
     chunk_size: int = 10_000
 
     def __post_init__(self) -> None:
-        for field in dataclasses.fields(self):
-            value = getattr(self, field.name)
-            if field.type == "int | None" and value is None:
-                continue
-            if field.type in ("int", "int | None") and type(value) is not int:
-                raise ValueError(f"{field.name} must be an integer, got {value!r}")
+        for name, hint in typing.get_type_hints(RunConfig).items():
+            # (T,) or, for an optional setting, (T, NoneType)
+            declared = typing.get_args(hint) if isinstance(hint, types.UnionType) else (hint,)
+            if declared[0] in _SETTING_TYPES:
+                accepted, kind = _SETTING_TYPES[declared[0]]
+                value = getattr(self, name)
+                if type(value) not in accepted + declared[1:]:
+                    raise ValueError(f"{name} must be {kind}, got {value!r}")
         self.analysis_spec()  # raises on a bad window, MDS or k setting
         if self.iterations < 0:
             raise ValueError("iterations must be >= 0")
@@ -123,11 +136,10 @@ def parse_ranges(value: str | Sequence) -> tuple[tuple[int, int], ...]:
     return tuple(ranges)
 
 
-def _registry(config_values: dict):
-    path = config_values.get("registry_path")
-    try:
-        return load_registry(path) if path else bundled_registry()
-    except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
+def _registry(path: object):
+    try:  # ``Path`` refuses a non-path, which ``open`` could take as a file descriptor
+        return load_registry(Path(path)) if path else bundled_registry()
+    except (OSError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
         raise ConfigError(f"cannot read registry {path}: {exc}") from exc
 
 
@@ -149,9 +161,11 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     cli_values = {key: value for key, value in vars(args).items()
                   if key in _CONFIG_FIELDS and value is not None}
     dao = cli_values.get("dao") or file_values.get("dao")
-    registry = _registry({**file_values, **cli_values})
-    if dao and dao in registry:
-        defaults = registry[dao].analysis_defaults
+    registry = _registry({**file_values, **cli_values}.get("registry_path"))
+    # by name, not by hash: a dao that is not a string is left to RunConfig
+    entry = next((entry for entry in registry.values() if entry.name == dao), None)
+    if entry is not None:
+        defaults = entry.analysis_defaults
         unknown = set(defaults) - _CONFIG_FIELDS
         if unknown:
             raise ConfigError(f"unknown registry defaults for {dao}: {sorted(unknown)}")
@@ -184,7 +198,7 @@ def _load_events(config: RunConfig, fetch: bool = False) -> list[VoteEvent]:
     if config.fixture or not (fetch and config.rpc_url):
         events, duplicates = load_fixture_with_report(_fixture_path(config))
     else:
-        registry = _registry(dataclasses.asdict(config))
+        registry = _registry(config.registry_path)
         if config.dao not in registry:
             raise ConfigError(f"dao {config.dao!r} not in registry")
         entry = registry[config.dao]

@@ -52,7 +52,7 @@ class MdsConfig:
     def __post_init__(self) -> None:
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.tolerance <= 0:
+        if not self.tolerance > 0:  # NaN too: no step would ever converge
             raise ValueError("tolerance must be > 0")
 
 

@@ -111,7 +111,8 @@ _escaped_byte = re.compile("[\udc80-\udcff]").search
 
 @dataclass(frozen=True)
 class DaoRegistryEntry:
-    """One DAO's governance contract and event configuration."""
+    """One DAO's governance contract and event configuration; ``event_abis``
+    are its event signatures, parsed once when the entry is made."""
 
     name: str
     chain: str
@@ -120,6 +121,7 @@ class DaoRegistryEntry:
     end_block: int
     event_signatures: tuple[str, ...]
     analysis_defaults: dict = field(default_factory=dict, compare=False)
+    event_abis: tuple[abi.EventAbi, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "governance_contract",
@@ -130,6 +132,8 @@ class DaoRegistryEntry:
             raise ValueError(f"{self.name}: deploy_block > end_block")
         if not self.event_signatures:
             raise ValueError(f"{self.name}: event_signatures must be non-empty")
+        object.__setattr__(self, "event_abis",
+                           tuple(map(abi.parse_event_signature, self.event_signatures)))
 
 
 @dataclass(frozen=True)
@@ -179,9 +183,7 @@ def decode_vote_event(raw_log: RawLog, event_abi: abi.EventAbi) -> VoteEvent:
         raise SignatureMismatch(
             f"{where}: topic0 does not match {event_abi.canonical}")
     try:
-        values = abi.decode_fields(event_abi, raw_log.topics, raw_log.data)
-        voter, proposal_id, support = abi.vote_fields(event_abi, values)
-        return VoteEvent(voter, proposal_id, support,
+        return VoteEvent(*abi.decode_vote(event_abi, raw_log.topics, raw_log.data),
                          raw_log.block_number, raw_log.log_index)
     except ValueError as exc:
         raise MalformedData(f"{where}: {exc}") from exc
@@ -351,8 +353,7 @@ def fetch_logs(
         raise ValueError("chunk_size must be positive")
     if transport is None:
         transport = HttpTransport(endpoint)
-    by_topic = {event_abi.topic0: event_abi
-                for event_abi in map(abi.parse_event_signature, entry.event_signatures)}
+    by_topic = {event_abi.topic0: event_abi for event_abi in entry.event_abis}
     events: list[VoteEvent] = []
     start = lo
     while start <= hi:

@@ -66,11 +66,18 @@ def test_parse_ranges():
     ([], {"iterations": 1.5}),
     ([], {"root_seed": 2.5}),
     ([], {"from_block": 2.5}),
+    (["--mds-tolerance", "nan"], None),
+    ([], '{"tolerance": NaN}'),  # json.load reads NaN
+    ([], {"export_dissim": "false"}),
+    ([], {"participation_threshold": True}),
+    ([], {"tolerance": True}),
+    ([], {"rpc_url": 5}),
 ], ids=["window-file", "window-flag", "tolerance", "rolling-stat", "k-min-1",
         "k-min-above-k-max", "iterations", "min-fork-present", "ranges-short-pair",
         "ranges-int", "ranges-empty", "config-list", "config-null", "window-float",
         "window-bool", "k-min-float", "iterations-float", "seed-float",
-        "from-block-float"])
+        "from-block-float", "tolerance-nan-flag", "tolerance-nan-file",
+        "flag-string", "threshold-bool", "tolerance-bool", "rpc-url-int"])
 def test_bad_setting_is_config_error_before_any_input(tmp_path, capsys, flags, config):
     """``config`` is the config file's contents: a value to write as JSON, or
     the file's text when it is a string."""
@@ -85,6 +92,37 @@ def test_bad_setting_is_config_error_before_any_input(tmp_path, capsys, flags, c
     assert code == 2
     assert "ConfigError" in capsys.readouterr().err
     assert not out.exists()  # rejected before any stage ran
+
+
+@pytest.mark.parametrize("dao", [5, ["planted"]], ids=["int", "list"])
+def test_dao_from_config_must_be_a_string(tmp_path, capsys, dao):
+    config_file = tmp_path / "run.json"
+    config_file.write_text(json.dumps({"dao": dao}))
+    out = tmp_path / "out"
+    code = run(["all", "--config", str(config_file), "--fixture", str(FIXTURE),
+                "--out", str(out)])
+    assert code == 2
+    assert "ConfigError: dao must be a string" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_registry_path_that_is_not_a_path_is_never_opened(tmp_path, monkeypatch):
+    """``open(True)`` would read, then close, file descriptor 1."""
+    opened = []
+    monkeypatch.setattr(cli_module, "load_registry", opened.append)
+    config_file = tmp_path / "run.json"
+    config_file.write_text(json.dumps({"registry_path": True}))
+    with pytest.raises(ConfigError, match="cannot read registry True"):
+        resolve_config(build_parser().parse_args(["analyze", "--config", str(config_file)]))
+    assert opened == []
+
+
+def test_int_setting_is_a_valid_number(tmp_path):
+    config_file = tmp_path / "run.json"
+    config_file.write_text(json.dumps({"participation_threshold": 1}))
+    config = resolve_config(build_parser().parse_args(
+        ["analyze", "--config", str(config_file)]))
+    assert config.participation_threshold == 1
 
 
 _PLANTED_ENTRY = {"name": "planted", "chain": "ethereum",
@@ -103,9 +141,12 @@ _PLANTED_ENTRY = {"name": "planted", "chain": "ethereum",
     json.dumps({"daos": [{**_PLANTED_ENTRY,
                           "event_signatures": "VoteCast(address,uint256,uint8)"}]}),
     json.dumps({"daos": [{**_PLANTED_ENTRY, "event_signatures": [None]}]}),
+    json.dumps({"daos": [{**_PLANTED_ENTRY, "event_signatures": ["not a signature"]}]}),
+    json.dumps({"daos": [{**_PLANTED_ENTRY,
+                          "event_signatures": ["VoteCast(uint256,uint8)"]}]}),
 ], ids=["malformed-json", "top-level-list", "daos-object", "entry-int",
         "float-default", "float-block", "bool-block", "signatures-string",
-        "signature-null"])
+        "signature-null", "signature-unparsable", "signature-no-voter"])
 def test_bad_registry_is_config_error_before_any_input(tmp_path, capsys, text):
     registry = tmp_path / "registry.json"
     registry.write_text(text)
@@ -114,6 +155,19 @@ def test_bad_registry_is_config_error_before_any_input(tmp_path, capsys, text):
                 "--registry", str(registry), "--out", str(out)])
     assert code == 2
     assert "ConfigError" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["ingest", "friction", "analyze", "validate", "all"])
+def test_unusable_signature_is_config_error_for_every_command(tmp_path, capsys, command):
+    registry = tmp_path / "registry.json"
+    registry.write_text(json.dumps({"daos": [{**_PLANTED_ENTRY,
+                                              "event_signatures": ["Voted(uint256,uint8)"]}]}))
+    out = tmp_path / "out"
+    code = run([command, "--dao", "planted", "--fixture", str(FIXTURE),
+                "--registry", str(registry), "--out", str(out)])
+    assert code == 2
+    assert "no address (voter) parameter" in capsys.readouterr().err
     assert not out.exists()
 
 

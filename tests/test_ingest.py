@@ -18,7 +18,6 @@ from forkcast import abi, planted_two_bloc_events
 from forkcast.abi import (
     _DYNAMIC_TYPES,
     EventAbi,
-    _is_integerish,
     _strip_0x,
     keccak256,
     parse_event_signature,
@@ -73,31 +72,23 @@ def encode_vote_data(abi: EventAbi, voter: str, proposal_id: int,
                      support: int) -> tuple[tuple[str, ...], str]:
     """Build (topics, data) for a synthetic log of this event.
 
-    Integer parameters beyond proposal/support encode as zero; dynamic
-    parameters as empty. Inverse of decode for the fields a VoteEvent keeps.
+    The voter, proposal id and support go to the event's vote slots; other
+    words encode as zero, and dynamic parameters as empty. Inverse of decode
+    for the fields a VoteEvent keeps.
     """
-    integer_slots = [i for i, p in enumerate(abi.params)
-                     if i != abi.voter_index and _is_integerish(p.type)]
-    assigned = {integer_slots[0]: proposal_id, integer_slots[1]: support}
-    topics = [abi.topic0]
-    head: list[bytes] = []
-    tail: list[bytes] = []
+    words = [bytes(32)] * len(abi.params)  # topics after topic0, then data heads
+    voter_slot, proposal_slot, support_slot = abi.vote_slots
+    words[voter_slot] = bytes(12) + bytes.fromhex(_strip_0x(voter))
+    words[proposal_slot] = proposal_id.to_bytes(32, "big")
+    words[support_slot] = support.to_bytes(32, "big")
     data_params = [p for p in abi.params if not p.indexed]
-    tail_offset = 32 * len(data_params)
-    for i, param in enumerate(abi.params):
-        if param.type == "address":
-            word = bytes(12) + bytes.fromhex(_strip_0x(voter))
-        elif param.type in _DYNAMIC_TYPES:
-            word = tail_offset.to_bytes(32, "big")
-            tail.append((0).to_bytes(32, "big"))  # zero-length payload
-            tail_offset += 32
-        else:
-            word = assigned.get(i, 0).to_bytes(32, "big")
-        if param.indexed:
-            topics.append("0x" + word.hex())
-        else:
-            head.append(word)
-    return tuple(topics), "0x" + b"".join(head + tail).hex()
+    tail: list[bytes] = []
+    for slot, param in enumerate(data_params, start=abi.topic_count):
+        if param.type in _DYNAMIC_TYPES:
+            words[slot] = (32 * (len(data_params) + len(tail))).to_bytes(32, "big")
+            tail.append(bytes(32))  # zero-length payload
+    topics = (abi.topic0, *("0x" + word.hex() for word in words[:abi.topic_count]))
+    return topics, "0x" + b"".join(words[abi.topic_count:] + tail).hex()
 
 
 def encode_vote_event(event: VoteEvent, signature: str,
@@ -276,6 +267,23 @@ def test_decode_short_data_is_malformed():
                  (NOUNS_TOPIC0, "0x" + "00" * 12 + "aa" * 20),
                  "0x" + _word(7), 5, 9)
     with pytest.raises(MalformedData, match="block 5 log 9"):
+        decode_vote_event(log, NOUNS_ABI)
+
+
+_VOTER_TOPIC = "0x" + "00" * 12 + "aa" * 20
+
+
+@pytest.mark.parametrize("topics,data,message", [
+    ((NOUNS_TOPIC0,), _word(7) * 4, "expected 2 topics, got 1"),
+    ((NOUNS_TOPIC0, _VOTER_TOPIC), "zz", "data segment is not hex: "),
+    ((NOUNS_TOPIC0, _VOTER_TOPIC), _word(7) * 3,
+     "data segment too short: 96 bytes for 4 words"),
+    ((NOUNS_TOPIC0, "0x" + "aa" * 20), _word(7) * 4, "topic 1 is not 32 bytes"),
+    ((NOUNS_TOPIC0, "0x" + "zz" * 32), _word(7) * 4, "non-hexadecimal number"),
+], ids=["topic-count", "data-not-hex", "data-short", "topic-short", "topic-not-hex"])
+def test_decode_malformed_log_names_the_fault(topics, data, message):
+    log = RawLog("0x" + "11" * 20, topics, "0x" + data, 5, 9)
+    with pytest.raises(MalformedData, match=f"^block 5 log 9: {message}"):
         decode_vote_event(log, NOUNS_ABI)
 
 
@@ -813,6 +821,16 @@ def test_fetch_logs_hashes_each_signature_once():
                             transport=StaticLogTransport(logs))
     assert len(events) == 40
     assert keccak.call_count == 2
+
+
+def test_fetch_logs_uses_the_entry_parsed_signatures():
+    entry = _entry(signatures=(NOUNS_SIG, ARAGON_SIG))
+    with mock.patch.object(abi, "parse_event_signature",
+                           wraps=abi.parse_event_signature) as parse:
+        events = fetch_logs("http://unused", entry, (1000, 1039), chunk_size=7,
+                            transport=StaticLogTransport(_nouns_like_logs(40)))
+    assert len(events) == 40
+    assert parse.call_count == 0
 
 
 def test_every_event_source_builds_vote_events():
