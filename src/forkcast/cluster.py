@@ -249,18 +249,22 @@ def silhouette(points: np.ndarray, assignments: np.ndarray,
     """Per-point silhouette values and their arithmetic mean.
 
     ``distances`` is ``pairwise_distances(points)`` when the caller already
-    has it. Conventions: singleton clusters score 0, and so do points where
-    both cohesion and separation are zero (coincident points).
+    has it. ``assignments`` are non-negative integer labels. Conventions:
+    singleton clusters score 0, and so do points where both cohesion and
+    separation are zero (coincident points).
     """
-    labels, own, sizes = np.unique(np.asarray(assignments), return_inverse=True,
-                                   return_counts=True)
-    if len(labels) < 2:
+    own = np.asarray(assignments)
+    sizes = np.bincount(own)
+    if not sizes.all():  # some label in 0..max unused: number the used ones
+        labels = np.flatnonzero(sizes)
+        own, sizes = np.searchsorted(labels, own), sizes[labels]
+    if len(sizes) < 2:
         raise ValueError("silhouette needs at least 2 clusters")
     if distances is None:
         distances = pairwise_distances(np.asarray(points, dtype=np.float64))
     # contiguous copy: see the module docstring
     sums = np.stack([np.ascontiguousarray(distances[:, own == c]).sum(axis=1)
-                     for c in range(len(labels))], axis=1)
+                     for c in range(len(sizes))], axis=1)
     rows = np.arange(len(own))
     own_sizes = sizes[own]
     with np.errstate(divide="ignore", invalid="ignore"):

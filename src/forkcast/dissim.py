@@ -10,12 +10,12 @@ other; pairs with no shared valid votes score 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .errors import EmptyActiveSet
+from .errors import AllZeroDissimilarity, EmptyActiveSet
 from .ingest import Address
 from .matrix import VoterMatrix
 
@@ -79,6 +79,32 @@ def active_set(matrix: VoterMatrix, j: int, spec: WindowSpec) -> ActiveSet:
         columns=columns,
         addresses=tuple(matrix.addresses[i] for i in rows),
     )
+
+
+def distinct_patterns(matrix: VoterMatrix,
+                      active: ActiveSet) -> tuple[ActiveSet, np.ndarray, np.ndarray]:
+    """The active set of each distinct window row's first voter (in voter
+    order), each voter's pattern index and each pattern's voter count.
+
+    Voters with one row are 0 apart, except rows without a valid vote: they
+    share no vote, score 1 and are never merged. A single pattern raises
+    :class:`AllZeroDissimilarity`.
+    """
+    sub = matrix.cells[list(active.rows), active.columns.start:active.columns.stop]
+    empty = (sub < 0).all(axis=1)
+    if empty.any():  # only at threshold 0: tag each such row with its index
+        tags = np.where(empty, np.arange(len(sub)), -1)[:, None]
+        sub = np.concatenate([sub, tags.view(np.int8)], axis=1)
+    keys = np.ascontiguousarray(sub).view(np.dtype((np.void, sub.shape[1]))).ravel()
+    _, first, inverse, counts = np.unique(keys, return_index=True, return_inverse=True,
+                                          return_counts=True)
+    if len(counts) == 1:
+        raise AllZeroDissimilarity("all dissimilarities are zero")
+    order = np.argsort(first)
+    rows = np.asarray(active.rows)[first[order]].tolist()
+    patterns = replace(active, rows=tuple(rows),
+                       addresses=tuple(matrix.addresses[i] for i in rows))
+    return patterns, np.argsort(order)[inverse], counts[order]
 
 
 def dissimilarity_matrix(matrix: VoterMatrix,

@@ -4,22 +4,27 @@ Each Guttman transform step minimizes the quadratic majorizer of the raw
 stress, so stress is non-increasing iteration to iteration. The reported
 stress is the normalized form
 
-    sqrt( sum_{i<k} (d_ik - |x_i - x_k|)^2 / sum_{i<k} d_ik^2 )
+    sqrt( sum_{i<k} w_ik (d_ik - |x_i - x_k|)^2 / sum_{i<k} w_ik d_ik^2 )
 
 and the stopping rule is relative stress decrease below ``tolerance``.
+The weights ``w_ik = m_i m_k`` (Borg & Groenen, *Modern MDS*, section 8.6)
+let a point of multiplicity m stand for m coincident voters: with
+``N = sum(m)`` the step ``X <- B(X) X / (N m)``, B's cells weighted by w,
+is the unweighted step on every voter. Unit multiplicities are the default.
 Each Guttman step computes one distance matrix: the distances that score
 the stress of an iterate are the ones the next step builds its B matrix
-from. The upper-triangle mask, target dissimilarities and stress
-denominator are computed once per embedding, and so are the n x n buffers
-(distances, a coordinate-difference scratch and B) that every step refills
-in place with ``out=`` ufuncs. B is the negated cells divided by the
-distances, since (-c)/d is -(c/d) bit for bit; its diagonal is written
-through a strided view, and ``B @ X`` goes into a preallocated buffer and
-is divided by n into the coordinate array, whose column views the distance
-fill keeps from step to step. Stress gathers the upper triangle through a
-boolean ``np.triu`` mask: the same row-major sequence as
-``np.triu_indices``, about 4x faster, so every sum adds in the same order
-and every output bit is that of the plain array expressions.
+from. The upper-triangle mask, weighted targets and stress denominator are
+computed once per embedding, and so are the n x n buffers (distances, a
+coordinate-difference scratch and B) that every step refills in place with
+``out=`` ufuncs. B is the negated weighted cells divided by the distances,
+since (-c)/d is -(c/d) bit for bit; its diagonal is written through a
+strided view. ``B @ X`` is an ``einsum``, which numpy sums without BLAS
+(so no BLAS kernel choice moves a bit), into a buffer that is divided into
+the coordinate array, whose column views the distance fill keeps. Stress
+gathers the upper triangle through a boolean ``np.triu`` mask: the same
+row-major sequence as ``np.triu_indices``, about 4x faster, so every sum
+adds in the same order and every output bit is that of the plain array
+expressions.
 Consecutive proposals are chained by warm-starting from the previous
 embedding, which pins down rotation/reflection across frames.
 """
@@ -52,8 +57,9 @@ class MdsConfig:
     def __post_init__(self) -> None:
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if not self.tolerance > 0:  # NaN too: no step would ever converge
-            raise ValueError("tolerance must be > 0")
+        # not NaN (no step would ever converge) nor inf (every step would)
+        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
+            raise ValueError("tolerance must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -100,22 +106,25 @@ def pairwise_distances(coords: np.ndarray) -> np.ndarray:
     return out
 
 
-def _stress_terms(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """Upper-triangle mask, target dissimilarities and stress denominator."""
+def _stress_terms(cells: np.ndarray, weights: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """Upper-triangle mask, target dissimilarities, their weights and the
+    stress denominator."""
     upper = np.triu(np.ones(cells.shape, dtype=bool), k=1)
-    target = cells[upper]
-    denominator = float((target ** 2).sum())
+    target, upper_weights = cells[upper], weights[upper]
+    denominator = float((upper_weights * target ** 2).sum())
     if denominator == 0.0:
         raise AllZeroDissimilarity("all dissimilarities are zero")
-    return upper, target, denominator
+    return upper, target, upper_weights, denominator
 
 
-def _normalized_stress(target: np.ndarray, denominator: float,
+def _normalized_stress(target: np.ndarray, weights: np.ndarray, denominator: float,
                        fitted: np.ndarray) -> float:
     """Normalized stress of the gathered distances ``fitted``, which are
-    overwritten with the squared residuals."""
+    overwritten with the weighted squared residuals."""
     np.subtract(target, fitted, out=fitted)
     np.multiply(fitted, fitted, out=fitted)
+    np.multiply(fitted, weights, out=fitted)
     return math.sqrt(float(fitted.sum()) / denominator)
 
 
@@ -125,8 +134,8 @@ def stress(d: DissimilarityMatrix, coords: np.ndarray) -> float:
     coords = np.asarray(coords, dtype=np.float64)
     if coords.shape != (cells.shape[0], 2):
         raise ValueError(f"coords shape {coords.shape} != ({cells.shape[0]}, 2)")
-    upper, target, denominator = _stress_terms(cells)
-    return _normalized_stress(target, denominator, pairwise_distances(coords)[upper])
+    upper, target, weights, denominator = _stress_terms(cells, np.ones(cells.shape))
+    return _normalized_stress(target, weights, denominator, pairwise_distances(coords)[upper])
 
 
 def random_init(n: int, seed: int) -> np.ndarray:
@@ -136,10 +145,12 @@ def random_init(n: int, seed: int) -> np.ndarray:
 
 
 def mds_embed(d: DissimilarityMatrix, init: np.ndarray,
-              config: MdsConfig = MdsConfig()) -> Embedding:
+              config: MdsConfig = MdsConfig(),
+              multiplicity: np.ndarray | None = None) -> Embedding:
     """Embed one dissimilarity matrix in 2D, starting from ``init``.
 
-    Deterministic given (d, init, config); per-iteration stress is
+    ``multiplicity`` counts the voters each point stands for (``None``: one
+    each). Deterministic given all four arguments; per-iteration stress is
     non-increasing and recorded in ``stress_path``.
     """
     cells = d.cells
@@ -153,17 +164,22 @@ def mds_embed(d: DissimilarityMatrix, init: np.ndarray,
         raise ValueError(f"init shape {coords.shape} != ({n}, 2)")
     if not np.all(np.isfinite(coords)):
         raise ValueError("init coordinates contain non-finite values")
-    upper, target, denominator = _stress_terms(cells)
+    m = np.ones(n) if multiplicity is None else np.asarray(multiplicity, dtype=np.float64)
+    if m.shape != (n,) or not (np.isfinite(m) & (m > 0)).all():
+        raise ValueError(f"multiplicity must be {n} finite positive weights")
+    weights = np.multiply.outer(m, m)
+    upper, target, upper_weights, denominator = _stress_terms(cells, weights)
     distances, scratch, b = np.empty((n, n)), np.empty((n, n)), np.empty((n, n))
-    negated = np.negative(cells)  # (-c) / d is -(c / d), bit for bit
+    negated = np.negative(weights * cells)  # (-c) / d is -(c / d), bit for bit
     diagonal = b.reshape(-1)[::n + 1]
-    product = np.empty((n, 2))
+    scale = np.repeat(m.sum() * m, 2).reshape(n, 2)  # N m, unbroadcast: a faster divide
+    transposed, product = np.empty((2, n)), np.empty((n, 2))
     axes = _axis_views(coords)
     _fill_distances(axes, distances, scratch)
-    current = _normalized_stress(target, denominator, distances[upper])
+    current = _normalized_stress(target, upper_weights, denominator, distances[upper])
     path = [current]
     iterations = 0
-    # B = -(cells / distances) where distances > 0, -0.0 elsewhere. A zero
+    # B = -(w cells / distances) where distances > 0, -0.0 elsewhere. A zero
     # (or nan) off-diagonal distance divides to inf or nan, so its row sum
     # is not finite; only then are those cells rewritten.
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -176,11 +192,13 @@ def mds_embed(d: DissimilarityMatrix, init: np.ndarray,
                 diagonal[:] = 0.0
                 sums = np.add.reduce(b, axis=1)
             np.negative(sums, out=diagonal)
-            # X <- (B @ X) / n, written back into the buffer behind ``axes``
-            np.matmul(b, coords, out=product)
-            np.divide(product, n, out=coords)
+            # X <- (B @ X) / (N m), written back into the buffer behind
+            # ``axes``; einsum sums each row in numpy's order, not BLAS's
+            np.copyto(transposed, coords.T)
+            np.einsum("ij,kj->ik", b, transposed, out=product)
+            np.divide(product, scale, out=coords)
             _fill_distances(axes, distances, scratch)
-            new = _normalized_stress(target, denominator, distances[upper])
+            new = _normalized_stress(target, upper_weights, denominator, distances[upper])
             path.append(new)
             iterations = iteration
             if current - new <= config.tolerance * current:

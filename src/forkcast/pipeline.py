@@ -8,7 +8,9 @@ seeds derive from the root seed per (namespace, stage, proposal id).
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+
+import numpy as np
 
 from .cluster import DEFAULT_K_MAX, DEFAULT_K_MIN, ClusteringResult, k_range, select_k
 from .dissim import (
@@ -16,6 +18,7 @@ from .dissim import (
     WindowSpec,
     active_set,
     dissimilarity_matrix,
+    distinct_patterns,
 )
 from .embed import Embedding, MdsConfig, mds_embed, warm_start
 from .errors import AllZeroDissimilarity, EmptyActiveSet, TooFewPoints
@@ -60,9 +63,12 @@ def analyze_matrix(matrix: VoterMatrix, spec: AnalysisSpec = AnalysisSpec(), *,
     """Analyze every proposal after the first; unanalyzable ones are recorded,
     not fatal. The previous successful embedding seeds the next warm start.
 
-    ``on_dissim`` receives each analyzed proposal's dissimilarity matrix once,
-    in proposal order; the result keeps none of them, so at most one n x n
-    matrix is alive at a time.
+    Each distinct window row is embedded once, weighted by its voter count,
+    from the mean of its voters' warm starts; its voters share its point.
+
+    ``on_dissim`` receives each analyzed proposal's dissimilarity matrix (over
+    all active addresses) once, in proposal order; the result keeps none of
+    them, so at most one n x n matrix is alive at a time.
     """
     analyses: list[ProposalAnalysis] = []
     skipped: list[tuple[int, str]] = []
@@ -72,10 +78,14 @@ def analyze_matrix(matrix: VoterMatrix, spec: AnalysisSpec = AnalysisSpec(), *,
         try:
             active = active_set(matrix, j, spec.window)
             k_range(len(active.addresses), spec.k_min, spec.k_max)  # before any embedding
-            d = dissimilarity_matrix(matrix, active)
+            patterns, voters, counts = distinct_patterns(matrix, active)
+            d = dissimilarity_matrix(matrix, patterns)
             init = warm_start(previous, active.addresses,
                               derive_seed(spec.root_seed, *namespace, "mds", proposal_id))
-            embedding = mds_embed(d, init, spec.mds)
+            start = np.column_stack([np.bincount(voters, x) for x in init.T]) / counts[:, None]
+            embedding = mds_embed(d, start, spec.mds, counts)
+            embedding = replace(embedding, addresses=active.addresses,
+                                coords=embedding.coords[voters])
             clustering = select_k(
                 embedding.coords, spec.k_min, spec.k_max,
                 derive_seed(spec.root_seed, *namespace, "kmeans", proposal_id))
@@ -83,6 +93,8 @@ def analyze_matrix(matrix: VoterMatrix, spec: AnalysisSpec = AnalysisSpec(), *,
             skipped.append((proposal_id, str(exc)))
             continue
         if on_dissim is not None:
+            # rebound, so the pattern matrix is freed before the export runs
+            d = replace(d, addresses=active.addresses, cells=d.cells[np.ix_(voters, voters)])
             on_dissim(d)
         analyses.append(ProposalAnalysis(proposal_id, embedding, clustering))
         previous = embedding

@@ -68,6 +68,8 @@ def test_parse_ranges():
     ([], {"from_block": 2.5}),
     (["--mds-tolerance", "nan"], None),
     ([], '{"tolerance": NaN}'),  # json.load reads NaN
+    (["--mds-tolerance", "inf"], None),  # every frame would stop after one step
+    ([], '{"tolerance": Infinity}'),
     ([], {"export_dissim": "false"}),
     ([], {"participation_threshold": True}),
     ([], {"tolerance": True}),
@@ -77,6 +79,7 @@ def test_parse_ranges():
         "ranges-int", "ranges-empty", "config-list", "config-null", "window-float",
         "window-bool", "k-min-float", "iterations-float", "seed-float",
         "from-block-float", "tolerance-nan-flag", "tolerance-nan-file",
+        "tolerance-inf-flag", "tolerance-inf-file",
         "flag-string", "threshold-bool", "tolerance-bool", "rpc-url-int"])
 def test_bad_setting_is_config_error_before_any_input(tmp_path, capsys, flags, config):
     """``config`` is the config file's contents: a value to write as JSON, or

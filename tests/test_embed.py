@@ -203,7 +203,7 @@ def _reference_guttman(cells: np.ndarray, coords: np.ndarray,
         b = -ratio
         np.fill_diagonal(b, 0.0)
         np.fill_diagonal(b, -b.sum(axis=1))
-        coords = (b @ coords) / n
+        coords = np.einsum("ij,kj->ik", b, np.ascontiguousarray(coords.T)) / n
         new = _reference_stress(cells, coords)
         path.append(new)
         iterations = iteration
@@ -248,3 +248,41 @@ def test_stress_rejects_coords_that_are_not_planar():
         stress(pair_matrix(1.0), np.zeros((2, 3)))
     with pytest.raises(ValueError):
         stress(pair_matrix(1.0), np.zeros((3, 2)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, 4), min_size=2, max_size=6), st.data())
+def test_weighted_step_equals_unweighted_step_on_expanded_points(counts, data):
+    """A point of multiplicity m is m coincident voters: one weighted Guttman
+    step on the patterns moves them as one unweighted step moves the voters."""
+    u = len(counts)
+    values = data.draw(st.lists(st.floats(0.05, 1.0), min_size=u * u, max_size=u * u))
+    cells = np.reshape(values, (u, u))
+    cells = (cells + cells.T) / 2
+    np.fill_diagonal(cells, 0.0)
+    init = random_init(u, data.draw(st.integers(0, 2**32 - 1)))
+    voters = np.repeat(np.arange(u), counts)
+    config = MdsConfig(max_iterations=1)
+    patterns = mds_embed(dmatrix(cells), init, config, np.array(counts))
+    expanded = mds_embed(dmatrix(cells[np.ix_(voters, voters)]), init[voters], config)
+    assert np.allclose(patterns.coords[voters], expanded.coords, rtol=0.0, atol=1e-12)
+    assert np.allclose(patterns.stress_path, expanded.stress_path, rtol=0.0, atol=1e-12)
+
+
+def test_unit_multiplicity_is_unweighted_bitwise():
+    rng = np.random.default_rng(12)
+    n = 40
+    cells = rng.uniform(0.0, 1.0, (n, n))
+    cells = (cells + cells.T) / 2
+    np.fill_diagonal(cells, 0.0)
+    config = MdsConfig(max_iterations=40, tolerance=1e-15)
+    plain = mds_embed(dmatrix(cells), random_init(n, 3), config)
+    unit = mds_embed(dmatrix(cells), random_init(n, 3), config, np.ones(n))
+    assert np.array_equal(plain.coords, unit.coords)
+    assert plain.stress_path == unit.stress_path
+
+
+@pytest.mark.parametrize("multiplicity", [[1.0, 0.0], [1.0, np.nan], [1.0, np.inf], [1.0]])
+def test_rejects_bad_multiplicity(multiplicity):
+    with pytest.raises(ValueError, match="^multiplicity must be 2 finite positive weights$"):
+        mds_embed(pair_matrix(0.5), random_init(2, 0), MdsConfig(), np.array(multiplicity))

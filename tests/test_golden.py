@@ -15,23 +15,32 @@ that moves bits on purpose re-pins the manifest and says why in CHANGES.md:
 
 Pinned with numpy 2.4.6 on OpenBLAS 0.3.31 (scipy-openblas, DYNAMIC_ARCH)
 at its default thread count of 2 on a 2-core AVX-512 x86-64 host, Python
-3.11. The same digests came out with ``OPENBLAS_NUM_THREADS=1``. On that
-host the test passes with OpenBLAS's default kernel choice and with
-``OPENBLAS_CORETYPE`` forced to SkylakeX or SapphireRapids. It fails with
-Haswell, Sandybridge or Prescott forced (286, 287 and 288 files change):
-each kernel rounds the Guttman product ``B @ X`` in its own order, so a
-host whose OpenBLAS picks a kernel without AVX-512 fails this test without
-any change to forkcast. ``numpy.show_runtime()`` names the SIMD features
-of the host a result came from; with ``OPENBLAS_VERBOSE=2`` set, as on the
-CI workflow's "numpy runtime" step, OpenBLAS also prints the kernel it
-picked (``Core: SkylakeX``), which ``show_runtime`` leaves out when
-``threadpoolctl`` is not installed.
+3.11. The one floating-point product in the chain, the Guttman step's
+``B @ X``, is an ``einsum`` that numpy evaluates without BLAS; the
+dissimilarity products go through BLAS but sum small integers, which is
+exact in any order. So the tree does not depend on the BLAS kernel:
+:func:`test_golden_digest_holds_on_other_openblas_kernels` reruns the
+command in a subprocess with ``OPENBLAS_CORETYPE`` forced to Haswell and
+to Prescott, and on the pinning host the default kernel (SkylakeX) and
+both forced ones give the pinned manifest. Not verified: numpy's own
+runtime SIMD dispatch, which picks the einsum and ufunc loops by CPU
+feature (``NPY_DISABLE_CPU_FEATURES`` had no visible effect on that
+host), and other architectures such as arm64. ``numpy.show_runtime()``
+names the SIMD features of the host a result came from; with
+``OPENBLAS_VERBOSE=2`` set, as on the CI workflow's "numpy runtime" step,
+OpenBLAS also prints the kernel it picked (``Core: SkylakeX``).
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import numpy as np
+import pytest
 
 from forkcast.cli import main
 
@@ -39,6 +48,8 @@ ROOT = Path(__file__).resolve().parent.parent
 FIXTURE = ROOT / "data" / "planted" / "votes.jsonl"
 FORKERS = ROOT / "data" / "planted" / "forkers.txt"
 MANIFEST = Path(__file__).resolve().parent / "golden" / "planted_all.sha256"
+ARGS = ["all", "--dao", "planted", "--fixture", str(FIXTURE), "--ground-truth", str(FORKERS),
+        "--iterations", "2", "--export-dissim"]
 
 
 def _read_manifest() -> dict[str, str]:
@@ -49,13 +60,33 @@ def _read_manifest() -> dict[str, str]:
     return pinned
 
 
-def test_planted_all_tree_matches_golden_digest(tmp_path):
-    assert main(["all", "--dao", "planted", "--fixture", str(FIXTURE),
-                 "--ground-truth", str(FORKERS), "--iterations", "2",
-                 "--export-dissim", "--out", str(tmp_path)]) == 0
-    produced = {str(path.relative_to(tmp_path)): hashlib.sha256(path.read_bytes()).hexdigest()
-                for path in tmp_path.rglob("*") if path.is_file()}
+def _assert_matches_manifest(out: Path) -> None:
+    produced = {str(path.relative_to(out)): hashlib.sha256(path.read_bytes()).hexdigest()
+                for path in out.rglob("*") if path.is_file()}
     pinned = _read_manifest()
     assert sorted(produced) == sorted(pinned), "output file set changed"
     changed = sorted(path for path, digest in produced.items() if pinned[path] != digest)
     assert not changed, f"{len(changed)} output files changed, first: {changed[:5]}"
+
+
+def _blas_is_openblas() -> bool:
+    blas = np.show_config(mode="dicts")["Build Dependencies"].get("blas", {})
+    return "openblas" in str(blas.get("name", "")).lower()
+
+
+def test_planted_all_tree_matches_golden_digest(tmp_path):
+    assert main([*ARGS, "--out", str(tmp_path)]) == 0
+    _assert_matches_manifest(tmp_path)
+
+
+@pytest.mark.skipif(not _blas_is_openblas(), reason="numpy's BLAS is not OpenBLAS")
+@pytest.mark.parametrize("core", ["Haswell", "Prescott"])
+def test_golden_digest_holds_on_other_openblas_kernels(tmp_path, core):
+    """OpenBLAS reads ``OPENBLAS_CORETYPE`` when it loads, so each kernel
+    needs a fresh process."""
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "OPENBLAS_CORETYPE": core,
+           "PYTHONPATH": str(ROOT / "src") + (os.pathsep + path if path else "")}
+    subprocess.run([sys.executable, "-m", "forkcast.cli", *ARGS, "--out", str(tmp_path)],
+                   env=env, check=True, capture_output=True)
+    _assert_matches_manifest(tmp_path)

@@ -16,7 +16,9 @@ from forkcast import (
     analyze_matrix,
     build_voter_matrix,
     planted_two_bloc_events,
+    stress,
 )
+from forkcast.dissim import active_set, dissimilarity_matrix, distinct_patterns
 from forkcast.registry import bundled_registry, parse_registry
 from forkcast.errors import ConfigError
 
@@ -98,6 +100,63 @@ def test_pipeline_hands_each_dissimilarity_to_the_hook(planted_matrix):
     assert [d.proposal_id for d in seen] == [a.proposal_id for a in result.analyses]
     for d, analysis in zip(seen, result.analyses):
         assert d.addresses == analysis.embedding.addresses
+
+
+def test_exported_dissimilarity_is_over_every_active_address(planted_matrix):
+    """Each frame embeds its distinct window rows, yet hands on the matrix
+    over all active voters, bit for bit as computed voter by voter; the
+    weighted stress is the stress of every voter's point against it."""
+    seen = []
+    result = analyze_matrix(planted_matrix, AnalysisSpec(root_seed=0), on_dissim=seen.append)
+    position = {pid: j for j, pid in enumerate(planted_matrix.proposal_ids, start=1)}
+    grouped = 0
+    assert len(seen) == len(result.analyses)
+    for d, analysis in zip(seen, result.analyses):
+        active = active_set(planted_matrix, position[d.proposal_id], WindowSpec())
+        full = dissimilarity_matrix(planted_matrix, active)
+        assert d.addresses == full.addresses
+        assert np.array_equal(d.cells, full.cells)
+        assert analysis.embedding.stress == pytest.approx(
+            stress(full, analysis.embedding.coords), rel=0.0, abs=1e-12)
+        grouped += len(distinct_patterns(planted_matrix, active)[2]) < len(active.rows)
+    assert grouped > 0
+
+
+def test_voters_with_one_pattern_share_coordinates(planted_matrix):
+    result = analyze_matrix(planted_matrix, AnalysisSpec(root_seed=0))
+    position = {pid: j for j, pid in enumerate(planted_matrix.proposal_ids, start=1)}
+    for analysis in result.analyses:
+        active = active_set(planted_matrix, position[analysis.proposal_id], WindowSpec())
+        _, voters, _ = distinct_patterns(planted_matrix, active)
+        coords = analysis.embedding.coords
+        for pattern in np.unique(voters):
+            assert (coords[voters == pattern] == coords[voters == pattern][0]).all()
+
+
+def test_voters_without_a_valid_vote_in_the_window_stay_apart():
+    """At threshold 0 two voters with no vote in the window share no vote:
+    they are 1 apart, so they are never merged into one pattern."""
+    rows = [[1, 0, -1, -1, -1], [0, 1, -1, -1, -1],
+            [1, 1, 1, 0, 1], [0, 0, 0, 1, 0], [1, 0, 1, 1, 1]]
+    matrix = make_matrix(rows)
+    active = active_set(matrix, 5, WindowSpec(2, 0.0))
+    patterns, voters, counts = distinct_patterns(matrix, active)
+    assert patterns == active and voters.tolist() == [0, 1, 2, 3, 4]
+    assert counts.tolist() == [1] * 5
+    seen = []
+    result = analyze_matrix(matrix, AnalysisSpec(WindowSpec(2, 0.0), root_seed=0),
+                            on_dissim=seen.append)
+    last = result.analyses[-1].embedding
+    assert seen[-1].cells[0, 1] == 1.0
+    assert not np.array_equal(last.coords[0], last.coords[1])
+
+
+def test_frame_with_one_voting_pattern_is_skipped():
+    matrix = make_matrix([[1, 0, 1, 1]] * 3 + [[-1, -1, -1, 0]])
+    result = analyze_matrix(matrix, AnalysisSpec(WindowSpec(3, 0.4), root_seed=0))
+    assert result.analyses == ()
+    assert result.skipped == tuple((pid, "all dissimilarities are zero")
+                                   for pid in (2, 3, 4))
 
 
 def test_pipeline_warm_start_keeps_orientation(planted_matrix):
