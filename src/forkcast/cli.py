@@ -19,6 +19,7 @@ import types
 import typing
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import partial
 from itertools import repeat
 from pathlib import Path
 
@@ -31,11 +32,13 @@ from .cluster import DEFAULT_K_MAX, DEFAULT_K_MIN
 from .dissim import (
     DEFAULT_PARTICIPATION_THRESHOLD,
     DEFAULT_WINDOW_SIZE,
+    DissimilarityMatrix,
     WindowSpec,
 )
 from .embed import DEFAULT_MAX_ITERATIONS, DEFAULT_TOLERANCE, MdsConfig
 from .errors import ConfigError, ForkcastError, MissingArtifact
 from .ingest import (
+    DaoRegistryEntry,
     ForkGroundTruth,
     VoteEvent,
     collapse_duplicates,
@@ -45,7 +48,7 @@ from .ingest import (
     write_fixture,
 )
 from .matrix import VoterMatrix, build_voter_matrix
-from .pipeline import AnalysisSpec, PipelineResult, analyze_matrix
+from .pipeline import AnalysisSpec, PipelineResult, ProposalAnalysis, analyze_matrix
 from .registry import bundled_registry, load_registry
 from .report import ChartSpec, render_chart, render_mds_scatter, write_csv, write_json
 from .validate import (
@@ -136,15 +139,9 @@ def parse_ranges(value: str | Sequence) -> tuple[tuple[int, int], ...]:
     return tuple(ranges)
 
 
-def _registry(path: object):
-    try:  # ``Path`` refuses a non-path, which ``open`` could take as a file descriptor
-        return load_registry(Path(path)) if path else bundled_registry()
-    except (OSError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
-        raise ConfigError(f"cannot read registry {path}: {exc}") from exc
-
-
-def resolve_config(args: argparse.Namespace) -> RunConfig:
-    """Merge defaults <- registry defaults <- config file <- CLI flags."""
+def resolve_config(args: argparse.Namespace) -> tuple[RunConfig, DaoRegistryEntry | None]:
+    """Merge defaults <- registry defaults <- config file <- CLI flags; also
+    the resolved dao's registry entry (None if absent), read only here."""
     values: dict = {}
     file_values: dict = {}
     if getattr(args, "config", None):
@@ -161,7 +158,11 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     cli_values = {key: value for key, value in vars(args).items()
                   if key in _CONFIG_FIELDS and value is not None}
     dao = cli_values.get("dao") or file_values.get("dao")
-    registry = _registry({**file_values, **cli_values}.get("registry_path"))
+    path = {**file_values, **cli_values}.get("registry_path")
+    try:  # ``Path`` refuses a non-path, which ``open`` could take as a file descriptor
+        registry = load_registry(Path(path)) if path else bundled_registry()
+    except (OSError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
+        raise ConfigError(f"cannot read registry {path}: {exc}") from exc
     # by name, not by hash: a dao that is not a string is left to RunConfig
     entry = next((entry for entry in registry.values() if entry.name == dao), None)
     if entry is not None:
@@ -177,9 +178,10 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     if values.get("rpc_url") is None and os.environ.get(RPC_URL_ENV):
         values["rpc_url"] = os.environ[RPC_URL_ENV]
     try:
-        return RunConfig(**values)
+        config = RunConfig(**values)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
+    return config, registry.get(config.dao)
 
 
 def _fixture_path(config: RunConfig) -> Path:
@@ -192,16 +194,15 @@ def _fixture_path(config: RunConfig) -> Path:
         f"no fixture: pass --fixture or run `forkcast ingest` (looked at {fallback})")
 
 
-def _load_events(config: RunConfig, fetch: bool = False) -> list[VoteEvent]:
+def _load_events(config: RunConfig, fetch: bool = False,
+                 entry: DaoRegistryEntry | None = None) -> list[VoteEvent]:
     """Vote events, one per (voter, proposal), from --fixture, else (with
     ``fetch``) from the RPC endpoint, else from out/<dao>/votes.jsonl."""
     if config.fixture or not (fetch and config.rpc_url):
         events, duplicates = load_fixture_with_report(_fixture_path(config))
     else:
-        registry = _registry(config.registry_path)
-        if config.dao not in registry:
+        if entry is None:
             raise ConfigError(f"dao {config.dao!r} not in registry")
-        entry = registry[config.dao]
         block_range = (config.from_block if config.from_block is not None
                        else entry.deploy_block,
                        config.to_block if config.to_block is not None
@@ -246,11 +247,11 @@ def _write_ingested(config: RunConfig, events: list[VoteEvent]) -> None:
     print(f"ingest: {len(events)} events -> {config.out / 'votes.jsonl'}")
 
 
-def cmd_ingest(config: RunConfig) -> int:
+def cmd_ingest(config: RunConfig, entry: DaoRegistryEntry | None) -> int:
     """Produce the canonical fixture at out/<dao>/votes.jsonl."""
     if not (config.fixture or config.rpc_url):
         raise ConfigError(f"need --fixture or --rpc-url (or ${RPC_URL_ENV})")
-    _write_ingested(config, _load_events(config, fetch=True))
+    _write_ingested(config, _load_events(config, fetch=True, entry=entry))
     return 0
 
 
@@ -285,15 +286,38 @@ def _friction(config: RunConfig, matrix: VoterMatrix) -> None:
           f"flagged={str(report.flagged).lower()}")
 
 
-def cmd_friction(config: RunConfig) -> int:
+def cmd_friction(config: RunConfig, entry: DaoRegistryEntry | None) -> int:
     """Disagreement records, rolling series, flagging, and summary charts."""
     _friction(config, build_voter_matrix(_load_events(config)))
     return 0
 
 
+def _write_frame(config: RunConfig, ground_truth: ForkGroundTruth | None,
+                 analysis: ProposalAnalysis, d: DissimilarityMatrix,
+                 voters: np.ndarray) -> None:
+    """The ``on_frame`` sink: every per-frame file, written as the frame
+    finishes; the dissimilarity CSV is expanded from its pattern matrix."""
+    out, pid, addresses = config.out, analysis.proposal_id, analysis.embedding.addresses
+    labels = [str(int(v)) for v in analysis.clustering.assignments]
+    render_mds_scatter(analysis.embedding, labels, out / "mds" / f"{pid}.svg")
+    if ground_truth is not None:
+        gt_labels = ["fork" if a in ground_truth.addresses else "stay" for a in addresses]
+        render_mds_scatter(analysis.embedding, gt_labels, out / "mds" / f"{pid}_gt.svg")
+    sweep = sorted(analysis.clustering.silhouette_by_k.items())
+    render_chart(ChartSpec(
+        kind="line",
+        title=f"proposal {pid}: silhouette by cluster count",
+        series={"mean silhouette": [score for _, score in sweep]},
+        x=[float(k) for k, _ in sweep],
+        x_label="k", y_label="mean silhouette",
+    ), out / "charts" / f"silhouette_{pid}.svg")
+    if config.export_dissim:
+        dissim_mod.to_csv(d, addresses, voters, out / "dissim" / f"{pid}.csv")
+
+
 def _write_analysis_outputs(config: RunConfig, matrix: VoterMatrix,
-                            result: PipelineResult,
-                            ground_truth: ForkGroundTruth | None) -> None:
+                            result: PipelineResult) -> None:
+    """The run-level tables and the clusters-per-proposal chart."""
     out = config.out
     analyses = result.analyses
     matrix_mod.to_csv(matrix, out / "matrix.csv")
@@ -311,23 +335,6 @@ def _write_analysis_outputs(config: RunConfig, matrix: VoterMatrix,
               ((a.proposal_id, k, score) for a in analyses
                for k, score in sorted(a.clustering.silhouette_by_k.items())))
     write_csv(out / "skipped.csv", ["proposal_id", "reason"], result.skipped)
-    for analysis in analyses:
-        labels = [str(int(v)) for v in analysis.clustering.assignments]
-        render_mds_scatter(analysis.embedding, labels,
-                           out / "mds" / f"{analysis.proposal_id}.svg")
-        if ground_truth is not None:
-            gt_labels = ["fork" if a in ground_truth.addresses else "stay"
-                         for a in analysis.embedding.addresses]
-            render_mds_scatter(analysis.embedding, gt_labels,
-                               out / "mds" / f"{analysis.proposal_id}_gt.svg")
-        sweep = sorted(analysis.clustering.silhouette_by_k.items())
-        render_chart(ChartSpec(
-            kind="line",
-            title=f"proposal {analysis.proposal_id}: silhouette by cluster count",
-            series={"mean silhouette": [score for _, score in sweep]},
-            x=[float(k) for k, _ in sweep],
-            x_label="k", y_label="mean silhouette",
-        ), out / "charts" / f"silhouette_{analysis.proposal_id}.svg")
     render_chart(ChartSpec(
         kind="line",
         title=f"{config.dao}: clusters per proposal",
@@ -339,24 +346,13 @@ def _write_analysis_outputs(config: RunConfig, matrix: VoterMatrix,
           f"{len(result.skipped)} skipped -> {config.out}")
 
 
-def _analyze(config: RunConfig, matrix: VoterMatrix,
-             export_dissim: bool = False) -> PipelineResult:
-    """The pipeline over ``matrix``; with ``export_dissim`` each analyzed
-    proposal's dissimilarity matrix goes to dissim/<pid>.csv as soon as its
-    frame is done, so the run never holds more than one of them."""
-    def write_dissim(d):
-        dissim_mod.to_csv(d, config.out / "dissim" / f"{d.proposal_id}.csv")
-
-    return analyze_matrix(matrix, config.analysis_spec(),
-                          on_dissim=write_dissim if export_dissim else None)
-
-
-def cmd_analyze(config: RunConfig) -> int:
+def cmd_analyze(config: RunConfig, entry: DaoRegistryEntry | None) -> int:
     """Matrices, embeddings, clusterings, and per-proposal scatter maps."""
     ground_truth = _load_ground_truth(config)
     matrix = build_voter_matrix(_load_events(config))
-    result = _analyze(config, matrix, config.export_dissim)
-    _write_analysis_outputs(config, matrix, result, ground_truth)
+    result = analyze_matrix(matrix, config.analysis_spec(),
+                            on_frame=partial(_write_frame, config, ground_truth))
+    _write_analysis_outputs(config, matrix, result)
     return 0
 
 
@@ -396,29 +392,30 @@ def _validate(config: RunConfig, matrix: VoterMatrix, result: PipelineResult,
               f" | {rand}")
 
 
-def cmd_validate(config: RunConfig) -> int:
+def cmd_validate(config: RunConfig, entry: DaoRegistryEntry | None) -> int:
     """Genuine vs shuffled-baseline comparison over proposal ranges."""
     ground_truth = _load_ground_truth(config)
     if ground_truth is None:
         raise ConfigError("validate needs --ground-truth")
     matrix = build_voter_matrix(_load_events(config))
     check_ranges(matrix, config.ranges or ())
-    _validate(config, matrix, _analyze(config, matrix), ground_truth)
+    _validate(config, matrix, analyze_matrix(matrix, config.analysis_spec()), ground_truth)
     return 0
 
 
-def cmd_all(config: RunConfig) -> int:
+def cmd_all(config: RunConfig, entry: DaoRegistryEntry | None) -> int:
     """Full pipeline; validation runs when ground truth is supplied."""
     ground_truth = _load_ground_truth(config)
-    events = _load_events(config, fetch=True)
+    events = _load_events(config, fetch=True, entry=entry)
     if config.fixture or config.rpc_url:
         _write_ingested(config, events)
     matrix = build_voter_matrix(events)
     if ground_truth is not None:
         check_ranges(matrix, config.ranges or ())
     _friction(config, matrix)
-    result = _analyze(config, matrix, config.export_dissim)
-    _write_analysis_outputs(config, matrix, result, ground_truth)
+    result = analyze_matrix(matrix, config.analysis_spec(),
+                            on_frame=partial(_write_frame, config, ground_truth))
+    _write_analysis_outputs(config, matrix, result)
     if ground_truth is None:
         print("all: no --ground-truth, skipping validation")
     else:
@@ -426,6 +423,7 @@ def cmd_all(config: RunConfig) -> int:
     return 0
 
 
+# each takes the resolved config and its dao's registry entry (or None)
 _COMMANDS = {
     "ingest": cmd_ingest,
     "friction": cmd_friction,
@@ -491,9 +489,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = resolve_config(args)
+        config, entry = resolve_config(args)
         _prepare_paths(config, args.command)
-        return _COMMANDS[args.command](config)
+        return _COMMANDS[args.command](config, entry)
     except ForkcastError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, (ConfigError, MissingArtifact)) else 1

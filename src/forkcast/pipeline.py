@@ -2,7 +2,9 @@
 
 Embeddings are chained in proposal order (warm starts), so this runs
 sequentially; everything else about a proposal is self-contained. Stage
-seeds derive from the root seed per (namespace, stage, proposal id).
+seeds derive from the root seed per (namespace, stage, proposal id). An
+``on_frame`` sink gets each finished frame, so per-frame files are written
+as frames finish and no dissimilarity matrix outlives its frame.
 """
 
 from __future__ import annotations
@@ -13,13 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .cluster import DEFAULT_K_MAX, DEFAULT_K_MIN, ClusteringResult, k_range, select_k
-from .dissim import (
-    DissimilarityMatrix,
-    WindowSpec,
-    active_set,
-    dissimilarity_matrix,
-    distinct_patterns,
-)
+from .dissim import WindowSpec, active_set, dissimilarity_matrix, distinct_patterns
 from .embed import Embedding, MdsConfig, mds_embed, warm_start
 from .errors import AllZeroDissimilarity, EmptyActiveSet, TooFewPoints
 from .matrix import VoterMatrix
@@ -58,17 +54,17 @@ class PipelineResult:
 
 def analyze_matrix(matrix: VoterMatrix, spec: AnalysisSpec = AnalysisSpec(), *,
                    namespace: tuple = (),
-                   on_dissim: Callable[[DissimilarityMatrix], None] | None = None,
-                   ) -> PipelineResult:
+                   on_frame: Callable[..., None] | None = None) -> PipelineResult:
     """Analyze every proposal after the first; unanalyzable ones are recorded,
     not fatal. The previous successful embedding seeds the next warm start.
 
     Each distinct window row is embedded once, weighted by its voter count,
     from the mean of its voters' warm starts; its voters share its point.
 
-    ``on_dissim`` receives each analyzed proposal's dissimilarity matrix (over
-    all active addresses) once, in proposal order; the result keeps none of
-    them, so at most one n x n matrix is alive at a time.
+    ``on_frame(analysis, d, voters)`` is called once per analyzed frame, in
+    proposal order: ``d`` is the u x u matrix over the frame's distinct
+    patterns that MDS embedded, and ``voters[i]`` is the pattern row of
+    ``analysis.embedding.addresses[i]``. The result keeps no ``d``.
     """
     analyses: list[ProposalAnalysis] = []
     skipped: list[tuple[int, str]] = []
@@ -92,10 +88,9 @@ def analyze_matrix(matrix: VoterMatrix, spec: AnalysisSpec = AnalysisSpec(), *,
         except (EmptyActiveSet, AllZeroDissimilarity, TooFewPoints) as exc:
             skipped.append((proposal_id, str(exc)))
             continue
-        if on_dissim is not None:
-            # rebound, so the pattern matrix is freed before the export runs
-            d = replace(d, addresses=active.addresses, cells=d.cells[np.ix_(voters, voters)])
-            on_dissim(d)
-        analyses.append(ProposalAnalysis(proposal_id, embedding, clustering))
+        analysis = ProposalAnalysis(proposal_id, embedding, clustering)
+        if on_frame is not None:
+            on_frame(analysis, d, voters)
+        analyses.append(analysis)
         previous = embedding
     return PipelineResult(tuple(analyses), tuple(skipped), spec)

@@ -17,6 +17,7 @@ from forkcast import AnalysisSpec, MdsConfig, VoteEvent, WindowSpec
 from forkcast.cli import build_parser, main, parse_ranges, resolve_config
 from forkcast.errors import ConfigError, EmptyActiveSet
 from forkcast.ingest import load_fixture_with_report, write_fixture
+from forkcast.registry import bundled_registry
 
 from conftest import events_from_rows
 
@@ -123,7 +124,7 @@ def test_registry_path_that_is_not_a_path_is_never_opened(tmp_path, monkeypatch)
 def test_int_setting_is_a_valid_number(tmp_path):
     config_file = tmp_path / "run.json"
     config_file.write_text(json.dumps({"participation_threshold": 1}))
-    config = resolve_config(build_parser().parse_args(
+    config, _ = resolve_config(build_parser().parse_args(
         ["analyze", "--config", str(config_file)]))
     assert config.participation_threshold == 1
 
@@ -179,7 +180,7 @@ def test_config_precedence(tmp_path):
     config_file.write_text(json.dumps({"window_size": 7, "k_max": 4}))
     args = build_parser().parse_args([
         "analyze", "--config", str(config_file), "--k-max", "3"])
-    config = resolve_config(args)
+    config, _ = resolve_config(args)
     assert config.window_size == 7       # from file
     assert config.k_max == 3             # CLI beats file
     assert config.participation_threshold == 0.40  # built-in default
@@ -187,7 +188,8 @@ def test_config_precedence(tmp_path):
 
 def test_registry_defaults_feed_config():
     args = build_parser().parse_args(["analyze", "--dao", "nouns"])
-    config = resolve_config(args)
+    config, entry = resolve_config(args)
+    assert entry.name == "nouns"
     assert config.ranges == ((1, 362), (257, 362), (319, 362), (349, 362))
     assert config.participation_threshold == 0.40
 
@@ -201,7 +203,7 @@ def test_unknown_config_key_rejected(tmp_path):
 
 
 def test_defaults_match_nouns_parameterization():
-    config = resolve_config(build_parser().parse_args(["analyze"]))
+    config, _ = resolve_config(build_parser().parse_args(["analyze"]))
     assert (config.window_size, config.participation_threshold) == (10, 0.40)
     assert (config.k_min, config.k_max) == (2, 5)
     assert (config.max_iterations, config.tolerance) == (300, 1e-6)
@@ -209,7 +211,7 @@ def test_defaults_match_nouns_parameterization():
 
 
 def test_analysis_spec_carries_every_analysis_flag():
-    config = resolve_config(build_parser().parse_args([
+    config, _ = resolve_config(build_parser().parse_args([
         "validate", "--window", "7", "--threshold", "0.5", "--k-min", "3",
         "--k-max", "4", "--mds-iterations", "20", "--mds-tolerance", "0.001",
         "--seed", "9"]))
@@ -270,6 +272,27 @@ def test_ingest_rpc_path_wiring(tmp_path, monkeypatch):
     assert (out / "nouns" / "votes.jsonl").exists()
 
 
+def test_ingest_rpc_reads_the_registry_once(tmp_path, monkeypatch):
+    """The entry whose analysis defaults were merged is the one fetched with."""
+    reads = []
+    monkeypatch.setattr(cli_module, "bundled_registry",
+                        lambda: reads.append(1) or bundled_registry())
+    monkeypatch.setattr(cli_module, "fetch_logs", lambda *args, **kwargs: [])
+    monkeypatch.setenv("FORKCAST_RPC_URL", "https://rpc.example")
+    assert run(["ingest", "--dao", "nouns", "--out", str(tmp_path)]) == 0
+    assert reads == [1]
+
+
+@pytest.mark.parametrize("command", ["ingest", "all"])
+def test_rpc_export_of_a_dao_missing_from_the_registry(tmp_path, monkeypatch, capsys,
+                                                        command):
+    monkeypatch.setattr(cli_module, "fetch_logs", lambda *args, **kwargs: [])
+    monkeypatch.setenv("FORKCAST_RPC_URL", "https://rpc.example")
+    assert run([command, "--dao", "nowhere", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: ConfigError: dao 'nowhere' not in registry\n")
+
+
 def test_ingest_rpc_bad_block_range_is_config_error(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("FORKCAST_RPC_URL", "https://rpc.example")
     code = run(["ingest", "--dao", "nouns", "--out", str(tmp_path),
@@ -282,7 +305,7 @@ def test_config_file_ranges_list_form(tmp_path):
     config_file = tmp_path / "run.json"
     config_file.write_text(json.dumps({"ranges": [[1, 10], [5, 10]]}))
     args = build_parser().parse_args(["analyze", "--config", str(config_file)])
-    assert resolve_config(args).ranges == ((1, 10), (5, 10))
+    assert resolve_config(args)[0].ranges == ((1, 10), (5, 10))
 
 
 def test_missing_fixture_is_structured_error(tmp_path, capsys):
@@ -467,6 +490,8 @@ def test_validate_iterations_zero(tmp_path):
     assert entry["avg_clusters"]["rand_avg"] is None
     assert (out / "planted" / "fork_share.csv").exists()
     assert (out / "planted" / "charts" / "fork_cluster_share.svg").exists()
+    assert not (out / "planted" / "mds").exists()
+    assert not (out / "planted" / "dissim").exists()
 
 
 def test_validate_summary_without_any_fork_share(tmp_path, capsys):

@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from forkcast import WindowSpec, active_set, dissimilarity_matrix
+from forkcast import MdsConfig, WindowSpec, active_set, dissimilarity_matrix
+from forkcast.dissim import distinct_patterns
 from forkcast.errors import EmptyActiveSet
 
 from conftest import addr, make_matrix
@@ -229,7 +230,7 @@ def test_csv_export(tmp_path):
     path = tmp_path / "d.csv"
     from forkcast.dissim import to_csv
 
-    to_csv(d, path)
+    to_csv(d, d.addresses, np.arange(2), path)
     lines = path.read_text().splitlines()
     assert lines[0] == f"address,{addr(1)},{addr(2)}"
     assert lines[1].split(",")[1] == "0.0"
@@ -246,7 +247,7 @@ def test_csv_export_formats_every_cell_as_its_repr(tmp_path):
     np.fill_diagonal(cells, 0.0)
     addresses = tuple(addr(i) for i in range(n))
     path = tmp_path / "d.csv"
-    to_csv(DissimilarityMatrix(7, addresses, cells), path)
+    to_csv(DissimilarityMatrix(7, addresses, cells), addresses, np.arange(n), path)
     expected = [",".join(["address", *addresses])]
     expected += [",".join([a, *(repr(float(v)) for v in row)])
                  for a, row in zip(addresses, cells)]
@@ -278,9 +279,65 @@ def test_csv_export_matches_csv_writer_on_a_wide_window(tmp_path):
     assert all(normalize_address(a) == a for a in d.addresses)
     assert len(np.unique(d.cells)) > 10
     written, reference = tmp_path / "a.csv", tmp_path / "b.csv"
-    to_csv(d, written)
+    to_csv(d, d.addresses, np.arange(n), written)
     _reference_to_csv(d, reference)
     assert written.read_bytes() == reference.read_bytes()
+
+
+def _assert_pattern_export_matches_reference(matrix, active, d, voters, tmp_path):
+    """``to_csv`` of the pattern matrix ``d`` writes the bytes of the
+    per-voter matrix over the whole active set."""
+    from forkcast.dissim import to_csv
+
+    written, reference = tmp_path / "patterns.csv", tmp_path / "voters.csv"
+    to_csv(d, active.addresses, voters, written)
+    _reference_to_csv(dissimilarity_matrix(matrix, active), reference)
+    assert written.read_bytes() == reference.read_bytes()
+
+
+def test_pattern_export_matches_reference_on_planted_frames(planted_matrix, tmp_path):
+    """Every planted frame the pipeline hands on, repeated patterns included."""
+    from forkcast import AnalysisSpec, analyze_matrix
+
+    position = {pid: j for j, pid in enumerate(planted_matrix.proposal_ids, start=1)}
+    merged = []
+
+    def check(analysis, d, voters):
+        active = active_set(planted_matrix, position[analysis.proposal_id], WindowSpec())
+        assert active.addresses == analysis.embedding.addresses
+        _assert_pattern_export_matches_reference(planted_matrix, active, d, voters,
+                                                 tmp_path)
+        merged.append(len(d.addresses) < len(voters))
+
+    result = analyze_matrix(planted_matrix, AnalysisSpec(mds=MdsConfig(max_iterations=5)),
+                            on_frame=check)
+    assert len(merged) == len(result.analyses) and any(merged)
+
+
+def test_pattern_export_matches_reference_with_voteless_rows(tmp_path):
+    """At threshold 0, rows with no valid vote in the window stay apart (1.0
+    off the diagonal) while repeated voting rows share one pattern."""
+    rows = [[1, 0, -1, -1], [1, 1, 1, 0], [0, 1, -1, -1], [1, 1, 1, 0],
+            [0, 0, 0, 1], [1, 0, 1, 0], [0, 0, 0, 1]]
+    matrix = make_matrix(rows)
+    active = active_set(matrix, 4, WindowSpec(2, 0.0))
+    patterns, voters, counts = distinct_patterns(matrix, active)
+    assert len(active.rows) == 7 and counts.tolist() == [1, 3, 1, 2]
+    _assert_pattern_export_matches_reference(
+        matrix, active, dissimilarity_matrix(matrix, patterns), voters, tmp_path)
+
+
+def test_pattern_export_matches_reference_on_a_wide_window(tmp_path):
+    """300 voters drawn from 8 distinct 10-proposal rows."""
+    rng = np.random.default_rng(11)
+    n, w = 300, 10
+    distinct = rng.choice([-1, 0, 1], size=(8, w), p=[0.2, 0.4, 0.4])
+    matrix = make_matrix(distinct[rng.integers(0, 8, n)].tolist())
+    active = active_set(matrix, w, WindowSpec(w, 0.0))
+    patterns, voters, _ = distinct_patterns(matrix, active)
+    assert len(active.rows) == n and len(patterns.rows) <= 8
+    _assert_pattern_export_matches_reference(
+        matrix, active, dissimilarity_matrix(matrix, patterns), voters, tmp_path)
 
 
 def test_window_spec_validation():

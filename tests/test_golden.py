@@ -22,10 +22,13 @@ exact in any order. So the tree does not depend on the BLAS kernel:
 :func:`test_golden_digest_holds_on_other_openblas_kernels` reruns the
 command in a subprocess with ``OPENBLAS_CORETYPE`` forced to Haswell and
 to Prescott, and on the pinning host the default kernel (SkylakeX) and
-both forced ones give the pinned manifest. Not verified: numpy's own
-runtime SIMD dispatch, which picks the einsum and ufunc loops by CPU
-feature (``NPY_DISABLE_CPU_FEATURES`` had no visible effect on that
-host), and other architectures such as arm64. ``numpy.show_runtime()``
+both forced ones give the pinned manifest. numpy's own runtime SIMD
+dispatch picks the einsum and ufunc loops by CPU feature:
+:func:`test_golden_digest_holds_without_avx2_dispatch` reruns the command
+with ``NPY_DISABLE_CPU_FEATURES`` turning off every dispatch target above
+the X86_V2 baseline (X86_V3 is the AVX2/FMA3 level), and on the pinning host
+that gives the pinned manifest too. Not verified: other architectures such
+as arm64. ``numpy.show_runtime()``
 names the SIMD features of the host a result came from; with
 ``OPENBLAS_VERBOSE=2`` set, as on the CI workflow's "numpy runtime" step,
 OpenBLAS also prints the kernel it picked (``Core: SkylakeX``).
@@ -79,14 +82,47 @@ def test_planted_all_tree_matches_golden_digest(tmp_path):
     _assert_matches_manifest(tmp_path)
 
 
+def _dispatch_targets() -> list[str]:
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__
+    except ImportError:  # numpy 1.x, which has no X86_V* targets
+        return []
+    return __cpu_dispatch__
+
+
+def _run_child(tmp_path: Path, env: dict, *command: str) -> None:
+    """Run ``command`` (after ``python``) with ``env`` added and ``src`` first
+    on the path, to write the golden tree into ``tmp_path``."""
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, **env,
+           "PYTHONPATH": str(ROOT / "src") + (os.pathsep + path if path else "")}
+    subprocess.run([sys.executable, *command, *ARGS, "--out", str(tmp_path)],
+                   env=env, check=True, capture_output=True)
+
+
 @pytest.mark.skipif(not _blas_is_openblas(), reason="numpy's BLAS is not OpenBLAS")
 @pytest.mark.parametrize("core", ["Haswell", "Prescott"])
 def test_golden_digest_holds_on_other_openblas_kernels(tmp_path, core):
     """OpenBLAS reads ``OPENBLAS_CORETYPE`` when it loads, so each kernel
     needs a fresh process."""
-    path = os.environ.get("PYTHONPATH")
-    env = {**os.environ, "OPENBLAS_CORETYPE": core,
-           "PYTHONPATH": str(ROOT / "src") + (os.pathsep + path if path else "")}
-    subprocess.run([sys.executable, "-m", "forkcast.cli", *ARGS, "--out", str(tmp_path)],
-                   env=env, check=True, capture_output=True)
+    _run_child(tmp_path, {"OPENBLAS_CORETYPE": core}, "-m", "forkcast.cli")
+    _assert_matches_manifest(tmp_path)
+
+
+# the child refuses to run unless numpy really turned X86_V3 off
+_NO_X86_V3 = ("import sys\n"
+              "from numpy._core._multiarray_umath import __cpu_features__\n"
+              "assert not __cpu_features__['X86_V3'], 'X86_V3 dispatch is still on'\n"
+              "from forkcast.cli import main\n"
+              "sys.exit(main(sys.argv[1:]))\n")
+
+
+@pytest.mark.skipif("X86_V3" not in _dispatch_targets(),
+                    reason="numpy does not dispatch to X86_V3")
+def test_golden_digest_holds_without_avx2_dispatch(tmp_path):
+    """numpy reads ``NPY_DISABLE_CPU_FEATURES`` when it loads, so this too
+    needs a fresh process."""
+    _run_child(tmp_path,
+               {"NPY_DISABLE_CPU_FEATURES": "AVX512_ICL AVX512_SPR X86_V4 X86_V3"},
+               "-c", _NO_X86_V3)
     _assert_matches_manifest(tmp_path)

@@ -39,7 +39,7 @@ def test_pipeline_records_unanalyzable_proposals():
     matrix = make_matrix(rows)
     seen = []
     result = analyze_matrix(matrix, AnalysisSpec(WindowSpec(10, 1.0), root_seed=0),
-                            on_dissim=seen.append)
+                            on_frame=lambda *frame: seen.append(frame))
     assert result.analyses == ()
     assert [pid for pid, _ in result.skipped] == [2, 3]
     assert seen == []
@@ -95,27 +95,35 @@ def test_degenerate_frames_are_analyzed_or_skipped(matrix, k_min, threshold, w,
 
 
 def test_pipeline_hands_each_dissimilarity_to_the_hook(planted_matrix):
+    """The sink sees every analyzed frame once, in proposal order, with its
+    pattern matrix and one pattern row per frame address."""
     seen = []
-    result = analyze_matrix(planted_matrix, AnalysisSpec(root_seed=0), on_dissim=seen.append)
-    assert [d.proposal_id for d in seen] == [a.proposal_id for a in result.analyses]
-    for d, analysis in zip(seen, result.analyses):
-        assert d.addresses == analysis.embedding.addresses
+    result = analyze_matrix(planted_matrix, AnalysisSpec(root_seed=0),
+                            on_frame=lambda *frame: seen.append(frame))
+    assert len(seen) == len(result.analyses)
+    assert all(frame[0] is analysis for frame, analysis in zip(seen, result.analyses))
+    for analysis, d, voters in seen:
+        assert d.proposal_id == analysis.proposal_id
+        assert len(voters) == len(analysis.embedding.addresses)
+        assert sorted(set(voters.tolist())) == list(range(len(d.addresses)))
 
 
 def test_exported_dissimilarity_is_over_every_active_address(planted_matrix):
-    """Each frame embeds its distinct window rows, yet hands on the matrix
-    over all active voters, bit for bit as computed voter by voter; the
-    weighted stress is the stress of every voter's point against it."""
+    """Each frame embeds its distinct window rows; its pattern matrix,
+    expanded by each voter's pattern row, is the matrix over all active
+    voters bit for bit as computed voter by voter, and the weighted stress
+    is the stress of every voter's point against it."""
     seen = []
-    result = analyze_matrix(planted_matrix, AnalysisSpec(root_seed=0), on_dissim=seen.append)
+    result = analyze_matrix(planted_matrix, AnalysisSpec(root_seed=0),
+                            on_frame=lambda *frame: seen.append(frame))
     position = {pid: j for j, pid in enumerate(planted_matrix.proposal_ids, start=1)}
     grouped = 0
     assert len(seen) == len(result.analyses)
-    for d, analysis in zip(seen, result.analyses):
+    for analysis, d, voters in seen:
         active = active_set(planted_matrix, position[d.proposal_id], WindowSpec())
         full = dissimilarity_matrix(planted_matrix, active)
-        assert d.addresses == full.addresses
-        assert np.array_equal(d.cells, full.cells)
+        assert analysis.embedding.addresses == full.addresses
+        assert np.array_equal(d.cells[np.ix_(voters, voters)], full.cells)
         assert analysis.embedding.stress == pytest.approx(
             stress(full, analysis.embedding.coords), rel=0.0, abs=1e-12)
         grouped += len(distinct_patterns(planted_matrix, active)[2]) < len(active.rows)
@@ -145,9 +153,10 @@ def test_voters_without_a_valid_vote_in_the_window_stay_apart():
     assert counts.tolist() == [1] * 5
     seen = []
     result = analyze_matrix(matrix, AnalysisSpec(WindowSpec(2, 0.0), root_seed=0),
-                            on_dissim=seen.append)
+                            on_frame=lambda analysis, d, voters: seen.append((d, voters)))
     last = result.analyses[-1].embedding
-    assert seen[-1].cells[0, 1] == 1.0
+    d, voters = seen[-1]
+    assert d.cells[voters[0], voters[1]] == 1.0
     assert not np.array_equal(last.coords[0], last.coords[1])
 
 

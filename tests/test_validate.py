@@ -260,9 +260,9 @@ def test_run_validation_reruns_shuffles_with_the_genuine_spec(planted, planted_m
     received = []
     original = validate_mod.analyze_matrix
 
-    def recording(matrix, spec, *, namespace=(), on_dissim=None):
+    def recording(matrix, spec, *, namespace=(), on_frame=None):
         received.append((spec, namespace))
-        return original(matrix, spec, namespace=namespace, on_dissim=on_dissim)
+        return original(matrix, spec, namespace=namespace, on_frame=on_frame)
 
     monkeypatch.setattr(validate_mod, "analyze_matrix", recording)
     report = run_validation(planted_matrix, genuine, truth, ranges=[(41, 60)],
