@@ -157,8 +157,8 @@ def resolve_config(args: argparse.Namespace) -> tuple[RunConfig, DaoRegistryEntr
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     cli_values = {key: value for key, value in vars(args).items()
                   if key in _CONFIG_FIELDS and value is not None}
-    dao = cli_values.get("dao") or file_values.get("dao")
-    path = {**file_values, **cli_values}.get("registry_path")
+    merged = {**file_values, **cli_values}
+    dao, path = merged.get("dao"), merged.get("registry_path")
     try:  # ``Path`` refuses a non-path, which ``open`` could take as a file descriptor
         registry = load_registry(Path(path)) if path else bundled_registry()
     except (OSError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
@@ -171,8 +171,7 @@ def resolve_config(args: argparse.Namespace) -> tuple[RunConfig, DaoRegistryEntr
         if unknown:
             raise ConfigError(f"unknown registry defaults for {dao}: {sorted(unknown)}")
         values.update(defaults)
-    values.update(file_values)
-    values.update(cli_values)
+    values.update(merged)
     if values.get("ranges") is not None:
         values["ranges"] = parse_ranges(values["ranges"])
     if values.get("rpc_url") is None and os.environ.get(RPC_URL_ENV):
@@ -181,7 +180,7 @@ def resolve_config(args: argparse.Namespace) -> tuple[RunConfig, DaoRegistryEntr
         config = RunConfig(**values)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
-    return config, registry.get(config.dao)
+    return config, entry
 
 
 def _fixture_path(config: RunConfig) -> Path:

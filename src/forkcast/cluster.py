@@ -244,14 +244,14 @@ def kmeans(points: np.ndarray, k: int, seed: int) -> tuple[np.ndarray, np.ndarra
     return kmeans_sweep(points, {k: seed})[k]
 
 
-def silhouette(points: np.ndarray, assignments: np.ndarray,
-               distances: np.ndarray | None = None) -> tuple[np.ndarray, float]:
+def silhouette(distances: np.ndarray,
+               assignments: np.ndarray) -> tuple[np.ndarray, float]:
     """Per-point silhouette values and their arithmetic mean.
 
-    ``distances`` is ``pairwise_distances(points)`` when the caller already
-    has it. ``assignments`` are non-negative integer labels. Conventions:
-    singleton clusters score 0, and so do points where both cohesion and
-    separation are zero (coincident points).
+    ``distances`` is the points' n x n distance matrix, as
+    ``pairwise_distances`` builds it; ``assignments`` are non-negative
+    integer labels. Conventions: singleton clusters score 0, and so do points
+    where both cohesion and separation are zero (coincident points).
     """
     own = np.asarray(assignments)
     sizes = np.bincount(own)
@@ -260,8 +260,6 @@ def silhouette(points: np.ndarray, assignments: np.ndarray,
         own, sizes = np.searchsorted(labels, own), sizes[labels]
     if len(sizes) < 2:
         raise ValueError("silhouette needs at least 2 clusters")
-    if distances is None:
-        distances = pairwise_distances(np.asarray(points, dtype=np.float64))
     # contiguous copy: see the module docstring
     sums = np.stack([np.ascontiguousarray(distances[:, own == c]).sum(axis=1)
                      for c in range(len(sizes))], axis=1)
@@ -280,13 +278,7 @@ def silhouette(points: np.ndarray, assignments: np.ndarray,
 
 def pick_k(silhouette_by_k: Mapping[int, float]) -> int:
     """Argmax of mean silhouette; ties break toward smaller k."""
-    best_k, best_score = None, -np.inf
-    for k in sorted(silhouette_by_k):
-        score = silhouette_by_k[k]
-        if score > best_score:
-            best_k, best_score = k, score
-    assert best_k is not None
-    return best_k
+    return max(sorted(silhouette_by_k), key=silhouette_by_k.__getitem__)
 
 
 def k_range(n: int, k_min: int, k_max: int) -> range:
@@ -309,7 +301,7 @@ def select_k(points: np.ndarray, k_min: int = DEFAULT_K_MIN,
     ks = k_range(len(points), k_min, k_max)
     distances = pairwise_distances(points)
     sweeps = kmeans_sweep(points, {k: derive_seed(seed, "k", k) for k in ks})
-    scores = {k: silhouette(points, labels, distances)[1]
+    scores = {k: silhouette(distances, labels)[1]
               for k, (labels, _) in sweeps.items()}
     k_star = pick_k(scores)
     return ClusteringResult(sweeps[k_star][0], k_star, scores)

@@ -5,7 +5,9 @@ exists to export such fixtures from an EVM JSON-RPC endpoint and is the only
 network-touching code in the package.
 
 A fixture holds one event per line, and every event, whether loaded, decoded
-from a log or planted, is built by the checked ``VoteEvent(...)``. The load
+from a log or planted, is built by the checked ``VoteEvent(...)``. Chain order
+has one owner: ``collapse_duplicates`` sorts every event source into it, and
+``fetch_logs`` and ``write_fixture`` keep the order they are given. The load
 walks the lines in order: the JSON decoder's C scanner takes a line whole, or
 ``decode`` parses it and raises the line's error, and the record's five fields
 go to ``VoteEvent``. So the first bad line is the one named in the
@@ -95,9 +97,6 @@ class VoteEvent(_VoteFields):
     @classmethod
     def _make(cls, iterable: Iterable) -> "VoteEvent":
         return cls(*iterable)
-
-    order_key = property(_CHAIN_ORDER, doc="(block_number, log_index, voter, "
-                         "proposal_id, support): the chain-order sort key")
 
 
 # the fields of a fixture record, in ``VoteEvent`` argument order
@@ -242,18 +241,18 @@ def _read_events(handle: Iterable[str]) -> list[VoteEvent]:
 
 
 def write_fixture(events: Sequence[VoteEvent], path: str | Path) -> None:
-    """Write events as the canonical JSONL fixture, in chain order.
+    """Write events as the canonical JSONL fixture, one line each, in the
+    order given; pass ``collapse_duplicates`` output for a chain-order file.
 
     Each line is the one ``json.dumps`` writes for the record: the voter is
     lowercase hex and the numbers are exact ``int``s, so nothing needs escaping.
     """
-    ordered = sorted(events, key=_CHAIN_ORDER)
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.writelines(
             f'{{"voter": "{e.voter}", "proposal_id": {e.proposal_id}, '
             f'"support": {e.support}, "block_number": {e.block_number}, '
             f'"log_index": {e.log_index}}}\n'
-            for e in ordered)
+            for e in events)
 
 
 def load_ground_truth(path: str | Path) -> ForkGroundTruth:
@@ -341,7 +340,9 @@ def fetch_logs(
     """Fetch and decode all vote events in the inclusive block range.
 
     Chunked to respect provider limits; ranges the provider still rejects are
-    bisected. The result is identical regardless of chunk size.
+    bisected. Events come in request order: chunk by chunk, each chunk's logs
+    as the provider returns them. ``collapse_duplicates`` of the result is the
+    same for every chunk size.
     """
     lo, hi = block_range
     if lo > hi:
@@ -372,7 +373,6 @@ def fetch_logs(
                     "unexpected topic0 from provider")
             events.append(decode_vote_event(log, event_abi))
         start = end + 1
-    events.sort(key=_CHAIN_ORDER)
     return events
 
 

@@ -16,19 +16,23 @@ from .ingest import DaoRegistryEntry
 
 
 def parse_registry(document: dict) -> dict[str, DaoRegistryEntry]:
+    """Each entry of ``{"daos": [...]}`` by name; a malformed entry, or a
+    second entry for a name, is a ``ConfigError``."""
     daos = document.get("daos", []) if isinstance(document, dict) else None
     if not isinstance(daos, list) or not all(isinstance(raw, dict) for raw in daos):
         raise ConfigError('registry must be {"daos": [ {entry}, ... ]}')
     entries: dict[str, DaoRegistryEntry] = {}
     for raw in daos:
         try:
-            signatures = raw["event_signatures"]
+            name, signatures = raw["name"], raw["event_signatures"]
+            if name in entries:
+                raise ValueError("the registry already names this dao")
             if not (isinstance(signatures, list)
                     and all(isinstance(signature, str) for signature in signatures)):
                 raise TypeError("event_signatures must be a list of strings, "
                                 f"got {signatures!r}")
             entry = DaoRegistryEntry(
-                name=raw["name"],
+                name=name,
                 chain=raw["chain"],
                 governance_contract=raw["governance_contract"],
                 deploy_block=raw["deploy_block"],

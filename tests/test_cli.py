@@ -148,9 +148,11 @@ _PLANTED_ENTRY = {"name": "planted", "chain": "ethereum",
     json.dumps({"daos": [{**_PLANTED_ENTRY, "event_signatures": ["not a signature"]}]}),
     json.dumps({"daos": [{**_PLANTED_ENTRY,
                           "event_signatures": ["VoteCast(uint256,uint8)"]}]}),
+    json.dumps({"daos": [_PLANTED_ENTRY, {**_PLANTED_ENTRY, "end_block": 9}]}),
 ], ids=["malformed-json", "top-level-list", "daos-object", "entry-int",
         "float-default", "float-block", "bool-block", "signatures-string",
-        "signature-null", "signature-unparsable", "signature-no-voter"])
+        "signature-null", "signature-unparsable", "signature-no-voter",
+        "name-twice"])
 def test_bad_registry_is_config_error_before_any_input(tmp_path, capsys, text):
     registry = tmp_path / "registry.json"
     registry.write_text(text)
@@ -192,6 +194,35 @@ def test_registry_defaults_feed_config():
     assert entry.name == "nouns"
     assert config.ranges == ((1, 362), (257, 362), (319, 362), (349, 362))
     assert config.participation_threshold == 0.40
+
+
+def test_registry_entry_is_the_resolved_dao(tmp_path):
+    """The entry and its defaults belong to the dao the run resolves to, by
+    the same precedence: a command-line ``--dao`` beats the config file's."""
+    config_file = tmp_path / "run.json"
+    config_file.write_text(json.dumps({"dao": "nouns"}))
+    for dao, name in (("compound", "compound"), ("", None)):
+        config, entry = resolve_config(build_parser().parse_args(
+            ["analyze", "--dao", dao, "--config", str(config_file)]))
+        assert config.dao == dao
+        assert (entry and entry.name) == name
+        assert config.ranges is None
+
+
+def test_registry_naming_a_dao_twice_is_config_error(tmp_path):
+    """A second entry must not replace the first: here it would drop the
+    verified Nouns ranges and raise the threshold to 0.9."""
+    document = json.loads((ROOT / "src" / "forkcast" / "data" / "registry.json")
+                          .read_text(encoding="utf-8"))
+    nouns = next(raw for raw in document["daos"] if raw["name"] == "nouns")
+    document["daos"].append({**nouns, "analysis_defaults": {"participation_threshold": 0.9}})
+    registry = tmp_path / "registry.json"
+    registry.write_text(json.dumps(document))
+    args = build_parser().parse_args(["analyze", "--dao", "nouns",
+                                      "--registry", str(registry)])
+    with pytest.raises(ConfigError, match="^bad registry entry 'nouns': the registry "
+                                          "already names this dao$"):
+        resolve_config(args)
 
 
 def test_unknown_config_key_rejected(tmp_path):

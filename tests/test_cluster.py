@@ -101,25 +101,25 @@ def test_silhouette_two_tight_blobs():
     rng = np.random.default_rng(7)
     points = np.vstack([blob((0, 0), 8, 0.05, rng), blob((10, 10), 8, 0.05, rng)])
     assignments = np.array([0] * 8 + [1] * 8)
-    _, mean = silhouette(points, assignments)
+    _, mean = silhouette(pairwise_distances(points), assignments)
     assert mean > 0.9
 
 
 def test_silhouette_identical_points_score_zero():
     points = np.zeros((4, 2))
-    per_point, mean = silhouette(points, np.array([0, 0, 1, 1]))
+    per_point, mean = silhouette(pairwise_distances(points), np.array([0, 0, 1, 1]))
     assert np.all(per_point == 0.0) and mean == 0.0
 
 
 def test_silhouette_singleton_cluster_scores_zero():
     points = np.array([[0.0, 0.0], [0.1, 0.0], [5.0, 5.0]])
-    per_point, _ = silhouette(points, np.array([0, 0, 1]))
+    per_point, _ = silhouette(pairwise_distances(points), np.array([0, 0, 1]))
     assert per_point[2] == 0.0
 
 
 def test_silhouette_single_cluster_rejected():
     with pytest.raises(ValueError, match="^silhouette needs at least 2 clusters$"):
-        silhouette(np.zeros((3, 2)), np.array([0, 0, 0]))
+        silhouette(pairwise_distances(np.zeros((3, 2))), np.array([0, 0, 0]))
 
 
 @given(st.integers(0, 10_000))
@@ -130,7 +130,7 @@ def test_silhouette_values_bounded(seed):
     assignments = rng.integers(0, 3, 10)
     if len(set(int(a) for a in assignments)) < 2:
         return
-    per_point, mean = silhouette(points, assignments)
+    per_point, mean = silhouette(pairwise_distances(points), assignments)
     assert np.all((per_point >= -1.0) & (per_point <= 1.0))
     assert -1.0 <= mean <= 1.0
 
@@ -139,8 +139,8 @@ def test_planted_blobs_beat_uniform_noise():
     rng = np.random.default_rng(9)
     blobs = np.vstack([blob((0, 0), 10, 0.3, rng), blob((8, 8), 10, 0.3, rng)])
     noise = rng.uniform(0, 8, (20, 2))
-    blob_mean = silhouette(blobs, kmeans(blobs, 2, seed=0)[0])[1]
-    noise_mean = silhouette(noise, kmeans(noise, 2, seed=0)[0])[1]
+    blob_mean = silhouette(pairwise_distances(blobs), kmeans(blobs, 2, seed=0)[0])[1]
+    noise_mean = silhouette(pairwise_distances(noise), kmeans(noise, 2, seed=0)[0])[1]
     assert blob_mean > noise_mean
 
 
@@ -244,13 +244,10 @@ def test_silhouette_shared_distances_bitwise(case):
         # 128-element pairwise-summation block
         labels = rng.choice([3, 7, 11, 40], n, p=[0.6, 0.2, 0.1, 0.1])
         assert np.bincount(labels).max() > 128
-    distances = pairwise_distances(points)
-    fresh = silhouette(points, labels)
-    shared = silhouette(points, labels, distances)
+    scores, mean = silhouette(pairwise_distances(points), labels)
     reference = _reference_silhouette(points, labels)
-    for scores, mean in (fresh, shared):
-        assert np.array_equal(scores, reference[0])
-        assert mean == reference[1]
+    assert np.array_equal(scores, reference[0])
+    assert mean == reference[1]
 
 
 def _reference_kmeans_pp_init(points: np.ndarray, k: int,

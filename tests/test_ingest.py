@@ -30,6 +30,7 @@ from forkcast.errors import (
     TransportError,
 )
 from forkcast.ingest import (
+    _CHAIN_ORDER,
     DaoRegistryEntry,
     ForkGroundTruth,
     RawLog,
@@ -66,6 +67,13 @@ KECCAK_VECTORS = [
 # Frozen after the keccak implementation reproduced all vectors above;
 # matches the widely published GovernorBravo VoteCast topic.
 NOUNS_TOPIC0 = "0xb8e138887d0aa13bab447e82de9d5c1777041ecd21ca36ba824ff1e6c07ddda4"
+
+
+def chain_order(event: VoteEvent) -> tuple:
+    """Chain order, the order ``collapse_duplicates`` sorts into: block number,
+    log index, then voter, proposal id and support."""
+    return (event.block_number, event.log_index, event.voter,
+            event.proposal_id, event.support)
 
 
 def encode_vote_data(abi: EventAbi, voter: str, proposal_id: int,
@@ -229,7 +237,7 @@ def test_vote_event_has_no_instance_dict():
 
 
 @pytest.mark.parametrize("name", ["voter", "proposal_id", "support", "block_number",
-                                  "log_index", "order_key"])
+                                  "log_index"])
 def test_vote_event_fields_are_read_only(name):
     event = VoteEvent(addr(1), 1, 1, 0, 0)
     with pytest.raises(AttributeError):
@@ -610,14 +618,14 @@ def test_load_fixture_matches_strict_decode_reference(tmp_path_factory, lines, b
 
 def collapse_by_sorting_twice(events):
     """Reference: sort, keep the last event per key, sort the kept ones again."""
-    events = sorted(events, key=lambda e: e.order_key)
+    events = sorted(events, key=chain_order)
     kept, duplicates = {}, []
     for event in events:
         key = (event.voter, event.proposal_id)
         if key in kept:
             duplicates.append(key)
         kept[key] = event
-    return sorted(kept.values(), key=lambda e: e.order_key), tuple(duplicates)
+    return sorted(kept.values(), key=chain_order), tuple(duplicates)
 
 
 @given(st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(0, 2),
@@ -636,13 +644,22 @@ def test_write_fixture_round_trip(tmp_path):
     events = [VoteEvent(addr(2), 3, 1, 50, 0), VoteEvent(addr(1), 1, 0, 10, 2)]
     path = tmp_path / "votes.jsonl"
     write_fixture(events, path)
-    assert load_fixture_with_report(path)[0] == sorted(events, key=lambda e: e.order_key)
+    assert load_fixture_with_report(path)[0] == sorted(events, key=chain_order)
+
+
+def test_write_fixture_keeps_the_given_order(tmp_path):
+    events = [VoteEvent(addr(2), 3, 1, 50, 0), VoteEvent(addr(1), 2, 1, 10, 2),
+              VoteEvent(addr(1), 1, 0, 10, 1)]
+    path = tmp_path / "votes.jsonl"
+    write_fixture(events, path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert [VoteEvent(**json.loads(line)) for line in lines] == events
 
 
 def write_fixture_with_json_dumps(events, path):
-    """Reference: the writer as it was, one ``json.dumps`` per record."""
+    """Reference: one ``json.dumps`` per record, in the order given."""
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        for event in sorted(events, key=lambda e: e.order_key):
+        for event in events:
             handle.write(json.dumps({
                 "voter": event.voter,
                 "proposal_id": event.proposal_id,
@@ -673,15 +690,12 @@ def test_write_fixture_matches_json_dumps(tmp_path_factory, events):
 
 
 @given(_events)
-def test_chain_order_key_equals_order_key(events):
-    """Every chain-order sort takes the key ``order_key`` reads at C level; it
+def test_chain_order_key_is_chain_order(events):
+    """``collapse_duplicates`` sorts by the C-level key ``_CHAIN_ORDER``; it
     must be the chain order: block, log index, then voter, proposal, support."""
-    def chain_order(e):
-        return (e.block_number, e.log_index, e.voter, e.proposal_id, e.support)
-
     for event in events:
-        assert event.order_key == chain_order(event)
-    assert sorted(events, key=lambda e: e.order_key) == sorted(events, key=chain_order)
+        assert _CHAIN_ORDER(event) == chain_order(event)
+    assert sorted(events, key=_CHAIN_ORDER) == sorted(events, key=chain_order)
 
 
 def test_make_planted_fixture_reproduces_bundled_data(tmp_path):
@@ -782,13 +796,16 @@ def test_load_ground_truth_matches_strict_decode_reference(tmp_path_factory, lin
             == _ground_truth_outcome(_ground_truth_reference, path))
 
 
+def _nouns_like_events(count: int) -> list[VoteEvent]:
+    """One event per block from 1000, in chain order; (voter, proposal) keys
+    repeat every 35 events."""
+    return [VoteEvent(addr(i % 5 + 1), i % 7 + 1, i % 2, 1000 + i, i % 4)
+            for i in range(count)]
+
+
 def _nouns_like_logs(count: int) -> list[RawLog]:
-    logs = []
-    for i in range(count):
-        event = VoteEvent(addr(i % 5 + 1), i % 7 + 1, i % 2, 1000 + i, i % 4)
-        logs.append(encode_vote_event(event, NOUNS_SIG,
-                                      contract="0x" + "33" * 20))
-    return logs
+    return [encode_vote_event(event, NOUNS_SIG, contract="0x" + "33" * 20)
+            for event in _nouns_like_events(count)]
 
 
 def _entry(lo=0, hi=10**9, signatures=(NOUNS_SIG,)):
@@ -849,9 +866,30 @@ def test_fetch_logs_matches_fixture_export(tmp_path):
     path = tmp_path / "votes.jsonl"
     write_fixture(events, path)
     exported, _ = load_fixture_with_report(path)
-    deduped = {(e.voter, e.proposal_id): e
-               for e in sorted(events, key=lambda e: e.order_key)}
-    assert exported == sorted(deduped.values(), key=lambda e: e.order_key)
+    deduped = {(e.voter, e.proposal_id): e for e in sorted(events, key=chain_order)}
+    assert exported == sorted(deduped.values(), key=chain_order)
+
+
+class ReversedLogTransport(StaticLogTransport):
+    """Answers each eth_getLogs request latest log first: out of chain order."""
+
+    def request(self, method, params):
+        return super().request(method, params)[::-1]
+
+
+def test_fetch_logs_keeps_the_provider_order():
+    events = _nouns_like_events(40)
+    transport = ReversedLogTransport(_nouns_like_logs(40))
+    collapsed = []
+    for size in (1, 7, 1000):
+        fetched = fetch_logs("http://unused", _entry(), (1000, 1039),
+                             chunk_size=size, transport=transport)
+        # one event per block: each request answers one slice, reversed
+        assert fetched == [event for start in range(0, 40, size)
+                           for event in reversed(events[start:start + size])]
+        collapsed.append(collapse_duplicates(fetched))
+    assert collapsed[0] == collapsed[1] == collapsed[2] == collapse_duplicates(events)
+    assert len(collapsed[0][1]) == 5
 
 
 class FlakyTransport(StaticLogTransport):

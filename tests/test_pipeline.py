@@ -94,7 +94,7 @@ def test_degenerate_frames_are_analyzed_or_skipped(matrix, k_min, threshold, w,
         assert len(analysis.clustering.assignments) == n
 
 
-def test_pipeline_hands_each_dissimilarity_to_the_hook(planted_matrix):
+def test_pipeline_hands_each_frame_to_on_frame(planted_matrix):
     """The sink sees every analyzed frame once, in proposal order, with its
     pattern matrix and one pattern row per frame address."""
     seen = []
