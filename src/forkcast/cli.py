@@ -103,6 +103,9 @@ class RunConfig:
                 value = getattr(self, name)
                 if type(value) not in accepted + declared[1:]:
                     raise ValueError(f"{name} must be {kind}, got {value!r}")
+        # ``dao`` is the output subdirectory: exactly one path component
+        if self.dao in ("", ".", "..") or any(c in self.dao for c in "/\\\0"):
+            raise ValueError(f"dao must be one directory name, got {self.dao!r}")
         self.analysis_spec()  # raises on a bad window, MDS or k setting
         if self.iterations < 0:
             raise ValueError("iterations must be >= 0")

@@ -15,14 +15,20 @@ go to ``VoteEvent``. So the first bad line is the one named in the
 missing, or a value fails a check.
 
 An address is checked with one precompiled regex and interned, so each
-distinct voter is one ``str`` object however many events name it. The
-writer formats each line with one f-string that reproduces ``json.dumps``
-of the record. Text inputs must be UTF-8; a byte that is not is a
-``ParseError`` naming its line.
+distinct voter is one ``str`` object however many events name it. Each
+spelling is checked once: ``_CANONICAL`` maps every accepted spelling to its
+address, so a fixture of 165,680 events over 629 voters runs the regex 629
+times. A load builds its events with the cyclic collector paused. Events
+hold only ``str`` and ``int``, so they cannot form a cycle, and a collection
+during the build would free nothing; it would only rescan the events just
+built. The writer formats each line with one f-string that reproduces
+``json.dumps`` of the record. Text inputs must be UTF-8; a byte that is not
+is a ``ParseError`` naming its line.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import operator
 import re
@@ -46,11 +52,21 @@ Address = str
 # No character outside ASCII hex lowercases into [0-9a-f], so this accepts
 # exactly the strings whose lowercased body is 40 hex digits.
 _is_address = re.compile(r"0[xX][0-9a-fA-F]{40}").fullmatch
+# each accepted plain-``str`` spelling -> its interned canonical address; a
+# rejected spelling is never stored, so it is checked, and raises, every time.
+# It lives as long as the process: one entry per spelling a run has read.
+_CANONICAL: dict[str, Address] = {}
 
 
 def normalize_address(value: str) -> Address:
     """Canonical lowercase 0x-prefixed 20-byte hex rendering, interned."""
-    if isinstance(value, str) and _is_address(value):
+    if type(value) is str:
+        if (canonical := _CANONICAL.get(value)) is not None:
+            return canonical
+        if _is_address(value):
+            canonical = _CANONICAL[value] = sys.intern(value.lower())
+            return canonical
+    elif isinstance(value, str) and _is_address(value):
         return sys.intern(value.lower())
     if not isinstance(value, str) or not value.startswith(("0x", "0X")):
         raise ValueError(f"address must be 0x-prefixed hex: {value!r}")
@@ -209,10 +225,17 @@ def collapse_duplicates(events: Iterable[VoteEvent],
 def load_fixture_with_report(path: str | Path,
                              ) -> tuple[list[VoteEvent], tuple[tuple[Address, int], ...]]:
     """Parse a JSONL fixture and collapse it with ``collapse_duplicates``: the
-    kept events in chain order, and the key of each dropped duplicate."""
-    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
-        events = _read_events(handle)
-    return collapse_duplicates(events)
+    kept events in chain order, and the key of each dropped duplicate. The
+    cyclic collector is paused for the call and then left as it was."""
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        with open(path, encoding="utf-8", errors="surrogateescape") as handle:
+            events = _read_events(handle)
+        return collapse_duplicates(events)
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def _read_events(handle: Iterable[str]) -> list[VoteEvent]:

@@ -110,6 +110,20 @@ def test_dao_from_config_must_be_a_string(tmp_path, capsys, dao):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("dao", ["", ".", "..", "a/b", "a\\b", "a\x00b"],
+                         ids=["empty", "dot", "dotdot", "slash", "backslash", "nul"])
+def test_dao_must_be_one_directory_name(tmp_path, capsys, dao):
+    config_file = tmp_path / "run.json"
+    config_file.write_text(json.dumps({"dao": dao}))
+    out = tmp_path / "out"
+    code = run(["friction", "--config", str(config_file), "--fixture", str(FIXTURE),
+                "--out", str(out)])
+    assert code == 2
+    assert "ConfigError: dao must be one directory name" in capsys.readouterr().err
+    assert not out.exists()
+    assert not list(tmp_path.rglob("friction.csv"))
+
+
 def test_registry_path_that_is_not_a_path_is_never_opened(tmp_path, monkeypatch):
     """``open(True)`` would read, then close, file descriptor 1."""
     opened = []
@@ -201,7 +215,7 @@ def test_registry_entry_is_the_resolved_dao(tmp_path):
     the same precedence: a command-line ``--dao`` beats the config file's."""
     config_file = tmp_path / "run.json"
     config_file.write_text(json.dumps({"dao": "nouns"}))
-    for dao, name in (("compound", "compound"), ("", None)):
+    for dao, name in (("compound", "compound"), ("unlisted", None)):
         config, entry = resolve_config(build_parser().parse_args(
             ["analyze", "--dao", dao, "--config", str(config_file)]))
         assert config.dao == dao

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import io
 import json
 import os
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from forkcast import abi, planted_two_bloc_events
+from forkcast import abi, ingest, planted_two_bloc_events
 from forkcast.abi import (
     _DYNAMIC_TYPES,
     EventAbi,
@@ -206,8 +207,15 @@ _near_addresses = st.builds(
 @example(None)
 @example(b"0x" + b"a" * 40)
 def test_normalize_address_matches_character_loop(value):
-    assert (_outcome(normalize_address, value)
-            == _outcome(normalize_address_by_characters, value))
+    """Twice: the second call may read the first one's stored spelling."""
+    first = _outcome(normalize_address, value)
+    second = _outcome(normalize_address, value)
+    assert first == _outcome(normalize_address_by_characters, value)
+    assert second == first
+    if first[0] == "ok":
+        assert second[1] is first[1]
+    else:
+        assert not (isinstance(value, str) and value in ingest._CANONICAL)
 
 
 def test_vote_event_invariants():
@@ -385,6 +393,61 @@ def test_load_fixture_rejects_non_integer_numbers(tmp_path, field, value):
     path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
     with pytest.raises(ParseError, match="line 2"):
         load_fixture_with_report(path)
+
+
+def test_load_fixture_runs_no_collection(tmp_path):
+    events, _ = planted_two_bloc_events((100, 50), 200, seed=3)
+    assert len(events) >= 20_000
+    path = tmp_path / "votes.jsonl"
+    write_fixture(events, path)
+    starts = []
+
+    def count(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    was = gc.isenabled()
+    gc.enable()
+    gc.callbacks.append(count)
+    try:
+        assert len(load_fixture_with_report(path)[0]) == len(events)
+    finally:
+        gc.callbacks.remove(count)
+        (gc.enable if was else gc.disable)()
+    assert starts == []
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["gc-on", "gc-off"])
+@pytest.mark.parametrize("voter", [addr(1), "0x1"], ids=["loads", "parse-error"])
+def test_load_fixture_restores_the_collector_state(tmp_path, collecting, voter):
+    path = tmp_path / "votes.jsonl"
+    path.write_text(json.dumps({"voter": voter, "proposal_id": 1, "support": 1,
+                                "block_number": 0, "log_index": 0}) + "\n")
+    was = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        if voter == "0x1":
+            with pytest.raises(ParseError, match="line 1"):
+                load_fixture_with_report(path)
+        else:
+            assert len(load_fixture_with_report(path)[0]) == 1
+        assert gc.isenabled() is collecting
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def test_load_fixture_checks_each_voter_spelling_once(monkeypatch):
+    calls, check = [], ingest._is_address
+
+    def is_address(value):
+        calls.append(value)
+        return check(value)
+
+    monkeypatch.setattr(ingest, "_CANONICAL", {}, raising=False)
+    monkeypatch.setattr(ingest, "_is_address", is_address)
+    events = load_fixture_with_report(PLANTED / "votes.jsonl")[0]
+    assert len(events) == 1_450
+    assert len(calls) == len(set(calls)) == 30
 
 
 def test_load_fixture_interns_each_voter():
