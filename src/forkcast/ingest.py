@@ -52,22 +52,20 @@ Address = str
 # No character outside ASCII hex lowercases into [0-9a-f], so this accepts
 # exactly the strings whose lowercased body is 40 hex digits.
 _is_address = re.compile(r"0[xX][0-9a-fA-F]{40}").fullmatch
-# each accepted plain-``str`` spelling -> its interned canonical address; a
-# rejected spelling is never stored, so it is checked, and raises, every time.
+# each accepted spelling -> its interned canonical address; a rejected
+# spelling is never stored, so it is checked, and raises, every time.
 # It lives as long as the process: one entry per spelling a run has read.
 _CANONICAL: dict[str, Address] = {}
 
 
 def normalize_address(value: str) -> Address:
     """Canonical lowercase 0x-prefixed 20-byte hex rendering, interned."""
-    if type(value) is str:
+    if isinstance(value, str):
         if (canonical := _CANONICAL.get(value)) is not None:
             return canonical
         if _is_address(value):
             canonical = _CANONICAL[value] = sys.intern(value.lower())
             return canonical
-    elif isinstance(value, str) and _is_address(value):
-        return sys.intern(value.lower())
     if not isinstance(value, str) or not value.startswith(("0x", "0X")):
         raise ValueError(f"address must be 0x-prefixed hex: {value!r}")
     raise ValueError(f"address must encode exactly 20 bytes: {value!r}")

@@ -110,14 +110,18 @@ def test_dao_from_config_must_be_a_string(tmp_path, capsys, dao):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("via", ["config", "command_line"])
 @pytest.mark.parametrize("dao", ["", ".", "..", "a/b", "a\\b", "a\x00b"],
                          ids=["empty", "dot", "dotdot", "slash", "backslash", "nul"])
-def test_dao_must_be_one_directory_name(tmp_path, capsys, dao):
+def test_dao_must_be_one_directory_name(tmp_path, capsys, dao, via):
+    """On the command line the bad name, even a falsy ``""``, must still beat
+    the config file's ``nouns``."""
     config_file = tmp_path / "run.json"
-    config_file.write_text(json.dumps({"dao": dao}))
+    config_file.write_text(json.dumps({"dao": dao if via == "config" else "nouns"}))
     out = tmp_path / "out"
-    code = run(["friction", "--config", str(config_file), "--fixture", str(FIXTURE),
-                "--out", str(out)])
+    dao_args = ["--dao", dao] if via == "command_line" else []
+    code = run(["friction", *dao_args, "--config", str(config_file),
+                "--fixture", str(FIXTURE), "--out", str(out)])
     assert code == 2
     assert "ConfigError: dao must be one directory name" in capsys.readouterr().err
     assert not out.exists()
