@@ -41,6 +41,7 @@ from .ingest import (
     DaoRegistryEntry,
     ForkGroundTruth,
     VoteEvent,
+    check_dao_name,
     collapse_duplicates,
     fetch_logs,
     load_fixture_with_report,
@@ -103,12 +104,15 @@ class RunConfig:
                 value = getattr(self, name)
                 if type(value) not in accepted + declared[1:]:
                     raise ValueError(f"{name} must be {kind}, got {value!r}")
-        # ``dao`` is the output subdirectory: exactly one path component
-        if self.dao in ("", ".", "..") or any(c in self.dao for c in "/\\\0"):
-            raise ValueError(f"dao must be one directory name, got {self.dao!r}")
+        check_dao_name(self.dao)
         self.analysis_spec()  # raises on a bad window, MDS or k setting
         if self.iterations < 0:
             raise ValueError("iterations must be >= 0")
+        if self.chunk_size < 1:
+            raise ValueError(f"chunk_size must be >= 1, got {self.chunk_size}")
+        if (self.from_block is not None and self.to_block is not None
+                and self.from_block > self.to_block):
+            raise ValueError(f"from_block {self.from_block} > to_block {self.to_block}")
 
     @property
     def out(self) -> Path:

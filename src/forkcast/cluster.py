@@ -101,16 +101,13 @@ def kmeans_pp_init(points: np.ndarray, ks: Sequence[int],
     for c in range(1, centers.shape[1]):
         d2 = np.minimum(d2, _squared_distances(points, centers[:, c - 1:c])[:, :, 0])
         totals = d2.sum(axis=1)
-        zero = totals == 0.0
-        if zero.any():
-            thresholds = np.zeros(starts)
-            thresholds[~zero] = streams.uniform(~zero) * totals[~zero]
-        else:
-            thresholds = streams.uniform() * totals
+        # a start whose points all sit on its centers draws a uniform pick
+        drawn = totals > 0.0
+        thresholds = np.zeros(starts)
+        thresholds[drawn] = streams.uniform(drawn) * totals[drawn]
         # searchsorted(side="right") on each non-decreasing cumulative row
         picks = np.minimum((np.cumsum(d2, axis=1) <= thresholds[:, None]).sum(axis=1), n - 1)
-        if zero.any():
-            picks[zero] = streams.below(n, zero)
+        picks[~drawn] = streams.below(n, ~drawn)
         centers[:, c] = points[picks]
     centers[np.arange(centers.shape[1]) >= ks[:, None]] = np.inf
     return centers

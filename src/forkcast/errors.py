@@ -38,7 +38,7 @@ class EmptyInput(ForkcastError):
 
 
 class SignatureMismatch(ForkcastError):
-    """Log topic0 does not match the event signature hash."""
+    """Log topic0 is none of the registry entry's event signature hashes."""
 
 
 class MalformedData(ForkcastError):

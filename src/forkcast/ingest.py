@@ -122,13 +122,19 @@ _LINE_ERRORS = (KeyError, TypeError, ValueError, RecursionError)
 _escaped_byte = re.compile("[\udc80-\udcff]").search
 
 
+def check_dao_name(name: object) -> None:
+    """A dao's name is its output subdirectory: exactly one path component."""
+    if (not isinstance(name, str) or name in ("", ".", "..")
+            or any(c in name for c in "/\\\0")):
+        raise ValueError(f"dao must be one directory name, got {name!r}")
+
+
 @dataclass(frozen=True)
 class DaoRegistryEntry:
-    """One DAO's governance contract and event configuration; ``event_abis``
-    are its event signatures, parsed once when the entry is made."""
+    """One DAO's governance contract and event configuration, checked when
+    made; ``event_abis`` are its event signatures, parsed once."""
 
     name: str
-    chain: str
     governance_contract: Address
     deploy_block: int
     end_block: int
@@ -137,16 +143,23 @@ class DaoRegistryEntry:
     event_abis: tuple[abi.EventAbi, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        check_dao_name(self.name)
         object.__setattr__(self, "governance_contract",
                            normalize_address(self.governance_contract))
         if not type(self.deploy_block) is type(self.end_block) is int:
             raise ValueError(f"{self.name}: deploy_block and end_block must be integers")
         if self.deploy_block > self.end_block:
             raise ValueError(f"{self.name}: deploy_block > end_block")
-        if not self.event_signatures:
-            raise ValueError(f"{self.name}: event_signatures must be non-empty")
+        signatures = self.event_signatures
+        if not (isinstance(signatures, (list, tuple)) and signatures
+                and all(isinstance(signature, str) for signature in signatures)):
+            raise TypeError(
+                f"event_signatures must be a non-empty list of strings, got {signatures!r}")
+        if not isinstance(defaults := self.analysis_defaults, dict):
+            raise TypeError(f"analysis_defaults must be a JSON object, got {defaults!r}")
+        object.__setattr__(self, "event_signatures", tuple(signatures))
         object.__setattr__(self, "event_abis",
-                           tuple(map(abi.parse_event_signature, self.event_signatures)))
+                           tuple(map(abi.parse_event_signature, signatures)))
 
 
 @dataclass(frozen=True)
@@ -156,48 +169,36 @@ class ForkGroundTruth:
     addresses: frozenset[Address]
 
 
-@dataclass(frozen=True)
-class RawLog:
-    """Undecoded EVM log entry as returned by eth_getLogs."""
-
-    address: Address
-    topics: tuple[str, ...]
-    data: str
-    block_number: int
-    log_index: int
-
-    @classmethod
-    def from_rpc(cls, entry: dict) -> "RawLog":
-        """The log of one ``eth_getLogs`` entry; a missing or ill-typed field
-        is ``MalformedData``."""
-        try:
-            topics, data = tuple(entry["topics"]), entry.get("data", "0x")
-            if not all(isinstance(text, str) for text in (*topics, data)):
-                raise TypeError("topics and data must be hex strings")
-            return cls(normalize_address(entry["address"]), topics, data,
-                       _to_int(entry["blockNumber"]), _to_int(entry["logIndex"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise MalformedData(f"bad eth_getLogs entry {entry!r}: {exc!r}") from exc
-
-
 def _to_int(value: int | str) -> int:
     return value if type(value) is int else int(value, 16)
 
 
-def decode_vote_event(raw_log: RawLog, event_abi: abi.EventAbi) -> VoteEvent:
-    """Decode one log against a parsed event signature.
+def decode_vote_event(raw: dict, entry: DaoRegistryEntry) -> VoteEvent:
+    """The vote of one ``eth_getLogs`` entry, checked against ``entry``.
 
-    Raises SignatureMismatch when topic0 differs from the signature hash and
-    MalformedData when the payload cannot be decoded; both identify the
-    offending log by block/index.
+    A missing or ill-typed field, a log from another contract or a payload
+    that cannot be decoded is MalformedData, and a topic0 that is none of the
+    entry's signatures is SignatureMismatch; all but the first name the log
+    by block and index.
     """
-    where = f"block {raw_log.block_number} log {raw_log.log_index}"
-    if not raw_log.topics or raw_log.topics[0].lower() != event_abi.topic0:
-        raise SignatureMismatch(
-            f"{where}: topic0 does not match {event_abi.canonical}")
     try:
-        return VoteEvent(*abi.decode_vote(event_abi, raw_log.topics, raw_log.data),
-                         raw_log.block_number, raw_log.log_index)
+        topics, data = tuple(raw["topics"]), raw.get("data", "0x")
+        if not all(isinstance(text, str) for text in (*topics, data)):
+            raise TypeError("topics and data must be hex strings")
+        address = normalize_address(raw["address"])
+        block_number, log_index = _to_int(raw["blockNumber"]), _to_int(raw["logIndex"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise MalformedData(f"bad eth_getLogs entry {raw!r}: {exc!r}") from exc
+    where = f"block {block_number} log {log_index}"
+    if address != entry.governance_contract:
+        raise MalformedData(
+            f"{where}: address {address} is not {entry.governance_contract}")
+    topic0 = topics[0].lower() if topics else None
+    event_abi = next((a for a in entry.event_abis if a.topic0 == topic0), None)
+    if event_abi is None:
+        raise SignatureMismatch(f"{where}: unexpected topic0 from provider")
+    try:
+        return VoteEvent(*abi.decode_vote(event_abi, topics, data), block_number, log_index)
     except ValueError as exc:
         raise MalformedData(f"{where}: {exc}") from exc
 
@@ -375,24 +376,13 @@ def fetch_logs(
         raise ValueError("chunk_size must be positive")
     if transport is None:
         transport = HttpTransport(endpoint)
-    by_topic = {event_abi.topic0: event_abi for event_abi in entry.event_abis}
+    topics = sorted(event_abi.topic0 for event_abi in entry.event_abis)
     events: list[VoteEvent] = []
     start = lo
     while start <= hi:
         end = min(start + chunk_size - 1, hi)
-        for raw in _get_logs(transport, entry.governance_contract,
-                             sorted(by_topic), start, end, retries, retry_wait):
-            log = RawLog.from_rpc(raw)
-            if log.address != entry.governance_contract:
-                raise MalformedData(
-                    f"block {log.block_number} log {log.log_index}: address "
-                    f"{log.address} is not {entry.governance_contract}")
-            event_abi = by_topic.get(log.topics[0].lower() if log.topics else "")
-            if event_abi is None:
-                raise SignatureMismatch(
-                    f"block {log.block_number} log {log.log_index}: "
-                    "unexpected topic0 from provider")
-            events.append(decode_vote_event(log, event_abi))
+        events.extend(decode_vote_event(raw, entry) for raw in _get_logs(
+            transport, entry.governance_contract, topics, start, end, retries, retry_wait))
         start = end + 1
     return events
 

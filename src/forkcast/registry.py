@@ -16,30 +16,20 @@ from .ingest import DaoRegistryEntry
 
 
 def parse_registry(document: dict) -> dict[str, DaoRegistryEntry]:
-    """Each entry of ``{"daos": [...]}`` by name; a malformed entry, or a
-    second entry for a name, is a ``ConfigError``."""
+    """Each entry of ``{"daos": [...]}`` by name; an entry that
+    ``DaoRegistryEntry`` rejects, or a second entry for a name, is a
+    ``ConfigError``. Unknown keys, such as ``chain``, are ignored."""
     daos = document.get("daos", []) if isinstance(document, dict) else None
     if not isinstance(daos, list) or not all(isinstance(raw, dict) for raw in daos):
         raise ConfigError('registry must be {"daos": [ {entry}, ... ]}')
     entries: dict[str, DaoRegistryEntry] = {}
     for raw in daos:
         try:
-            name, signatures = raw["name"], raw["event_signatures"]
-            if name in entries:
-                raise ValueError("the registry already names this dao")
-            if not (isinstance(signatures, list)
-                    and all(isinstance(signature, str) for signature in signatures)):
-                raise TypeError("event_signatures must be a list of strings, "
-                                f"got {signatures!r}")
             entry = DaoRegistryEntry(
-                name=name,
-                chain=raw["chain"],
-                governance_contract=raw["governance_contract"],
-                deploy_block=raw["deploy_block"],
-                end_block=raw["end_block"],
-                event_signatures=tuple(signatures),
-                analysis_defaults=dict(raw.get("analysis_defaults", {})),
-            )
+                raw["name"], raw["governance_contract"], raw["deploy_block"],
+                raw["end_block"], raw["event_signatures"], raw.get("analysis_defaults", {}))
+            if entry.name in entries:
+                raise ValueError("the registry already names this dao")
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad registry entry {raw.get('name', '?')!r}: {exc}") from exc
         entries[entry.name] = entry

@@ -75,13 +75,21 @@ def test_parse_ranges():
     ([], {"participation_threshold": True}),
     ([], {"tolerance": True}),
     ([], {"rpc_url": 5}),
+    (["--chunk-size", "0"], None),  # the exporter's settings, although a fixture
+    ([], {"chunk_size": 0}),        # run never reads them
+    (["--chunk-size", "-3"], None),
+    ([], {"chunk_size": -3}),
+    (["--from-block", "9", "--to-block", "2"], None),
+    ([], {"from_block": 9, "to_block": 2}),
 ], ids=["window-file", "window-flag", "tolerance", "rolling-stat", "k-min-1",
         "k-min-above-k-max", "iterations", "min-fork-present", "ranges-short-pair",
         "ranges-int", "ranges-empty", "config-list", "config-null", "window-float",
         "window-bool", "k-min-float", "iterations-float", "seed-float",
         "from-block-float", "tolerance-nan-flag", "tolerance-nan-file",
         "tolerance-inf-flag", "tolerance-inf-file",
-        "flag-string", "threshold-bool", "tolerance-bool", "rpc-url-int"])
+        "flag-string", "threshold-bool", "tolerance-bool", "rpc-url-int",
+        "chunk-zero-flag", "chunk-zero-file", "chunk-negative-flag",
+        "chunk-negative-file", "blocks-reversed-flag", "blocks-reversed-file"])
 def test_bad_setting_is_config_error_before_any_input(tmp_path, capsys, flags, config):
     """``config`` is the config file's contents: a value to write as JSON, or
     the file's text when it is a string."""
@@ -126,6 +134,21 @@ def test_dao_must_be_one_directory_name(tmp_path, capsys, dao, via):
     assert "ConfigError: dao must be one directory name" in capsys.readouterr().err
     assert not out.exists()
     assert not list(tmp_path.rglob("friction.csv"))
+
+
+def test_null_named_registry_entry_is_config_error(tmp_path, capsys):
+    """Unchecked, an entry named null would match every run that names no
+    ``--dao`` and hand it its analysis defaults."""
+    registry = tmp_path / "registry.json"
+    registry.write_text(json.dumps({"daos": [
+        {**_PLANTED_ENTRY, "name": None, "analysis_defaults": {"window_size": 3}}]}))
+    out = tmp_path / "out"
+    code = run(["friction", "--registry", str(registry), "--fixture", str(FIXTURE),
+                "--out", str(out)])
+    assert code == 2
+    assert ("ConfigError: bad registry entry None: dao must be one directory name"
+            in capsys.readouterr().err)
+    assert not out.exists()
 
 
 def test_registry_path_that_is_not_a_path_is_never_opened(tmp_path, monkeypatch):

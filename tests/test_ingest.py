@@ -34,7 +34,6 @@ from forkcast.ingest import (
     _CHAIN_ORDER,
     DaoRegistryEntry,
     ForkGroundTruth,
-    RawLog,
     RpcError,
     VoteEvent,
     collapse_duplicates,
@@ -53,7 +52,6 @@ ROOT = Path(__file__).resolve().parent.parent
 PLANTED = ROOT / "data" / "planted"
 
 NOUNS_SIG = "VoteCast(address,uint256,uint8,uint256,string)"
-NOUNS_ABI = parse_event_signature(NOUNS_SIG)
 ARAGON_SIG = "CastVote(uint256 indexed voteId,address indexed voter,bool supports,uint256 stake)"
 
 # Published keccak-256 known-answer vectors; the empty-input digest is the
@@ -100,24 +98,32 @@ def encode_vote_data(abi: EventAbi, voter: str, proposal_id: int,
     return topics, "0x" + b"".join(words[abi.topic_count:] + tail).hex()
 
 
-def encode_vote_event(event: VoteEvent, signature: str,
-                      contract: str = "0x" + "00" * 20) -> RawLog:
-    """Synthesize a log that decodes back to ``event`` (round-trip inverse)."""
+CONTRACT = "0x" + "33" * 20
+
+
+def rpc_log(topics: tuple[str, ...], data: str, block_number: int = 5,
+            log_index: int = 9, contract: str = CONTRACT) -> dict:
+    """One ``eth_getLogs`` entry, numbers in the provider's hex form."""
+    return {
+        "address": contract,
+        "topics": list(topics),
+        "data": data,
+        "blockNumber": hex(block_number),
+        "logIndex": hex(log_index),
+    }
+
+
+def encode_vote_event(event: VoteEvent, signature: str, contract: str = CONTRACT) -> dict:
+    """Synthesize an ``eth_getLogs`` entry that decodes back to ``event``
+    (round-trip inverse)."""
     event_abi = parse_event_signature(signature)
     topics, data = encode_vote_data(
         event_abi, event.voter, event.proposal_id, event.support)
-    return RawLog(contract, topics, data, event.block_number, event.log_index)
+    return rpc_log(topics, data, event.block_number, event.log_index, contract)
 
 
-def to_rpc(log: RawLog) -> dict:
-    """The eth_getLogs entry that ``RawLog.from_rpc`` reads back as ``log``."""
-    return {
-        "address": log.address,
-        "topics": list(log.topics),
-        "data": log.data,
-        "blockNumber": hex(log.block_number),
-        "logIndex": hex(log.log_index),
-    }
+def _entry(lo=0, hi=10**9, signatures=(NOUNS_SIG,), contract=CONTRACT):
+    return DaoRegistryEntry("test", contract, lo, hi, signatures)
 
 
 class StaticLogTransport:
@@ -126,7 +132,8 @@ class StaticLogTransport:
     """
 
     def __init__(self, logs) -> None:
-        self._logs = sorted(logs, key=lambda l: (l.block_number, l.log_index))
+        self._logs = sorted(logs, key=lambda l: (int(l["blockNumber"], 16),
+                                                 int(l["logIndex"], 16)))
 
     def request(self, method: str, params: list) -> object:
         if method != "eth_getLogs":
@@ -140,13 +147,14 @@ class StaticLogTransport:
             {topic0.lower()} if topic0 else None)
         out = []
         for log in self._logs:
-            if not lo <= log.block_number <= hi:
+            if not lo <= int(log["blockNumber"], 16) <= hi:
                 continue
-            if address and log.address.lower() != address:
+            if address and log["address"].lower() != address:
                 continue
-            if accepted is not None and (not log.topics or log.topics[0].lower() not in accepted):
+            if accepted is not None and (not log["topics"]
+                                         or log["topics"][0].lower() not in accepted):
                 continue
-            out.append(to_rpc(log))
+            out.append(log)
         return out
 
 
@@ -260,30 +268,30 @@ def test_decode_hand_encoded_vote_cast():
     # Hand-assembled ABI payload: proposalId=7, support=1, votes=0,
     # reason="" (head offset 0x80, zero length).
     voter = "0x" + "aa" * 20
-    log = RawLog(
-        address="0x6f3e6272a167e8accb32072d08e0957f9c79223d",
+    contract = "0x6f3e6272a167e8accb32072d08e0957f9c79223d"
+    log = rpc_log(
         topics=(NOUNS_TOPIC0, "0x" + "00" * 12 + "aa" * 20),
         data="0x" + _word(7) + _word(1) + _word(0) + _word(0x80) + _word(0),
         block_number=12985453,
         log_index=3,
+        contract=contract,
     )
-    event = decode_vote_event(log, NOUNS_ABI)
+    event = decode_vote_event(log, _entry(contract=contract))
     assert event == VoteEvent(voter, 7, 1, 12985453, 3)
 
 
 def test_decode_signature_mismatch():
-    log = RawLog("0x" + "11" * 20, ("0x" + "ff" * 32, "0x" + "00" * 32),
-                 "0x" + _word(1) * 5, 5, 9)
-    with pytest.raises(SignatureMismatch, match="block 5 log 9"):
-        decode_vote_event(log, NOUNS_ABI)
+    # a well-formed nouns log, decoded for an entry that lists only Aragon's event
+    log = rpc_log((NOUNS_TOPIC0, "0x" + "00" * 12 + "aa" * 20), "0x" + _word(1) * 5)
+    with pytest.raises(SignatureMismatch,
+                       match="^block 5 log 9: unexpected topic0 from provider$"):
+        decode_vote_event(log, _entry(signatures=(ARAGON_SIG,)))
 
 
 def test_decode_short_data_is_malformed():
-    log = RawLog("0x" + "11" * 20,
-                 (NOUNS_TOPIC0, "0x" + "00" * 12 + "aa" * 20),
-                 "0x" + _word(7), 5, 9)
+    log = rpc_log((NOUNS_TOPIC0, "0x" + "00" * 12 + "aa" * 20), "0x" + _word(7))
     with pytest.raises(MalformedData, match="block 5 log 9"):
-        decode_vote_event(log, NOUNS_ABI)
+        decode_vote_event(log, _entry())
 
 
 _VOTER_TOPIC = "0x" + "00" * 12 + "aa" * 20
@@ -298,21 +306,21 @@ _VOTER_TOPIC = "0x" + "00" * 12 + "aa" * 20
     ((NOUNS_TOPIC0, "0x" + "zz" * 32), _word(7) * 4, "non-hexadecimal number"),
 ], ids=["topic-count", "data-not-hex", "data-short", "topic-short", "topic-not-hex"])
 def test_decode_malformed_log_names_the_fault(topics, data, message):
-    log = RawLog("0x" + "11" * 20, topics, "0x" + data, 5, 9)
     with pytest.raises(MalformedData, match=f"^block 5 log 9: {message}"):
-        decode_vote_event(log, NOUNS_ABI)
+        decode_vote_event(rpc_log(topics, "0x" + data), _entry())
 
 
 def test_decode_aragon_style_indexed_layout():
     event_abi = parse_event_signature(ARAGON_SIG)
-    log = RawLog(
-        address="0x" + "22" * 20,
+    log = rpc_log(
         topics=(event_abi.topic0, "0x" + _word(41), "0x" + "00" * 12 + "bb" * 20),
         data="0x" + _word(1) + _word(999),
         block_number=100,
         log_index=0,
+        contract="0x" + "22" * 20,
     )
-    event = decode_vote_event(log, event_abi)
+    event = decode_vote_event(log, _entry(signatures=(ARAGON_SIG,),
+                                          contract="0x" + "22" * 20))
     assert event.voter == "0x" + "bb" * 20
     assert event.proposal_id == 41
     assert event.support == 1
@@ -333,15 +341,15 @@ def test_parse_rejects_unusable_signatures():
        st.integers(0, 500), st.integers(1, 2**160 - 1))
 def test_decode_encode_round_trip(proposal, support, block, index, voter_int):
     event = VoteEvent(f"0x{voter_int:040x}", proposal, support, block, index)
-    assert decode_vote_event(encode_vote_event(event, NOUNS_SIG), NOUNS_ABI) == event
+    assert decode_vote_event(encode_vote_event(event, NOUNS_SIG), _entry()) == event
 
 
 def test_round_trip_all_bundled_signatures():
     event = VoteEvent(addr(9), 12, 1, 777, 2)
     for entry in bundled_registry().values():
         for signature in entry.event_signatures:
-            log = encode_vote_event(event, signature)
-            assert decode_vote_event(log, parse_event_signature(signature)) == event
+            log = encode_vote_event(event, signature, entry.governance_contract)
+            assert decode_vote_event(log, entry) == event
 
 
 def test_load_fixture_empty(tmp_path):
@@ -866,13 +874,8 @@ def _nouns_like_events(count: int) -> list[VoteEvent]:
             for i in range(count)]
 
 
-def _nouns_like_logs(count: int) -> list[RawLog]:
-    return [encode_vote_event(event, NOUNS_SIG, contract="0x" + "33" * 20)
-            for event in _nouns_like_events(count)]
-
-
-def _entry(lo=0, hi=10**9, signatures=(NOUNS_SIG,)):
-    return DaoRegistryEntry("test", "ethereum", "0x" + "33" * 20, lo, hi, signatures)
+def _nouns_like_logs(count: int) -> list[dict]:
+    return [encode_vote_event(event, NOUNS_SIG) for event in _nouns_like_events(count)]
 
 
 def test_fetch_logs_rejects_degenerate_range():
@@ -1025,7 +1028,7 @@ class OneAnswerTransport:
         return self.result
 
 
-_RPC_ENTRY = to_rpc(_nouns_like_logs(1)[0])  # block 1000
+_RPC_ENTRY = _nouns_like_logs(1)[0]  # block 1000
 
 
 @pytest.mark.parametrize("result", [

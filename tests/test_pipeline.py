@@ -257,3 +257,24 @@ def test_parse_registry_rejects_bad_entries():
                                   "governance_contract": addr(1),
                                   "deploy_block": 10, "end_block": 5,
                                   "event_signatures": ["VoteCast(address,uint256,uint8)"]}]})
+
+
+@pytest.mark.parametrize("fields,message", [
+    ({"name": None}, "dao must be one directory name, got None"),
+    ({"name": 5}, "dao must be one directory name, got 5"),
+    ({"name": ""}, "dao must be one directory name, got ''"),
+    ({"name": ".."}, "dao must be one directory name, got '..'"),
+    ({"name": "a/b"}, "dao must be one directory name, got 'a/b'"),
+    ({"analysis_defaults": [["window_size", 3]]},
+     "analysis_defaults must be a JSON object, got [['window_size', 3]]"),
+    ({"analysis_defaults": "ab"}, "analysis_defaults must be a JSON object, got 'ab'"),
+], ids=["name-null", "name-int", "name-empty", "name-dotdot", "name-slash",
+        "defaults-pairs", "defaults-string"])
+def test_parse_registry_names_the_bad_entry(fields, message):
+    """An entry's name is a dao name, and its defaults are one JSON object."""
+    raw = {"name": "x", "governance_contract": addr(1), "deploy_block": 0,
+           "end_block": 5, "event_signatures": ["VoteCast(address,uint256,uint8)"],
+           **fields}
+    expected = f"bad registry entry {raw['name']!r}: {message}"
+    with pytest.raises(ConfigError, match=f"^{re.escape(expected)}$"):
+        parse_registry({"daos": [raw]})
