@@ -190,42 +190,19 @@ def resolve_config(args: argparse.Namespace) -> tuple[RunConfig, DaoRegistryEntr
     return config, entry
 
 
-def _fixture_path(config: RunConfig) -> Path:
-    if config.fixture:
-        return Path(config.fixture)
-    fallback = config.out / "votes.jsonl"
-    if fallback.is_file():
-        return fallback
-    raise MissingArtifact(
-        f"no fixture: pass --fixture or run `forkcast ingest` (looked at {fallback})")
-
-
-def _load_events(config: RunConfig, fetch: bool = False,
-                 entry: DaoRegistryEntry | None = None) -> list[VoteEvent]:
-    """Vote events, one per (voter, proposal), from --fixture, else (with
-    ``fetch``) from the RPC endpoint, else from out/<dao>/votes.jsonl."""
-    if config.fixture or not (fetch and config.rpc_url):
-        events, duplicates = load_fixture_with_report(_fixture_path(config))
+def _load_events(config: RunConfig, entry: DaoRegistryEntry | None,
+                 fixture: Path | None) -> list[VoteEvent]:
+    """Vote events, one per (voter, proposal), from ``fixture``, or fetched
+    from the RPC endpoint when it is None."""
+    if fixture is not None:
+        events, duplicates = load_fixture_with_report(fixture)
     else:
-        if entry is None:
-            raise ConfigError(f"dao {config.dao!r} not in registry")
-        block_range = (config.from_block if config.from_block is not None
-                       else entry.deploy_block,
-                       config.to_block if config.to_block is not None
-                       else entry.end_block)
-        try:
-            fetched = fetch_logs(config.rpc_url, entry, block_range,
-                                 chunk_size=config.chunk_size)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        events, duplicates = collapse_duplicates(fetched)
+        block_range = entry.block_range(config.from_block, config.to_block)
+        events, duplicates = collapse_duplicates(fetch_logs(
+            config.rpc_url, entry, block_range, chunk_size=config.chunk_size))
     if duplicates:
         print(f"note: collapsed {len(duplicates)} duplicate votes")
     return events
-
-
-def _load_ground_truth(config: RunConfig) -> ForkGroundTruth | None:
-    return load_ground_truth(config.ground_truth) if config.ground_truth else None
 
 
 def _require_file(path: Path, what: str) -> None:
@@ -235,17 +212,37 @@ def _require_file(path: Path, what: str) -> None:
         raise MissingArtifact(f"{what} {path} is a directory")
 
 
-def _prepare_paths(config: RunConfig, command: str) -> None:
-    """Check the input files ``command`` reads, then make the output
-    directory, so that a bad path fails before any input is read."""
+def _prepare_paths(config: RunConfig, entry: DaoRegistryEntry | None,
+                   command: str) -> Path | None:
+    """Decide and check what ``command`` reads before making the output
+    directory: --fixture; else, for a command that reads --rpc-url, a fetch
+    (None is returned); else out/<dao>/votes.jsonl; and --ground-truth."""
+    _, flags = _COMMANDS[command]
+    fixture = Path(config.fixture) if config.fixture else config.out / "votes.jsonl"
     if config.fixture:
-        _require_file(Path(config.fixture), "fixture")
-    if config.ground_truth and "--ground-truth" in _COMMAND_FLAGS[command]:
+        _require_file(fixture, "fixture")
+    elif config.rpc_url and "--rpc-url" in flags:
+        if entry is None:
+            raise ConfigError(f"dao {config.dao!r} not in registry")
+        try:
+            entry.block_range(config.from_block, config.to_block)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        fixture = None
+    elif command == "ingest":
+        raise ConfigError(f"need --fixture or --rpc-url (or ${RPC_URL_ENV})")
+    elif not fixture.is_file():
+        raise MissingArtifact(
+            f"no fixture: pass --fixture or run `forkcast ingest` (looked at {fixture})")
+    if config.ground_truth and "--ground-truth" in flags:
         _require_file(Path(config.ground_truth), "ground truth")
+    elif command == "validate":
+        raise ConfigError("validate needs --ground-truth")
     try:
         config.out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot make output directory {config.out}: {exc}") from exc
+    return fixture
 
 
 def _write_ingested(config: RunConfig, events: list[VoteEvent]) -> None:
@@ -253,11 +250,10 @@ def _write_ingested(config: RunConfig, events: list[VoteEvent]) -> None:
     print(f"ingest: {len(events)} events -> {config.out / 'votes.jsonl'}")
 
 
-def cmd_ingest(config: RunConfig, entry: DaoRegistryEntry | None) -> int:
+def cmd_ingest(config: RunConfig, entry: DaoRegistryEntry | None,
+               fixture: Path | None) -> int:
     """Produce the canonical fixture at out/<dao>/votes.jsonl."""
-    if not (config.fixture or config.rpc_url):
-        raise ConfigError(f"need --fixture or --rpc-url (or ${RPC_URL_ENV})")
-    _write_ingested(config, _load_events(config, fetch=True, entry=entry))
+    _write_ingested(config, _load_events(config, entry, fixture))
     return 0
 
 
@@ -292,9 +288,10 @@ def _friction(config: RunConfig, matrix: VoterMatrix) -> None:
           f"flagged={str(report.flagged).lower()}")
 
 
-def cmd_friction(config: RunConfig, entry: DaoRegistryEntry | None) -> int:
+def cmd_friction(config: RunConfig, entry: DaoRegistryEntry | None,
+                 fixture: Path | None) -> int:
     """Disagreement records, rolling series, flagging, and summary charts."""
-    _friction(config, build_voter_matrix(_load_events(config)))
+    _friction(config, build_voter_matrix(_load_events(config, entry, fixture)))
     return 0
 
 
@@ -352,10 +349,11 @@ def _write_analysis_outputs(config: RunConfig, matrix: VoterMatrix,
           f"{len(result.skipped)} skipped -> {config.out}")
 
 
-def cmd_analyze(config: RunConfig, entry: DaoRegistryEntry | None) -> int:
+def cmd_analyze(config: RunConfig, entry: DaoRegistryEntry | None,
+                fixture: Path | None) -> int:
     """Matrices, embeddings, clusterings, and per-proposal scatter maps."""
-    ground_truth = _load_ground_truth(config)
-    matrix = build_voter_matrix(_load_events(config))
+    ground_truth = load_ground_truth(config.ground_truth) if config.ground_truth else None
+    matrix = build_voter_matrix(_load_events(config, entry, fixture))
     result = analyze_matrix(matrix, config.analysis_spec(),
                             on_frame=partial(_write_frame, config, ground_truth))
     _write_analysis_outputs(config, matrix, result)
@@ -363,9 +361,8 @@ def cmd_analyze(config: RunConfig, entry: DaoRegistryEntry | None) -> int:
 
 
 def _validate(config: RunConfig, matrix: VoterMatrix, result: PipelineResult,
-              ground_truth: ForkGroundTruth) -> None:
-    report = run_validation(matrix, result, ground_truth,
-                            ranges=list(config.ranges) if config.ranges else None,
+              ground_truth: ForkGroundTruth, ranges: Sequence[tuple[int, int]]) -> None:
+    report = run_validation(matrix, result, ground_truth, ranges=ranges,
                             iterations=config.iterations)
     out = config.out
     payload = validation_json(report)
@@ -398,26 +395,26 @@ def _validate(config: RunConfig, matrix: VoterMatrix, result: PipelineResult,
               f" | {rand}")
 
 
-def cmd_validate(config: RunConfig, entry: DaoRegistryEntry | None) -> int:
+def cmd_validate(config: RunConfig, entry: DaoRegistryEntry | None,
+                 fixture: Path | None) -> int:
     """Genuine vs shuffled-baseline comparison over proposal ranges."""
-    ground_truth = _load_ground_truth(config)
-    if ground_truth is None:
-        raise ConfigError("validate needs --ground-truth")
-    matrix = build_voter_matrix(_load_events(config))
-    check_ranges(matrix, config.ranges or ())
-    _validate(config, matrix, analyze_matrix(matrix, config.analysis_spec()), ground_truth)
+    ground_truth = load_ground_truth(config.ground_truth)
+    matrix = build_voter_matrix(_load_events(config, entry, fixture))
+    ranges = check_ranges(matrix, config.ranges)
+    _validate(config, matrix, analyze_matrix(matrix, config.analysis_spec()),
+              ground_truth, ranges)
     return 0
 
 
-def cmd_all(config: RunConfig, entry: DaoRegistryEntry | None) -> int:
+def cmd_all(config: RunConfig, entry: DaoRegistryEntry | None,
+            fixture: Path | None) -> int:
     """Full pipeline; validation runs when ground truth is supplied."""
-    ground_truth = _load_ground_truth(config)
-    events = _load_events(config, fetch=True, entry=entry)
+    ground_truth = load_ground_truth(config.ground_truth) if config.ground_truth else None
+    events = _load_events(config, entry, fixture)
     if config.fixture or config.rpc_url:
         _write_ingested(config, events)
     matrix = build_voter_matrix(events)
-    if ground_truth is not None:
-        check_ranges(matrix, config.ranges or ())
+    ranges = None if ground_truth is None else check_ranges(matrix, config.ranges)
     _friction(config, matrix)
     result = analyze_matrix(matrix, config.analysis_spec(),
                             on_frame=partial(_write_frame, config, ground_truth))
@@ -425,18 +422,8 @@ def cmd_all(config: RunConfig, entry: DaoRegistryEntry | None) -> int:
     if ground_truth is None:
         print("all: no --ground-truth, skipping validation")
     else:
-        _validate(config, matrix, result, ground_truth)
+        _validate(config, matrix, result, ground_truth, ranges)
     return 0
-
-
-# each takes the resolved config and its dao's registry entry (or None)
-_COMMANDS = {
-    "ingest": cmd_ingest,
-    "friction": cmd_friction,
-    "analyze": cmd_analyze,
-    "validate": cmd_validate,
-    "all": cmd_all,
-}
 
 
 # argparse settings of every flag; `all` takes every one, in this order
@@ -469,14 +456,15 @@ _COMMON = ("--dao", "--config", "--registry", "--out")
 _ANALYSIS = ("--fixture", "--ground-truth", "--window", "--threshold", "--k-min",
              "--k-max", "--mds-iterations", "--mds-tolerance", "--seed")
 
-# the flags each command reads
-_COMMAND_FLAGS = {
-    "ingest": (*_COMMON, "--fixture", "--rpc-url", "--from-block", "--to-block",
-               "--chunk-size"),
-    "friction": (*_COMMON, "--fixture", "--window"),
-    "analyze": (*_COMMON, *_ANALYSIS, "--export-dissim"),
-    "validate": (*_COMMON, *_ANALYSIS, "--iterations", "--ranges"),
-    "all": tuple(_FLAGS),
+# each command's handler and the flags it reads. A handler takes the resolved
+# config, its dao's registry entry (or None) and what `_prepare_paths` returns
+_COMMANDS = {
+    "ingest": (cmd_ingest, (*_COMMON, "--fixture", "--rpc-url", "--from-block",
+                            "--to-block", "--chunk-size")),
+    "friction": (cmd_friction, (*_COMMON, "--fixture", "--window")),
+    "analyze": (cmd_analyze, (*_COMMON, *_ANALYSIS, "--export-dissim")),
+    "validate": (cmd_validate, (*_COMMON, *_ANALYSIS, "--iterations", "--ranges")),
+    "all": (cmd_all, tuple(_FLAGS)),
 }
 
 
@@ -485,9 +473,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="forkcast",
         description="Detect emerging partisan voting blocs in DAO governance.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, handler in _COMMANDS.items():
+    for name, (handler, flags) in _COMMANDS.items():
         p = sub.add_parser(name, help=handler.__doc__)
-        for flag in _COMMAND_FLAGS[name]:
+        for flag in flags:
             p.add_argument(flag, **_FLAGS[flag])
     return parser
 
@@ -496,8 +484,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config, entry = resolve_config(args)
-        _prepare_paths(config, args.command)
-        return _COMMANDS[args.command](config, entry)
+        handler, _ = _COMMANDS[args.command]
+        return handler(config, entry, _prepare_paths(config, entry, args.command))
     except ForkcastError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, (ConfigError, MissingArtifact)) else 1

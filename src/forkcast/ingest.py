@@ -161,6 +161,18 @@ class DaoRegistryEntry:
         object.__setattr__(self, "event_abis",
                            tuple(map(abi.parse_event_signature, signatures)))
 
+    def block_range(self, lo: int | None = None, hi: int | None = None) -> tuple[int, int]:
+        """The inclusive range ``lo..hi``, each end defaulting to the entry's own;
+        one that is empty or leaves ``deploy_block..end_block`` is a ValueError."""
+        lo = self.deploy_block if lo is None else lo
+        hi = self.end_block if hi is None else hi
+        if lo > hi:
+            raise ValueError(f"empty block range {lo}..{hi}")
+        if lo < self.deploy_block or hi > self.end_block:
+            raise ValueError(
+                f"range {lo}..{hi} outside [{self.deploy_block}, {self.end_block}]")
+        return lo, hi
+
 
 @dataclass(frozen=True)
 class ForkGroundTruth:
@@ -366,12 +378,7 @@ def fetch_logs(
     as the provider returns them. ``collapse_duplicates`` of the result is the
     same for every chunk size.
     """
-    lo, hi = block_range
-    if lo > hi:
-        raise ValueError(f"empty block range {lo}..{hi}")
-    if lo < entry.deploy_block or hi > entry.end_block:
-        raise ValueError(
-            f"range {lo}..{hi} outside [{entry.deploy_block}, {entry.end_block}]")
+    lo, hi = entry.block_range(*block_range)
     if chunk_size < 1:
         raise ValueError("chunk_size must be positive")
     if transport is None:

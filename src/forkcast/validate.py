@@ -78,14 +78,18 @@ def fork_cluster_share(analysis: ProposalAnalysis,
     return float(np.bincount(labels).max() / len(labels))
 
 
-def check_ranges(matrix: VoterMatrix, ranges: Sequence[tuple[int, int]]) -> None:
-    """Raise ``EmptyRange`` for the first range that holds no proposal at the
-    analyzable positions 2..m, before any frame is embedded. A range whose
-    proposals are all skipped still fails later, in ``summarize_range``."""
+def check_ranges(matrix: VoterMatrix, ranges: Sequence[tuple[int, int]] | None,
+                 ) -> Sequence[tuple[int, int]]:
+    """The ranges, None meaning the whole history; the first with no proposal
+    at the analyzable positions 2..m raises ``EmptyRange``, before any frame is
+    embedded. One whose proposals are all skipped fails in ``summarize_range``."""
+    if ranges is None:
+        ranges = [(matrix.proposal_ids[0], matrix.proposal_ids[-1])]
     analyzable = matrix.proposal_ids[1:]
     for lo, hi in ranges:
         if not any(lo <= pid <= hi for pid in analyzable):
             raise EmptyRange(f"no analyzable proposals in {lo}..{hi}")
+    return ranges
 
 
 def summarize_range(analyses: Sequence[ProposalAnalysis], fork: ForkGroundTruth,
@@ -138,7 +142,7 @@ def run_validation(
     matrix: VoterMatrix,
     genuine_run: PipelineResult,
     ground_truth: ForkGroundTruth,
-    ranges: list[tuple[int, int]] | None = None,
+    ranges: Sequence[tuple[int, int]] | None = None,
     iterations: int = DEFAULT_ITERATIONS,
 ) -> ValidationReport:
     """Summarize the genuine run and ``iterations`` shuffled reruns per range.
@@ -149,8 +153,7 @@ def run_validation(
     out of every range's ``shuffled``. Any other exception, such as a broken
     shuffle invariant, propagates.
     """
-    if ranges is None:
-        ranges = [(matrix.proposal_ids[0], matrix.proposal_ids[-1])]
+    ranges = check_ranges(matrix, ranges)
     genuine = [summarize_range(genuine_run.analyses, ground_truth, id_range)
                for id_range in ranges]
     valid_mask = matrix.cells >= 0

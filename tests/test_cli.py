@@ -316,10 +316,6 @@ def test_ingest_normalizes_fixture(tmp_path):
     assert copied.read_bytes() == FIXTURE.read_bytes()  # already canonical
 
 
-def test_ingest_without_inputs_fails(tmp_path):
-    assert run(["ingest", "--dao", "x", "--out", str(tmp_path)]) == 2
-
-
 def test_ingest_rpc_path_wiring(tmp_path, monkeypatch):
     """RPC ingest resolves the registry entry and default block range."""
     captured = {}
@@ -365,12 +361,38 @@ def test_rpc_export_of_a_dao_missing_from_the_registry(tmp_path, monkeypatch, ca
         "error: ConfigError: dao 'nowhere' not in registry\n")
 
 
-def test_ingest_rpc_bad_block_range_is_config_error(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("FORKCAST_RPC_URL", "https://rpc.example")
-    code = run(["ingest", "--dao", "nouns", "--out", str(tmp_path),
-                "--from-block", "1", "--to-block", "2"])  # before deploy
-    assert code == 2
-    assert "ConfigError" in capsys.readouterr().err
+RPC = ["--rpc-url", "http://127.0.0.1:9"]
+
+
+@pytest.mark.parametrize("argv,rpc_env,error", [
+    (["ingest"], False, "ConfigError: need --fixture or --rpc-url (or $FORKCAST_RPC_URL)"),
+    (["validate", "--fixture", str(FIXTURE)], False,
+     "ConfigError: validate needs --ground-truth"),
+    (["friction"], False, "MissingArtifact: no fixture: pass --fixture or run "
+     "`forkcast ingest` (looked at {out}/dao/votes.jsonl)"),
+    (["ingest", "--dao", "nodao", *RPC], False, "ConfigError: dao 'nodao' not in registry"),
+    (["ingest", "--dao", "nouns", *RPC, "--from-block", "1"], False,
+     "ConfigError: range 1..18144239 outside [12985453, 18144239]"),
+    (["ingest", "--dao", "nouns", "--from-block", "1", "--to-block", "2"], True,
+     "ConfigError: range 1..2 outside [12985453, 18144239]"),
+], ids=["ingest-no-input", "validate-no-ground-truth", "friction-no-ingested-copy",
+        "rpc-dao-not-in-registry", "rpc-range-before-deploy", "env-rpc-range-before-deploy"])
+def test_bad_input_choice_exits_2_before_any_directory(tmp_path, monkeypatch, capsys,
+                                                       argv, rpc_env, error):
+    """What a command reads is decided, and a bad choice rejected, before
+    `out/<dao>/` is made and before anything is fetched."""
+    def never_called(*args, **kwargs):
+        raise AssertionError("fetched before the inputs were checked")
+
+    monkeypatch.setattr(cli_module, "fetch_logs", never_called)
+    if rpc_env:
+        monkeypatch.setenv("FORKCAST_RPC_URL", "http://127.0.0.1:9")
+    else:
+        monkeypatch.delenv("FORKCAST_RPC_URL", raising=False)
+    out = tmp_path / "out"
+    assert run([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {error.format(out=out)}\n"
+    assert not out.exists()
 
 
 def test_config_file_ranges_list_form(tmp_path):
@@ -584,11 +606,6 @@ def test_validate_summary_without_any_fork_share(tmp_path, capsys):
     assert "/ n/a share | rand avg " in line
 
 
-def test_validate_requires_ground_truth(tmp_path):
-    assert run(["validate", "--dao", "planted", "--fixture", str(FIXTURE),
-                "--out", str(tmp_path)]) == 2
-
-
 def test_export_dissim_flag(tmp_path):
     out = tmp_path / "out"
     assert run(["analyze", "--dao", "planted", "--fixture", str(FIXTURE),
@@ -633,21 +650,29 @@ def test_all_loads_builds_and_analyzes_once(tmp_path, monkeypatch):
                      "analyze_matrix": 3}
 
 
-@pytest.mark.parametrize("command", ["validate", "all"])
+@pytest.mark.parametrize("command,lines,ranges,empty", [
+    ("validate", None, ["--ranges", "2-60,500-600"], "500..600"),
+    ("all", None, ["--ranges", "2-60,500-600"], "500..600"),
+    ("all", 20, [], "1..1"),  # the first 20 votes: a one-proposal history
+], ids=["validate", "all", "all-default-range"])
 def test_empty_range_fails_before_any_frame_is_analyzed(tmp_path, monkeypatch, capsys,
-                                                        command):
-    """A --ranges entry with no proposal at positions 2..m exits 1 with the
-    EmptyRange message before the genuine analysis runs."""
+                                                        command, lines, ranges, empty):
+    """A --ranges entry, or with no --ranges the whole history, with no
+    proposal at positions 2..m exits 1 with the EmptyRange message before
+    friction or the genuine analysis runs."""
+    fixture = tmp_path / "votes.jsonl"
+    fixture.write_text("".join(FIXTURE.read_text().splitlines(keepends=True)[:lines]))
     calls = []
     monkeypatch.setattr(cli_module, "analyze_matrix",
                         lambda *args, **kwargs: calls.append(1))
-    assert run([command, "--dao", "planted", "--fixture", str(FIXTURE),
-                "--ground-truth", str(FORKERS), "--ranges", "2-60,500-600",
-                "--iterations", "2", "--mds-iterations", "5",
-                "--out", str(tmp_path)]) == 1
+    out = tmp_path / "out"
+    assert run([command, "--dao", "planted", "--fixture", str(fixture),
+                "--ground-truth", str(FORKERS), *ranges, "--iterations", "2",
+                "--mds-iterations", "5", "--out", str(out)]) == 1
     assert calls == []
     assert capsys.readouterr().err == (
-        "error: EmptyRange: no analyzable proposals in 500..600\n")
+        f"error: EmptyRange: no analyzable proposals in {empty}\n")
+    assert not (out / "planted" / "friction.csv").exists()
 
 
 def test_all_rpc_collapses_duplicates_like_ingest_then_all(tmp_path, monkeypatch,

@@ -878,6 +878,27 @@ def _nouns_like_logs(count: int) -> list[dict]:
     return [encode_vote_event(event, NOUNS_SIG) for event in _nouns_like_events(count)]
 
 
+@pytest.mark.parametrize("lo,hi,expected", [
+    (None, None, (100, 200)),
+    (150, None, (150, 200)),
+    (None, 150, (100, 150)),
+    (100, 200, (100, 200)),
+    (150, 150, (150, 150)),
+    (160, 150, "empty block range 160..150"),
+    (None, 50, "empty block range 100..50"),
+    (99, None, r"range 99..200 outside \[100, 200\]"),
+    (None, 201, r"range 100..201 outside \[100, 200\]"),
+    (1, 2, r"range 1..2 outside \[100, 200\]"),
+])
+def test_block_range_defaults_to_and_stays_in_the_entry_bounds(lo, hi, expected):
+    entry = _entry(100, 200)
+    if isinstance(expected, tuple):
+        assert entry.block_range(lo, hi) == expected
+    else:
+        with pytest.raises(ValueError, match=f"^{expected}$"):
+            entry.block_range(lo, hi)
+
+
 def test_fetch_logs_rejects_degenerate_range():
     with pytest.raises(ValueError):
         fetch_logs("http://unused", _entry(), (10, 5),
