@@ -9,12 +9,13 @@ reseeded to the point farthest from its assigned centroid. All randomness
 comes from SplitMix64 streams derived per (seed, restart) and per (seed, k),
 so results are reproducible and independent of evaluation order.
 
-:func:`select_k` runs every start of every k in its sweep as one
-(R, k_max, 2) center stack through :func:`kmeans_sweep`: one set of array
-operations per Lloyd iteration serves every start still moving, and each
-start ends exactly where it would alone. A start with k < k_max pads its
-trailing centers with inf, which no point is nearer to. Each k keeps the
-first of its own starts with the least WCSS; :func:`kmeans` is the one-k
+:func:`kmeans` takes one stream seed per k and runs every start of every
+k as one (R, k_max, 2) center stack: one set of array operations per Lloyd
+iteration serves every start still moving, and each start ends exactly
+where it would alone. A start with k < k_max pads its trailing centers with
+inf, which no point is nearer to. Each k keeps the first of its own starts
+with the least WCSS, so the result for one k does not depend on which other
+k share its stack; :func:`select_k` makes one :func:`kmeans` call per
 sweep. The k-means++ draws of all starts come from one
 :class:`~forkcast.rng.SplitMix64Batch`, one draw per center per start.
 
@@ -141,10 +142,11 @@ def lloyd(points: np.ndarray, centers: np.ndarray,
 
     All starts advance together; a start stops, and leaves the live set,
     when its assignments repeat those of its previous iteration or after
-    ``max_iterations``. Centroid sums come from a weighted ``np.bincount``,
-    which adds each cluster's points in index order exactly as
-    ``points[members].mean(axis=0)`` does, so every start ends bit for bit
-    where a lone Lloyd run from its real centers would.
+    ``max_iterations``. Each iteration reads the live rows of the full-size
+    per-start state and writes them back. Centroid sums come from a
+    weighted ``np.bincount``, which adds each cluster's points in index
+    order exactly as ``points[members].mean(axis=0)`` does, so every start
+    ends bit for bit where a lone Lloyd run from its real centers would.
     """
     points = np.asarray(points, dtype=np.float64)
     centroids = np.array(centers, dtype=np.float64)
@@ -153,59 +155,45 @@ def lloyd(points: np.ndarray, centers: np.ndarray,
     padded = ~np.isfinite(centroids[:, :, 0])
     ks = k - padded.sum(axis=1)
     # padded slots count one member: never empty, and 0 / 1 is finite
-    pad_counts = padded.astype(np.int64).ravel()
+    pad_counts = padded.astype(np.int64)
     pad_offsets = np.where(padded, np.inf, -0.0)[:, :, None]  # x + -0.0 is x
-    final_assignments = np.empty((starts, n), dtype=np.int64)
-    final_centroids = np.empty_like(centroids)
+    assignments = np.full((starts, n), -1, dtype=np.int64)  # no label repeats -1
     iterations = np.empty(starts, dtype=np.int64)
-    live = np.arange(starts)
-    offsets = live[:, None] * k
+    offsets = np.arange(starts)[:, None] * k
     weights = np.tile(points.ravel(), starts)
-    previous: np.ndarray | None = None
+    live = np.arange(starts)
     for iteration in range(1, max_iterations + 1):
-        assignments = _squared_distances(points, centroids).argmin(axis=2)
-        bins = (assignments + offsets).ravel()
-        counts = np.bincount(bins, minlength=len(live) * k) + pad_counts
+        labels = _squared_distances(points, centroids[live]).argmin(axis=2)
+        bins = (labels + offsets[:len(live)]).ravel()
+        counts = np.bincount(bins, minlength=len(live) * k) + pad_counts[live].ravel()
         if not counts.all():
             for row in np.flatnonzero((counts.reshape(-1, k) == 0).any(axis=1)):
-                _fill_empty_clusters(points, centroids[row, :ks[row]], assignments[row])
-            bins = (assignments + offsets).ravel()
-            counts = np.bincount(bins, minlength=len(live) * k) + pad_counts
+                start = live[row]
+                _fill_empty_clusters(points, centroids[start, :ks[start]], labels[row])
+            bins = (labels + offsets[:len(live)]).ravel()
+            counts = np.bincount(bins, minlength=len(live) * k) + pad_counts[live].ravel()
         sums = np.bincount((bins[:, None] * dims + np.arange(dims)).ravel(),
-                           weights, minlength=len(live) * k * dims)
-        centroids = (sums.reshape(-1, dims) / counts[:, None]).reshape(-1, k, dims)
-        centroids += pad_offsets
-        if previous is None:
-            done = np.full(len(live), iteration == max_iterations)
-        else:
-            done = (assignments == previous).all(axis=1) | (iteration == max_iterations)
-        if done.any():
-            finished = live[done]
-            final_assignments[finished] = assignments[done]
-            final_centroids[finished] = centroids[done]
-            iterations[finished] = iteration
-            running = ~done
-            live, assignments, centroids = (
-                live[running], assignments[running], centroids[running])
-            if len(live) == 0:
-                break
-            offsets = offsets[:len(live)]
-            weights = weights[:len(live) * n * dims]
-            ks, pad_offsets = ks[running], pad_offsets[running]
-            pad_counts = pad_counts.reshape(-1, k)[running].ravel()
-        previous = assignments
-    residuals = points - final_centroids[np.arange(starts)[:, None], final_assignments]
+                           weights[:bins.size * dims], minlength=len(live) * k * dims)
+        moved = (sums.reshape(-1, dims) / counts[:, None]).reshape(-1, k, dims)
+        moved += pad_offsets[live]
+        done = (labels == assignments[live]).all(axis=1) | (iteration == max_iterations)
+        centroids[live], assignments[live], iterations[live] = moved, labels, iteration
+        live = live[~done]
+        if len(live) == 0:
+            break
+    residuals = points - centroids[np.arange(starts)[:, None], assignments]
     wcss = (residuals ** 2).reshape(starts, -1).sum(axis=1)
-    return LloydResult(final_assignments, final_centroids, wcss, iterations)
+    return LloydResult(assignments, centroids, wcss, iterations)
 
 
-def kmeans_sweep(points: np.ndarray,
-                 seeds: Mapping[int, int]) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+def kmeans(points: np.ndarray,
+           seeds: Mapping[int, int]) -> dict[int, tuple[np.ndarray, np.ndarray]]:
     """Best-of-restarts k-means for every k in ``seeds`` (k -> stream seed).
 
     Every start of every k runs in one :func:`lloyd` stack padded to the
     largest k, and each k keeps the first of its own starts with the least
-    WCSS. Returns (assignments, (k, 2) centroids) per k, in ``seeds`` order.
+    WCSS. Returns (assignments, (k, 2) centroids) per k, in ``seeds`` order;
+    deterministic given ``seeds``.
     """
     points = np.asarray(points, dtype=np.float64)
     n = len(points)
@@ -234,11 +222,6 @@ def kmeans_sweep(points: np.ndarray,
         r = first + int(result.wcss[first:first + count].argmin())  # the first least WCSS
         best[k] = result.assignments[r].copy(), result.centroids[r, :k].copy()
     return {k: best[k] for k in seeds}
-
-
-def kmeans(points: np.ndarray, k: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Best-of-restarts k-means; deterministic given seed."""
-    return kmeans_sweep(points, {k: seed})[k]
 
 
 def silhouette(distances: np.ndarray,
@@ -297,7 +280,7 @@ def select_k(points: np.ndarray, k_min: int = DEFAULT_K_MIN,
     points = np.asarray(points, dtype=np.float64)
     ks = k_range(len(points), k_min, k_max)
     distances = pairwise_distances(points)
-    sweeps = kmeans_sweep(points, {k: derive_seed(seed, "k", k) for k in ks})
+    sweeps = kmeans(points, {k: derive_seed(seed, "k", k) for k in ks})
     scores = {k: silhouette(distances, labels)[1]
               for k, (labels, _) in sweeps.items()}
     k_star = pick_k(scores)

@@ -81,18 +81,14 @@ class SplitMix64Batch:
         return (self.next_u64(rows) >> np.uint64(11)) * 2.0**-53
 
     def below(self, bound: int, rows=slice(None)) -> np.ndarray:
-        """Integers in [0, bound); a stream whose draw is rejected finishes
-        this draw on a scalar :class:`SplitMix64` from its own state."""
-        threshold = _below_threshold(bound)
+        """Integers in [0, bound); a stream whose draw is rejected draws
+        again, as :meth:`SplitMix64.below` does, until none is rejected."""
+        # the largest accepted draw: a bound that divides 2**64 rejects nothing
+        limit = np.uint64(_below_threshold(bound) - 1)
         indices = np.arange(len(self._state))[rows]
         values = self.next_u64(indices)
-        # a bound that divides 2**64 has threshold 2**64 and rejects nothing
-        rejected = (np.flatnonzero(values >= np.uint64(threshold)).tolist()
-                    if threshold <= _MASK64 else [])
-        for i in rejected:
-            rng = SplitMix64(int(self._state[indices[i]]))
-            values[i] = rng.below(bound)
-            self._state[indices[i]] = rng._state
+        while (rejected := values > limit).any():
+            values[rejected] = self.next_u64(indices[rejected])
         return values % np.uint64(bound)
 
 

@@ -162,8 +162,8 @@ def run_validation(
     for seed in range(iterations):
         try:
             shuffled = shuffle_votes(matrix, seed)
-            assert np.array_equal(shuffled.cells >= 0, valid_mask), \
-                "shuffle must preserve participation"
+            if not np.array_equal(shuffled.cells >= 0, valid_mask):
+                raise ValueError("shuffle must preserve participation")
             run = analyze_matrix(shuffled, genuine_run.spec, namespace=("shuffle", seed))
             outcomes.append([summarize_range(run.analyses, ground_truth, id_range)
                              for id_range in ranges])

@@ -121,7 +121,7 @@ def test_criterion_4_kmeans_oracle():
             for k in (2, 3):
                 if k > n:
                     continue
-                assignments, centroids = kmeans(points, k, seed=instance)
+                assignments, centroids = kmeans(points, {k: instance})[k]
                 wcss = float(((points - centroids[assignments]) ** 2).sum())
                 optimum = min_wcss_exhaustive(points, k)
                 assert np.isclose(wcss, optimum, rtol=1e-9, atol=1e-12), \

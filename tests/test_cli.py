@@ -81,6 +81,8 @@ def test_parse_ranges():
     ([], {"chunk_size": -3}),
     (["--from-block", "9", "--to-block", "2"], None),
     ([], {"from_block": 9, "to_block": 2}),
+    ([], "{bad"),  # not JSON
+    (["--config", "no-such-config.json"], None),
 ], ids=["window-file", "window-flag", "tolerance", "rolling-stat", "k-min-1",
         "k-min-above-k-max", "iterations", "min-fork-present", "ranges-short-pair",
         "ranges-int", "ranges-empty", "config-list", "config-null", "window-float",
@@ -89,7 +91,8 @@ def test_parse_ranges():
         "tolerance-inf-flag", "tolerance-inf-file",
         "flag-string", "threshold-bool", "tolerance-bool", "rpc-url-int",
         "chunk-zero-flag", "chunk-zero-file", "chunk-negative-flag",
-        "chunk-negative-file", "blocks-reversed-flag", "blocks-reversed-file"])
+        "chunk-negative-file", "blocks-reversed-flag", "blocks-reversed-file",
+        "config-malformed-json", "config-missing"])
 def test_bad_setting_is_config_error_before_any_input(tmp_path, capsys, flags, config):
     """``config`` is the config file's contents: a value to write as JSON, or
     the file's text when it is a string."""
@@ -190,10 +193,11 @@ _PLANTED_ENTRY = {"name": "planted", "chain": "ethereum",
     json.dumps({"daos": [{**_PLANTED_ENTRY,
                           "event_signatures": ["VoteCast(uint256,uint8)"]}]}),
     json.dumps({"daos": [_PLANTED_ENTRY, {**_PLANTED_ENTRY, "end_block": 9}]}),
+    json.dumps({"daos": [{**_PLANTED_ENTRY, "analysis_defaults": {"windw": 3}}]}),
 ], ids=["malformed-json", "top-level-list", "daos-object", "entry-int",
         "float-default", "float-block", "bool-block", "signatures-string",
         "signature-null", "signature-unparsable", "signature-no-voter",
-        "name-twice"])
+        "name-twice", "unknown-default"])
 def test_bad_registry_is_config_error_before_any_input(tmp_path, capsys, text):
     registry = tmp_path / "registry.json"
     registry.write_text(text)

@@ -45,7 +45,7 @@ def partition_sets(assignments) -> set[frozenset[int]]:
 
 def test_duplicate_pairs_form_exact_clusters():
     points = np.array([[0.0, 0.0], [0.0, 0.0], [9.0, 9.0], [9.0, 9.0]])
-    assignments, centroids = kmeans(points, 2, seed=0)
+    assignments, centroids = kmeans(points, {2: 0})[2]
     assert partition_sets(assignments) == {frozenset({0, 1}), frozenset({2, 3})}
     wcss = float(((points - centroids[assignments]) ** 2).sum())
     assert wcss == 0.0
@@ -53,7 +53,7 @@ def test_duplicate_pairs_form_exact_clusters():
 
 def test_line_points_split_at_gap():
     points = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [10.0, 0.0], [11.0, 0.0]])
-    assignments, centroids = kmeans(points, 2, seed=0)
+    assignments, centroids = kmeans(points, {2: 0})[2]
     assert partition_sets(assignments) == {frozenset({0, 1, 2}), frozenset({3, 4})}
     wcss = float(((points - centroids[assignments]) ** 2).sum())
     assert wcss == pytest.approx(min_wcss_exhaustive(points, 2))
@@ -63,14 +63,14 @@ def test_line_points_split_at_gap():
 def test_k_equals_n_zero_wcss():
     rng = np.random.default_rng(0)
     points = rng.uniform(0, 1, (6, 2))
-    assignments, centroids = kmeans(points, 6, seed=1)
+    assignments, centroids = kmeans(points, {6: 1})[6]
     assert len(set(int(a) for a in assignments)) == 6
     assert float(((points - centroids[assignments]) ** 2).sum()) == pytest.approx(0.0)
 
 
 def test_k_beyond_n_rejected():
     with pytest.raises(ValueError, match="^k=4 exceeds 3 points$"):
-        kmeans(np.zeros((3, 2)), 4, seed=0)
+        kmeans(np.zeros((3, 2)), {4: 0})
 
 
 def test_wcss_never_increases_within_lloyd():
@@ -91,8 +91,8 @@ def test_wcss_never_increases_within_lloyd():
 def test_deterministic_given_seed():
     rng = np.random.default_rng(2)
     points = rng.uniform(0, 1, (25, 2))
-    first = kmeans(points, 3, seed=42)
-    second = kmeans(points, 3, seed=42)
+    first = kmeans(points, {3: 42})[3]
+    second = kmeans(points, {3: 42})[3]
     assert np.array_equal(first[0], second[0])
     assert np.array_equal(first[1], second[1])
 
@@ -139,8 +139,8 @@ def test_planted_blobs_beat_uniform_noise():
     rng = np.random.default_rng(9)
     blobs = np.vstack([blob((0, 0), 10, 0.3, rng), blob((8, 8), 10, 0.3, rng)])
     noise = rng.uniform(0, 8, (20, 2))
-    blob_mean = silhouette(pairwise_distances(blobs), kmeans(blobs, 2, seed=0)[0])[1]
-    noise_mean = silhouette(pairwise_distances(noise), kmeans(noise, 2, seed=0)[0])[1]
+    blob_mean = silhouette(pairwise_distances(blobs), kmeans(blobs, {2: 0})[2][0])[1]
+    noise_mean = silhouette(pairwise_distances(noise), kmeans(noise, {2: 0})[2][0])[1]
     assert blob_mean > noise_mean
 
 
@@ -192,7 +192,7 @@ def test_every_cluster_non_empty():
     rng = np.random.default_rng(3)
     points = rng.uniform(0, 1, (12, 2))
     for k in (2, 3, 4, 5):
-        assignments, _ = kmeans(points, k, seed=9)
+        assignments, _ = kmeans(points, {k: 9})[k]
         assert len(set(int(a) for a in assignments)) == k
 
 
@@ -202,7 +202,7 @@ def test_oracle_equivalence_small_instances():
         n = int(rng.integers(4, 9))
         points = rng.uniform(0, 1, (n, 2))
         for k in (2, 3):
-            assignments, centroids = kmeans(points, k, seed=trial)
+            assignments, centroids = kmeans(points, {k: trial})[k]
             wcss = float(((points - centroids[assignments]) ** 2).sum())
             assert wcss == pytest.approx(min_wcss_exhaustive(points, k), rel=1e-9)
 
@@ -336,7 +336,7 @@ def _cluster_points(n: int, shape: str, seed: int) -> np.ndarray:
 def test_kmeans_matches_restart_at_a_time_reference_bitwise(n, k, shape, seed):
     k = min(k, n)
     points = _cluster_points(n, shape, seed)
-    assignments, centroids = kmeans(points, k, seed)
+    assignments, centroids = kmeans(points, {k: seed})[k]
     expected = _reference_kmeans(points, k, seed)
     assert assignments.dtype == expected[0].dtype
     assert assignments.tobytes() == expected[0].tobytes()
@@ -376,7 +376,7 @@ def test_kmeans_reseeds_empty_clusters_bitwise(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(cluster, "_fill_empty_clusters", counted)
-    assignments, centroids = kmeans(points, 5, seed=11)
+    assignments, centroids = kmeans(points, {5: 11})[5]
     assert calls
     expected = _reference_kmeans(points, 5, seed=11)
     assert assignments.tobytes() == expected[0].tobytes()
@@ -404,7 +404,7 @@ def test_lloyd_batch_equals_each_start_alone(ks):
 def test_select_k_calls_kmeans_and_silhouette_as_module_globals(monkeypatch):
     # traced runs time clustering by wrapping module attributes; inlining
     # either call would silently zero its timings. One sweep runs every k.
-    calls = {"kmeans_sweep": 0, "silhouette": 0}
+    calls = {"kmeans": 0, "silhouette": 0}
     for name in calls:
         def counted(*args, _name=name, _original=getattr(cluster, name), **kwargs):
             calls[_name] += 1
@@ -413,7 +413,7 @@ def test_select_k_calls_kmeans_and_silhouette_as_module_globals(monkeypatch):
         monkeypatch.setattr(cluster, name, counted)
     points = np.random.default_rng(4).uniform(0, 1, (12, 2))
     select_k(points, k_min=2, k_max=5, seed=0)
-    assert calls == {"kmeans_sweep": 1, "silhouette": 4}
+    assert calls == {"kmeans": 1, "silhouette": 4}
 
 
 @given(n=st.integers(2, 120), k_min=st.integers(2, 4), k_max=st.integers(1, 7),
@@ -478,6 +478,6 @@ def test_select_k_reseeds_empty_clusters_in_the_padded_stack(monkeypatch):
             assert result.assignments.tobytes() == labels.tobytes()
 
 
-def test_kmeans_sweep_rejects_k_beyond_n():
+def test_kmeans_rejects_a_k_beyond_n_among_valid_ones():
     with pytest.raises(ValueError, match="^k=4 exceeds 3 points$"):
-        cluster.kmeans_sweep(np.zeros((3, 2)), {2: 0, 4: 1})
+        cluster.kmeans(np.zeros((3, 2)), {2: 0, 4: 1})

@@ -8,6 +8,8 @@ import json
 import os
 import subprocess
 import sys
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from unittest import mock
 
@@ -1090,3 +1092,100 @@ def test_http_transport_rejects_a_response_that_is_not_json_rpc(monkeypatch, pay
     monkeypatch.setattr(requests, "post", lambda *args, **kwargs: Response())
     with pytest.raises(MalformedData, match="not a JSON-RPC response"):
         HttpTransport("http://unused").request("eth_getLogs", [])
+
+
+class _RpcHandler(BaseHTTPRequestHandler):
+    """Answers each POST with ``server.answer(request) -> (status, body)``."""
+
+    def do_POST(self) -> None:
+        request = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        status, body = self.server.answer(request)
+        data = json.dumps(body).encode()
+        self.send_response(status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+
+    def log_message(self, *args) -> None:
+        pass
+
+
+class _RpcServer(ThreadingHTTPServer):
+    daemon_threads = False  # server_close joins every request thread
+
+
+@pytest.fixture
+def rpc_server(monkeypatch):
+    """A JSON-RPC endpoint at ``server.url`` on localhost; each test sets
+    ``server.answer`` before it fetches."""
+    monkeypatch.setenv("NO_PROXY", "127.0.0.1")
+    monkeypatch.setenv("no_proxy", "127.0.0.1")
+    server = _RpcServer(("127.0.0.1", 0), _RpcHandler)
+    server.url = f"http://127.0.0.1:{server.server_address[1]}"
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01})
+    thread.start()
+    yield server
+    server.shutdown()
+    server.server_close()
+    thread.join()
+
+
+def _rpc_answer(logs, max_span=None, error=None):
+    """eth_getLogs from ``logs``; a span wider than ``max_span`` gets the
+    provider's too-many-results error, and every request gets ``error``."""
+    replay = StaticLogTransport(logs)
+
+    def answer(request):
+        flt = request["params"][0]
+        span = int(flt["toBlock"], 16) - int(flt["fromBlock"], 16) + 1
+        reply = {"jsonrpc": "2.0", "id": request["id"]}
+        if error is not None:
+            return 200, {**reply, "error": error}
+        if max_span is not None and span > max_span:
+            return 200, {**reply, "error": {
+                "code": -32005, "message": "query returned more than 10000 results"}}
+        return 200, {**reply, "result": replay.request(request["method"], request["params"])}
+
+    return answer
+
+
+@pytest.mark.parametrize("max_span", [None, 7], ids=["plain", "span-capped"])
+def test_http_fetch_equals_the_replay_transport(rpc_server, max_span):
+    logs = _nouns_like_logs(40)
+    rpc_server.answer = _rpc_answer(logs, max_span)
+    fetched = fetch_logs(rpc_server.url, _entry(), (1000, 1039), chunk_size=10)
+    assert fetched == fetch_logs("http://unused", _entry(), (1000, 1039),
+                                 chunk_size=10, transport=StaticLogTransport(logs))
+    assert len(fetched) == 40
+
+
+def test_http_fetch_fails_on_a_json_rpc_error_that_is_not_about_range(rpc_server):
+    rpc_server.answer = _rpc_answer([], error={"code": -32602, "message": "invalid params"})
+    with pytest.raises(TransportError, match="^rpc error -32602: invalid params$"):
+        fetch_logs(rpc_server.url, _entry(), (1000, 1002))
+
+
+@pytest.mark.parametrize("outages", [2, None], ids=["twice", "always"])
+def test_http_fetch_retries_a_service_unavailable_provider(rpc_server, outages):
+    logs = _nouns_like_logs(3)
+    replay = _rpc_answer(logs)
+    statuses = []
+
+    def answer(request):
+        if outages is None or len(statuses) < outages:
+            statuses.append(503)
+            return 503, {"error": "unavailable"}
+        statuses.append(200)
+        return replay(request)
+
+    rpc_server.answer = answer
+    if outages is None:
+        with pytest.raises(TransportError, match="503"):
+            fetch_logs(rpc_server.url, _entry(), (1000, 1002), retry_wait=0.0)
+        assert statuses == [503] * 4  # the first try and three retries
+    else:
+        events = fetch_logs(rpc_server.url, _entry(), (1000, 1002), retry_wait=0.0)
+        assert events == fetch_logs("http://unused", _entry(), (1000, 1002),
+                                    transport=StaticLogTransport(logs))
+        assert statuses == [503, 503, 200]

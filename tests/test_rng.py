@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from forkcast import rng as rng_mod
 from forkcast.rng import SplitMix64, SplitMix64Batch, derive_seed
 
 # Reference outputs of splitmix64 (Vigna's public-domain C version).
@@ -86,11 +87,12 @@ def test_batch_draws_on_picked_rows_only():
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1, 0x9E3779B97F4A7C15])
-def test_batch_below_falls_back_to_the_scalar_stream_on_rejection(seed):
+def test_batch_below_redraws_rejected_streams_in_the_batch(seed, monkeypatch):
     # bound 2**63 + 1 rejects every draw at or above it, about half of them
     bound = 2**63 + 1
     seeds = [seed, seed ^ 1, derive_seed(seed, "a"), derive_seed(seed, "b")]
     batch, scalars = SplitMix64Batch(seeds), [SplitMix64(seed) for seed in seeds]
+    monkeypatch.setattr(rng_mod, "SplitMix64", None)  # the batch needs no scalar stream
     rejected = 0
     for _ in range(8):
         rejected += sum(copy.copy(rng).next_u64() >= bound for rng in scalars)

@@ -60,6 +60,8 @@ def test_traced_analyze_reports_layer_metrics(monkeypatch, tmp_path):
     assert metrics["embed.iterations"] > 0
     assert metrics["pipeline.frames"] == 59
     assert metrics["ingest.loads"] == 1
+    assert metrics["cluster.kmeans_calls"] == metrics["pipeline.frames"]  # one sweep a frame
+    assert metrics["cluster.kmeans_s"] > 0
 
 
 def test_traced_all_reports_validation_metrics(monkeypatch, tmp_path):

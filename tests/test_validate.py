@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -223,6 +228,37 @@ def test_run_validation_propagates_non_package_errors(planted, planted_matrix,
     with pytest.raises(AssertionError, match="injected invariant break"):
         run_validation(planted_matrix, planted_genuine, truth, ranges=[(41, 60)],
                        iterations=2)
+
+
+# a child that must run under python -O, where assert statements are gone
+_BLANKING_SHUFFLE = (
+    "import sys\n"
+    "import numpy as np\n"
+    "import forkcast.validate as validate\n"
+    "from forkcast.cli import main\n"
+    "if __debug__:\n"
+    "    sys.exit('run this child with python -O')\n"
+    "validate.shuffle_votes = lambda matrix, seed: validate.VoterMatrix(\n"
+    "    matrix.addresses, matrix.proposal_ids, np.full_like(matrix.cells, -1))\n"
+    "sys.exit(main(sys.argv[1:]))\n")
+
+
+def test_broken_shuffle_invariant_crashes_under_python_O(tmp_path):
+    """The participation check is not an assert, so -O cannot strip it and
+    turn every shuffle into a recorded failed seed."""
+    root = Path(__file__).resolve().parent.parent
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ,
+           "PYTHONPATH": str(root / "src") + (os.pathsep + path if path else "")}
+    child = subprocess.run(
+        [sys.executable, "-O", "-c", _BLANKING_SHUFFLE, "all", "--dao", "planted",
+         "--fixture", str(root / "data" / "planted" / "votes.jsonl"),
+         "--ground-truth", str(root / "data" / "planted" / "forkers.txt"),
+         "--ranges", "41-60", "--iterations", "2", "--mds-iterations", "5",
+         "--out", str(tmp_path)],
+        env=env, capture_output=True, text=True)
+    assert child.returncode != 0
+    assert "ValueError: shuffle must preserve participation" in child.stderr
 
 
 def test_run_validation_records_package_errors_as_failed_seeds(
