@@ -140,8 +140,7 @@ def stress(d: DissimilarityMatrix, coords: np.ndarray) -> float:
 
 def random_init(n: int, seed: int) -> np.ndarray:
     """Deterministic unit-square start: 2n uniforms from SplitMix64(seed)."""
-    rng = SplitMix64(seed)
-    return np.array([[rng.uniform(), rng.uniform()] for _ in range(n)])
+    return SplitMix64(seed).uniforms(2 * n).reshape(n, 2)
 
 
 def mds_embed(d: DissimilarityMatrix, init: np.ndarray,

@@ -11,8 +11,9 @@ across machines, worker counts, and unrelated code changes:
   ``BLAKE2b(str(root) + ":" + ":".join(path), digest_size=8)``.
 
 Draw t of the stream seeded s is ``mix(s + t * gamma mod 2**64)``, so
-:class:`SplitMix64Batch` advances many streams at once with ``np.uint64``
-array arithmetic, bit for bit as each :class:`SplitMix64` would alone.
+:meth:`SplitMix64.uniforms` takes many draws of one stream at once, and
+:class:`SplitMix64Batch` advances many streams at once, both with
+``np.uint64`` array arithmetic, bit for bit as the scalar draws would be.
 """
 
 from __future__ import annotations
@@ -24,6 +25,14 @@ import numpy as np
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN_GAMMA = 0x9E3779B97F4A7C15
+
+
+def _mix(state: np.ndarray) -> np.ndarray:
+    """SplitMix64's finalizer over a ``np.uint64`` array of states."""
+    # uint64 arrays wrap silently; numpy scalars would warn on overflow
+    z = (state ^ (state >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
 
 
 class SplitMix64:
@@ -42,6 +51,15 @@ class SplitMix64:
     def uniform(self) -> float:
         """Float in [0, 1) built from the top 53 bits of one draw."""
         return (self.next_u64() >> 11) * 2.0**-53
+
+    def uniforms(self, count: int) -> np.ndarray:
+        """The next ``count`` :meth:`uniform` values as one float array."""
+        if count < 0:
+            raise ValueError("count must be non-negative")
+        states = np.arange(1, count + 1, dtype=np.uint64) * np.uint64(_GOLDEN_GAMMA)
+        states += np.uint64(self._state)
+        self._state = (self._state + count * _GOLDEN_GAMMA) & _MASK64
+        return (_mix(states) >> np.uint64(11)) * 2.0**-53
 
     def below(self, bound: int) -> int:
         """Unbiased integer in [0, bound) via rejection sampling."""
@@ -70,12 +88,9 @@ class SplitMix64Batch:
         self._state = np.array([seed & _MASK64 for seed in seeds], dtype=np.uint64)
 
     def next_u64(self, rows=slice(None)) -> np.ndarray:
-        # uint64 arrays wrap silently; numpy scalars would warn on overflow
         state = self._state[rows] + np.uint64(_GOLDEN_GAMMA)
         self._state[rows] = state
-        z = (state ^ (state >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-        return z ^ (z >> np.uint64(31))
+        return _mix(state)
 
     def uniform(self, rows=slice(None)) -> np.ndarray:
         return (self.next_u64(rows) >> np.uint64(11)) * 2.0**-53

@@ -7,7 +7,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from forkcast import rng as rng_mod
@@ -99,3 +99,19 @@ def test_batch_below_redraws_rejected_streams_in_the_batch(seed, monkeypatch):
         assert batch.below(bound).tolist() == [rng.below(bound) for rng in scalars]
         assert batch.next_u64().tolist() == [rng.next_u64() for rng in scalars]
     assert rejected > 0
+
+
+@given(st.integers(min_value=0, max_value=2**64 - 1), st.integers(min_value=0, max_value=300))
+@example(0, 0)
+@example(2**64 - 1, 0)
+def test_uniforms_match_scalar_draws_and_advance_the_stream(seed, count):
+    batch, scalar = SplitMix64(seed), SplitMix64(seed)
+    draws = batch.uniforms(count)
+    assert draws.dtype == np.float64 and draws.shape == (count,)
+    assert draws.tolist() == [scalar.uniform() for _ in range(count)]
+    assert batch.uniform() == scalar.uniform()  # draw count + 1 of the stream
+
+
+def test_uniforms_rejects_a_negative_count():
+    with pytest.raises(ValueError):
+        SplitMix64(0).uniforms(-1)
