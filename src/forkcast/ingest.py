@@ -7,12 +7,22 @@ network-touching code in the package.
 A fixture holds one event per line, and every event, whether loaded, decoded
 from a log or planted, is built by the checked ``VoteEvent(...)``. Chain order
 has one owner: ``collapse_duplicates`` sorts every event source into it, and
-``fetch_logs`` and ``write_fixture`` keep the order they are given. The load
-walks the lines in order: the JSON decoder's C scanner takes a line whole, or
-``decode`` parses it and raises the line's error, and the record's five fields
-go to ``VoteEvent``. So the first bad line is the one named in the
-``ParseError``, whether its JSON is malformed or nested too deep, a field is
-missing, or a value fails a check.
+``fetch_logs`` and ``write_fixture`` keep the order they are given.
+
+A load first reads the file as ``write_fixture`` writes it, which has one
+byte layout, in 1 MiB blocks of whole lines. numpy finds each line's newline
+and four commas, compares the fixed texts between them as 8-byte words and
+checks the 40 lowercase hex digits and the numbers (1 to 18 digits, no
+leading zero, so they fit an int64); each block's columns then go to
+``VoteEvent``. A file with any other line, or with an event ``VoteEvent``
+rejects, is read again from the start by the per-line path, which also takes
+every other valid line: whitespace, another key order, extra keys, ``\\r\\n``,
+uppercase hex and big numbers. That path walks the lines in order: the JSON
+decoder's C scanner takes a line whole, or ``decode`` parses it and raises
+the line's error, and the record's five fields go to ``VoteEvent``. It is the
+only code that raises ``ParseError``, so the first bad line is the one named,
+whether its JSON is malformed or nested too deep, a field is missing, or a
+value fails a check.
 
 An address is checked with one precompiled regex and interned, so each
 distinct voter is one ``str`` object however many events name it. Each
@@ -36,7 +46,9 @@ import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, NamedTuple, Protocol, Sequence
+from typing import BinaryIO, Iterable, NamedTuple, Protocol, Sequence
+
+import numpy as np
 
 from . import abi
 from .errors import (
@@ -74,6 +86,7 @@ def normalize_address(value: str) -> Address:
 _INT_FIELDS = ("proposal_id", "support", "block_number", "log_index")
 # chain order: (block_number, log_index, voter, proposal_id, support), at C level
 _CHAIN_ORDER = operator.itemgetter(3, 4, 0, 1, 2)
+_VOTER_PROPOSAL = operator.itemgetter(0, 1)
 
 
 class _VoteFields(NamedTuple):
@@ -220,6 +233,8 @@ def collapse_duplicates(events: Iterable[VoteEvent],
     """Sort events into chain order and keep the last of each (voter, proposal)
     pair; return the kept events, in chain order, and each dropped one's key."""
     ordered = sorted(events, key=_CHAIN_ORDER)
+    if len(dict.fromkeys(map(_VOTER_PROPOSAL, ordered))) == len(ordered):
+        return ordered, ()
     last: dict[tuple[Address, int], VoteEvent] = {}
     duplicates: list[tuple[Address, int]] = []
     for event in ordered:
@@ -227,8 +242,6 @@ def collapse_duplicates(events: Iterable[VoteEvent],
         if key in last:
             duplicates.append(key)
         last[key] = event
-    if not duplicates:
-        return ordered, ()
     kept = [event for event in ordered if last[(event.voter, event.proposal_id)] is event]
     return kept, tuple(duplicates)
 
@@ -241,12 +254,103 @@ def load_fixture_with_report(path: str | Path,
     collecting = gc.isenabled()
     gc.disable()
     try:
-        with open(path, encoding="utf-8", errors="surrogateescape") as handle:
-            events = _read_events(handle)
+        with open(path, "rb") as handle:
+            events = _read_canonical_events(handle)
+        if events is None:
+            with open(path, encoding="utf-8", errors="surrogateescape") as handle:
+                events = _read_events(handle)
         return collapse_duplicates(events)
     finally:
         if collecting:
             gc.enable()
+
+
+# ``write_fixture``'s line: each fixed text is followed by a field (the
+# address's 40 hex digits, then the four numbers), and the last by ``}\n``
+_LINE_TEXTS = (b'{"voter": "0x', b'", "proposal_id": ', b', "support": ',
+               b', "block_number": ', b', "log_index": ')
+# each text as the little-endian 8-byte words that cover it, by offset
+_TEXT_WORDS = tuple(
+    tuple((offset, int.from_bytes(text[offset:offset + 8], "little"))
+          for offset in (*range(0, len(text) - 8, 8), len(text) - 8))
+    for text in _LINE_TEXTS)
+_HEX_AT = len(_LINE_TEXTS[0])
+_HEX_END = _HEX_AT + 40  # where the second text starts
+_MAX_DIGITS = 18  # so that every number fits an int64
+_POWERS = 10 ** np.arange(_MAX_DIGITS - 1, -1, -1, dtype=np.int64)
+_BLOCK_BYTES = 1 << 20
+
+
+def _read_canonical_events(handle: BinaryIO) -> list[VoteEvent] | None:
+    """The events of a fixture in the exact form ``write_fixture`` writes,
+    read in blocks of whole lines; None for any other file, and for one
+    whose events fail a ``VoteEvent`` check."""
+    events: list[VoteEvent] = []
+    rest = b""
+    while chunk := handle.read(_BLOCK_BYTES):
+        data = rest + chunk
+        cut = data.rfind(b"\n") + 1
+        columns = _canonical_columns(data[:cut]) if cut else None
+        if columns is None:
+            return None
+        try:
+            events.extend(map(VoteEvent, *columns))
+        except ValueError:
+            return None
+        rest = data[cut:]
+    return None if rest else events
+
+
+def _canonical_columns(block: bytes) -> tuple[list, ...] | None:
+    """The voters and the four numbers of a block of whole lines, each line
+    as ``write_fixture`` writes it and each number 1 to 18 digits; None if
+    any line is not.
+
+    A line holds four commas, the first 54 bytes in. They place the fixed
+    texts, each compared as unaligned 8-byte words, and the fields between
+    them, so every byte of every line is checked.
+    """
+    if not block.isascii():
+        return None
+    data = np.frombuffer(block, np.uint8)
+    ends = np.flatnonzero(data == ord("\n"))
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    commas = np.flatnonzero(data == ord(","))
+    if len(commas) != 4 * len(ends):
+        return None
+    commas = commas.reshape(-1, 4)  # one row per line once the first ones align
+    if not np.array_equal(commas[:, 0], starts + _HEX_END + 1):
+        return None
+    anchors = (starts, starts + _HEX_END, commas[:, 1], commas[:, 2], commas[:, 3])
+    # each number runs from the end of its text to the next text, or to "}"
+    spans = [(anchor + len(text), stop) for anchor, text, stop
+             in zip(anchors[1:], _LINE_TEXTS[1:], (*anchors[2:], ends - 1))]
+    if not all(((stop > lo) & (stop - lo <= _MAX_DIGITS)).all() for lo, stop in spans):
+        return None
+    # the 8 bytes from each offset of the block, unaligned; with the spans
+    # checked, every word read below lies inside its line
+    words = np.ndarray((len(block) - 7,), "<u8", block, 0, (1,))
+    hex_digits = words[starts[:, None] + np.arange(_HEX_AT, _HEX_END, 8)].view(np.uint8)
+    if not (all((words[anchor + offset] == word).all()
+                for anchor, text_words in zip(anchors, _TEXT_WORDS)
+                for offset, word in text_words)
+            and (data[ends - 1] == ord("}")).all()
+            and ((hex_digits - np.uint8(ord("0")) < 10)
+                 | (hex_digits - np.uint8(ord("a")) < 6)).all()):
+        return None
+    numbers = []
+    for lo, stop in spans:
+        places = np.arange(-int((stop - lo).max()), 0)
+        # each number right-aligned in one row of digits, zeros before it
+        digits = data[stop[:, None] + places] - np.uint8(ord("0"))
+        digits[places < (lo - stop)[:, None]] = 0
+        if not ((digits < 10).all()
+                and ((data[lo] != ord("0")) | (stop - lo == 1)).all()):
+            return None
+        numbers.append((digits @ _POWERS[places]).tolist())
+    text = block.decode("ascii")
+    voters = [text[at:at + 42] for at in (starts + _HEX_AT - 2).tolist()]
+    return voters, *numbers
 
 
 def _read_events(handle: Iterable[str]) -> list[VoteEvent]:

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import bisect
 import gc
 import io
+import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -687,6 +690,132 @@ def test_load_fixture_matches_strict_decode_reference(tmp_path_factory, lines, b
     assert (_load_outcome(load_fixture_with_report, path)
             == _load_outcome(lambda p: strict_decode_reference(p, events_line_by_line),
                              path))
+
+
+# numbers of 1, 17 and 18 digits and the largest of 18, which the bulk read
+# takes, then one of 19 digits and one past int64, which it leaves to the
+# per-line path
+_FITTING_NUMBERS = [7, 10**16 + 9, 10**17 + 1, 10**18 - 1]
+_LONG_NUMBERS = [10**18, 2**70]
+
+
+def _events_with(numbers):
+    return st.builds(
+        VoteEvent, st.sampled_from([addr(1), addr(2), "0x" + "ab" * 20]),
+        st.sampled_from([1, *numbers]), st.sampled_from([0, *numbers]),
+        st.sampled_from([0, *numbers]), st.sampled_from([0, *numbers]))
+
+
+_canonical_events = st.one_of(
+    st.lists(_events_with(_FITTING_NUMBERS), min_size=1, max_size=6),
+    st.lists(_events_with(_FITTING_NUMBERS + _LONG_NUMBERS), min_size=1, max_size=6))
+# one byte written over or before another: a sign, a leading zero, a space,
+# a carriage return, uppercase hex, bytes that are not ASCII (one not UTF-8)
+_MUTATION_BYTES = [b"-", b"0", b" ", b"\r", b"A", b"F", b"\xe9", "é".encode()]
+
+
+@settings(max_examples=400, deadline=None)
+@given(events=_canonical_events, data=st.data(), drop_final_newline=st.booleans())
+def test_load_mutated_canonical_fixture_matches_per_line_reference(
+        tmp_path_factory, events, data, drop_final_newline):
+    path = tmp_path_factory.mktemp("mutate") / "votes.jsonl"
+    write_fixture(events, path)
+    raw = bytearray(path.read_bytes())
+    # any byte, a digit, or where a number starts or a line closes
+    at = data.draw(st.sampled_from([
+        range(len(raw)),
+        [i for i, byte in enumerate(raw) if chr(byte).isdigit()],
+        [match.start() for match in re.finditer(rb"(?<= )\d|}", raw)],
+    ]).flatmap(st.sampled_from))
+    size = data.draw(st.sampled_from([0, 1]))  # 0 inserts, 1 overwrites
+    raw[at:at + size] = data.draw(st.sampled_from(_MUTATION_BYTES))
+    path.write_bytes(raw[:-1] if drop_final_newline else raw)
+    assert (_load_outcome(load_fixture_with_report, path)
+            == _load_outcome(lambda p: strict_decode_reference(p, events_line_by_line),
+                             path))
+
+
+def test_load_every_single_byte_mutation_matches_per_line_reference(tmp_path):
+    path = tmp_path / "votes.jsonl"
+    write_fixture([VoteEvent("0x" + "ab" * 20, 10**17 + 1, 0, 10**16 + 9, 10**18 - 1),
+                   VoteEvent(addr(1), 7, 1, 0, 12)], path)
+    canonical = path.read_bytes()
+    for at, size, byte in itertools.product(range(len(canonical)), (0, 1),
+                                            _MUTATION_BYTES):
+        raw = bytearray(canonical)
+        raw[at:at + size] = byte
+        path.write_bytes(raw)
+        assert (_load_outcome(load_fixture_with_report, path)
+                == _load_outcome(lambda p: strict_decode_reference(p, events_line_by_line),
+                                 path)), raw
+
+
+def _canonical_lines_past_one_block(tmp_path):
+    """A ``write_fixture`` file of more than one bulk block, its lines, and the
+    index of the line that straddles the end of the first block."""
+    path = tmp_path / "votes.jsonl"
+    write_fixture([VoteEvent(addr(i % 50 + 1), i // 50 + 1, i % 3, i // 5, i % 5)
+                   for i in range(10_000)], path)
+    lines = path.read_bytes().splitlines(keepends=True)
+    ends = list(itertools.accumulate(map(len, lines)))
+    straddle = bisect.bisect_right(ends, ingest._BLOCK_BYTES)
+    assert ends[-1] > ingest._BLOCK_BYTES and ends[straddle] - len(lines[straddle]) \
+        < ingest._BLOCK_BYTES < ends[straddle]
+    return path, lines, straddle
+
+
+@pytest.mark.parametrize("after", [0, 1, 1_500], ids=["straddling", "next", "later"])
+@pytest.mark.parametrize("defect", [
+    b'{"voter": "0x0000000000000000000000000000000000000001", "proposal_id": 0, '
+    b'"support": 1, "block_number": 1, "log_index": 1}\n',
+    b'{"voter": "0x0000000000000000000000000000000000000001", "proposal_id": 1}\n',
+    b'{"voter": "0x1", "proposal_id": 1, "support": 1, "block_number": 1, '
+    b'"log_index": 1}\n',
+    b"nope\n",
+], ids=["check", "missing-key", "short-voter", "not-json"])
+def test_load_defect_after_the_first_block_names_its_line(tmp_path, after, defect):
+    path, lines, straddle = _canonical_lines_past_one_block(tmp_path)
+    lines[straddle + after] = defect
+    path.write_bytes(b"".join(lines))
+    expected = _load_outcome(load_fixture_line_by_line, path)
+    assert expected[:2] == ("error", straddle + after + 1)
+    assert _load_outcome(load_fixture_with_report, path) == expected
+
+
+def test_load_canonical_fixture_past_one_block_matches_reference(tmp_path):
+    path, lines, straddle = _canonical_lines_past_one_block(tmp_path)
+    # the file without, then with, a valid line in another layout in block two
+    lines[straddle + 1] = lines[straddle + 1].replace(b'"support": ', b'"support":  ')
+    for text in (b"".join(lines[:straddle + 1] + lines[straddle + 2:]), b"".join(lines)):
+        path.write_bytes(text)
+        outcome = _load_outcome(load_fixture_with_report, path)
+        assert outcome[0] == "ok"
+        assert outcome == _load_outcome(load_fixture_line_by_line, path)
+
+
+def test_only_a_canonical_fixture_skips_the_per_line_path(tmp_path, monkeypatch):
+    def per_line(handle):
+        raise AssertionError("read line by line")
+
+    events, _ = planted_two_bloc_events((20, 10), 60, seed=1)
+    written = tmp_path / "votes.jsonl"
+    write_fixture(events, written)
+    canonical = (written, PLANTED / "votes.jsonl")
+    expected = [_load_outcome(load_fixture_with_report, path) for path in canonical]
+    # valid copies in other layouts: compact separators, uppercase hex digits
+    compact, upper = tmp_path / "compact.jsonl", tmp_path / "upper.jsonl"
+    compact.write_text("".join(json.dumps(json.loads(line), separators=(",", ":")) + "\n"
+                               for line in written.read_text().splitlines()))
+    upper.write_text(re.sub("0x[0-9a-f]{40}", lambda match: "0x" + match[0][2:].upper(),
+                            written.read_text()))
+    assert upper.read_text() != written.read_text()
+    for copy in (compact, upper):
+        assert _load_outcome(load_fixture_with_report, copy) == expected[0]
+    monkeypatch.setattr(ingest, "_read_events", per_line)
+    assert [_load_outcome(load_fixture_with_report, path) for path in canonical] == expected
+    for copy in (compact, upper):
+        with pytest.raises(AssertionError, match="read line by line"):
+            load_fixture_with_report(copy)
 
 
 def collapse_by_sorting_twice(events):
