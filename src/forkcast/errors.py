@@ -1,7 +1,7 @@
 """Package errors: bad outside input, or an expected skip of a frame or range
 with nothing to analyze. Anything else is a bug: internal checks raise
-``ValueError`` (or fail an ``assert``), which nothing catches, so a broken
-invariant crashes instead of becoming a skipped frame or a failed seed.
+``ValueError``, which nothing catches, so a broken invariant crashes instead
+of becoming a skipped frame or a failed seed.
 """
 
 from __future__ import annotations

@@ -9,20 +9,19 @@ from a log or planted, is built by the checked ``VoteEvent(...)``. Chain order
 has one owner: ``collapse_duplicates`` sorts every event source into it, and
 ``fetch_logs`` and ``write_fixture`` keep the order they are given.
 
-A load first reads the file as ``write_fixture`` writes it, which has one
-byte layout, in 1 MiB blocks of whole lines. numpy finds each line's newline
-and four commas, compares the fixed texts between them as 8-byte words and
-checks the 40 lowercase hex digits and the numbers (1 to 18 digits, no
-leading zero, so they fit an int64); each block's columns then go to
-``VoteEvent``. A file with any other line, or with an event ``VoteEvent``
-rejects, is read again from the start by the per-line path, which also takes
-every other valid line: whitespace, another key order, extra keys, ``\\r\\n``,
-uppercase hex and big numbers. That path walks the lines in order: the JSON
-decoder's C scanner takes a line whole, or ``decode`` parses it and raises
-the line's error, and the record's five fields go to ``VoteEvent``. It is the
-only code that raises ``ParseError``, so the first bad line is the one named,
-whether its JSON is malformed or nested too deep, a field is missing, or a
-value fails a check.
+A load reads the file once, front to back, so a pipe reads as a file does.
+It takes the layout ``write_fixture`` writes in 1 MiB blocks of whole lines:
+numpy finds each line's newline and four commas, compares the fixed texts
+between them as 8-byte words and checks the 40 lowercase hex digits and the
+numbers (1 to 18 digits, no leading zero, so they fit an int64); each
+block's columns then go to ``VoteEvent``. From the first block with any other
+line, or with an event ``VoteEvent`` rejects, the per-line path reads the
+rest, which takes every other valid line: whitespace, another key order,
+extra keys, ``\\r\\n``, uppercase hex and big numbers. The JSON decoder
+parses each line or raises its error, and the record's five fields go to
+``VoteEvent``. That path alone raises ``ParseError``, so the first
+bad line is the one named, whether its JSON is malformed or nested too deep,
+a field is missing, or a value fails a check.
 
 An address is checked with one precompiled regex and interned, so each
 distinct voter is one ``str`` object however many events name it. Each
@@ -39,12 +38,14 @@ is a ``ParseError`` naming its line.
 from __future__ import annotations
 
 import gc
+import io
 import json
 import operator
 import re
 import sys
 import time
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import BinaryIO, Iterable, NamedTuple, Protocol, Sequence
 
@@ -255,10 +256,14 @@ def load_fixture_with_report(path: str | Path,
     gc.disable()
     try:
         with open(path, "rb") as handle:
-            events = _read_canonical_events(handle)
-        if events is None:
-            with open(path, encoding="utf-8", errors="surrogateescape") as handle:
-                events = _read_events(handle)
+            events, pending = _read_canonical_events(handle)
+            if pending:  # complete its last line, so no character or "\r\n" is split
+                pending += handle.readline()
+                lines = chain(
+                    io.StringIO(pending.decode("utf-8", "surrogateescape"), newline=None),
+                    io.TextIOWrapper(handle, encoding="utf-8", errors="surrogateescape"))
+                # a canonical line holds one event
+                events += _read_events(lines, len(events) + 1)
         return collapse_duplicates(events)
     finally:
         if collecting:
@@ -281,10 +286,11 @@ _POWERS = 10 ** np.arange(_MAX_DIGITS - 1, -1, -1, dtype=np.int64)
 _BLOCK_BYTES = 1 << 20
 
 
-def _read_canonical_events(handle: BinaryIO) -> list[VoteEvent] | None:
-    """The events of a fixture in the exact form ``write_fixture`` writes,
-    read in blocks of whole lines; None for any other file, and for one
-    whose events fail a ``VoteEvent`` check."""
+def _read_canonical_events(handle: BinaryIO) -> tuple[list[VoteEvent], bytes]:
+    """The events of the leading blocks of whole lines as ``write_fixture``
+    writes them, and the bytes read past them, which start a line: the first
+    block that is not, or whose events fail a ``VoteEvent`` check, or else a
+    last line with no newline."""
     events: list[VoteEvent] = []
     rest = b""
     while chunk := handle.read(_BLOCK_BYTES):
@@ -292,13 +298,14 @@ def _read_canonical_events(handle: BinaryIO) -> list[VoteEvent] | None:
         cut = data.rfind(b"\n") + 1
         columns = _canonical_columns(data[:cut]) if cut else None
         if columns is None:
-            return None
+            return events, data
         try:
-            events.extend(map(VoteEvent, *columns))
+            block = list(map(VoteEvent, *columns))
         except ValueError:
-            return None
+            return events, data
+        events += block
         rest = data[cut:]
-    return None if rest else events
+    return events, rest
 
 
 def _canonical_columns(block: bytes) -> tuple[list, ...] | None:
@@ -353,26 +360,18 @@ def _canonical_columns(block: bytes) -> tuple[list, ...] | None:
     return voters, *numbers
 
 
-def _read_events(handle: Iterable[str]) -> list[VoteEvent]:
-    """The events of a fixture's lines, in file order; the first bad line is a
-    ``ParseError`` naming it."""
-    decoder = json.JSONDecoder()
-    scan, decode = decoder.scan_once, decoder.decode
+def _read_events(lines: Iterable[str], start: int) -> list[VoteEvent]:
+    """The events of a fixture's lines, in file order, the first numbered
+    ``start``; the first bad line is a ``ParseError`` naming it."""
+    decode = json.JSONDecoder().decode
     events: list[VoteEvent] = []
-    for lineno, line in enumerate(handle, start=1):
+    for lineno, line in enumerate(lines, start):
         if not line.isascii() and (bad := _escaped_byte(line)):
             raise ParseError(f"not UTF-8: byte 0x{ord(bad[0]) - 0xDC00:02x}", line=lineno)
         if line.isspace():
             continue
         try:
-            try:
-                record, end = scan(line, 0)
-                whole = end == len(line) or line[end:] == "\n"
-            except (StopIteration, ValueError, RecursionError):
-                whole = False
-            if not whole:  # ``decode`` returns the record or raises the line's error
-                record = decode(line)
-            events.append(VoteEvent(*_RECORD_FIELDS(record)))
+            events.append(VoteEvent(*_RECORD_FIELDS(decode(line))))
         except _LINE_ERRORS as exc:
             raise ParseError(str(exc), line=lineno) from exc
     return events

@@ -2,6 +2,13 @@
 
 from __future__ import annotations
 
+import contextlib
+import json
+import os
+import threading
+from pathlib import Path
+from typing import Callable
+
 import numpy as np
 import pytest
 
@@ -33,6 +40,45 @@ def events_from_rows(rows: list[list[int]],
             if value >= 0:
                 events.append(VoteEvent(addr(i), pids[j], value, pids[j], i))
     return events
+
+
+def compact_copy(text: str) -> str:
+    """A fixture's lines written again with compact JSON separators."""
+    return "".join(json.dumps(json.loads(line), separators=(",", ":")) + "\n"
+                   for line in text.splitlines())
+
+
+def read_through_fifo(path: Path, data: bytes, read: Callable[[Path], object]) -> object:
+    """``read(path)`` with ``data`` served through a FIFO made at ``path``.
+
+    A FIFO can be read once: opened again, it blocks until a new writer comes.
+    So the data is written from one daemon thread and the read runs in
+    another, and a read that has not returned within 60 seconds fails the
+    test instead of hanging the suite.
+    """
+    os.mkfifo(path)
+
+    def serve() -> None:
+        with contextlib.suppress(BrokenPipeError), open(path, "wb") as fifo:
+            fifo.write(data)
+
+    results: list[tuple[bool, object]] = []
+
+    def load() -> None:
+        try:
+            results.append((True, read(path)))
+        except BaseException as exc:  # re-raised in the test's own thread
+            results.append((False, exc))
+
+    threading.Thread(target=serve, daemon=True).start()
+    loader = threading.Thread(target=load, daemon=True)
+    loader.start()
+    loader.join(60)
+    assert results, f"reading the FIFO {path} did not finish in 60 s"
+    [(returned, value)] = results
+    if not returned:
+        raise value
+    return value
 
 
 @pytest.fixture(scope="session")

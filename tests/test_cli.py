@@ -19,7 +19,7 @@ from forkcast.errors import ConfigError, EmptyActiveSet
 from forkcast.ingest import load_fixture_with_report, write_fixture
 from forkcast.registry import bundled_registry
 
-from conftest import events_from_rows
+from conftest import compact_copy, events_from_rows, read_through_fifo
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURE = ROOT / "data" / "planted" / "votes.jsonl"
@@ -318,6 +318,16 @@ def test_ingest_normalizes_fixture(tmp_path):
     copied = out / "planted" / "votes.jsonl"
     assert copied.exists()
     assert copied.read_bytes() == FIXTURE.read_bytes()  # already canonical
+
+
+def test_ingest_reads_a_fixture_through_a_fifo(tmp_path):
+    out = tmp_path / "out"
+    code = read_through_fifo(
+        tmp_path / "votes.fifo", compact_copy(FIXTURE.read_text()).encode(),
+        lambda fifo: run(["ingest", "--dao", "planted", "--fixture", str(fifo),
+                          "--out", str(out)]))
+    assert code == 0
+    assert (out / "planted" / "votes.jsonl").read_bytes() == FIXTURE.read_bytes()
 
 
 def test_ingest_rpc_path_wiring(tmp_path, monkeypatch):

@@ -51,7 +51,7 @@ from forkcast.ingest import (
 )
 from forkcast.registry import bundled_registry
 
-from conftest import addr
+from conftest import addr, compact_copy, read_through_fifo
 
 ROOT = Path(__file__).resolve().parent.parent
 PLANTED = ROOT / "data" / "planted"
@@ -793,8 +793,28 @@ def test_load_canonical_fixture_past_one_block_matches_reference(tmp_path):
         assert outcome == _load_outcome(load_fixture_line_by_line, path)
 
 
+@pytest.mark.parametrize("case", ["compact", "canonical", "late-other-layout",
+                                  "late-defect"])
+def test_load_fixture_through_a_fifo_matches_a_regular_file(tmp_path, case):
+    # a FIFO cannot be read twice, so each byte must be read once, in order
+    path, lines, straddle = _canonical_lines_past_one_block(tmp_path)
+    if case == "compact":
+        path.write_text(compact_copy((PLANTED / "votes.jsonl").read_text()))
+    elif case == "late-other-layout":
+        lines[straddle + 1] = lines[straddle + 1].replace(b'"support": ', b'"support":  ')
+        path.write_bytes(b"".join(lines))
+    elif case == "late-defect":
+        lines[straddle + 1] = b"nope\n"
+        path.write_bytes(b"".join(lines))
+    expected = _load_outcome(load_fixture_line_by_line, path)
+    assert expected[0] == ("error" if case == "late-defect" else "ok")
+    outcome = read_through_fifo(tmp_path / "votes.fifo", path.read_bytes(),
+                                lambda fifo: _load_outcome(load_fixture_with_report, fifo))
+    assert outcome == expected
+
+
 def test_only_a_canonical_fixture_skips_the_per_line_path(tmp_path, monkeypatch):
-    def per_line(handle):
+    def per_line(*args):
         raise AssertionError("read line by line")
 
     events, _ = planted_two_bloc_events((20, 10), 60, seed=1)
@@ -804,8 +824,7 @@ def test_only_a_canonical_fixture_skips_the_per_line_path(tmp_path, monkeypatch)
     expected = [_load_outcome(load_fixture_with_report, path) for path in canonical]
     # valid copies in other layouts: compact separators, uppercase hex digits
     compact, upper = tmp_path / "compact.jsonl", tmp_path / "upper.jsonl"
-    compact.write_text("".join(json.dumps(json.loads(line), separators=(",", ":")) + "\n"
-                               for line in written.read_text().splitlines()))
+    compact.write_text(compact_copy(written.read_text()))
     upper.write_text(re.sub("0x[0-9a-f]{40}", lambda match: "0x" + match[0][2:].upper(),
                             written.read_text()))
     assert upper.read_text() != written.read_text()

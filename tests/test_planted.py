@@ -87,19 +87,18 @@ def test_onset_moves_only_the_minority_stance_before_it():
     assert changed and all(pid < 30 and int(voter, 16) > 20 for voter, pid in changed)
 
 
-ONSET = 40
-WINDOW = 20
-# the range ends 9 proposals after the onset, as CHANGES.md reports
-LEAD_TIME = 9
-
-
-def test_emerging_bloc_lead_time():
-    """30 voters x 80 proposals, the minority splitting off at proposal 40:
-    a trailing range beats every one of 9 shuffles once it holds enough
-    proposals after the onset, and every later range does too."""
-    events, truth = planted_two_bloc_events((20, 10), 80, seed=0, onset=ONSET)
+# (proposals, onset, trailing window, lead time): the first range to beat every
+# shuffle ends this many proposals after the onset, as CHANGES.md reports. The
+# second case is the paper form, trailing 44-proposal ranges.
+@pytest.mark.parametrize("proposals,onset,window,lead", [(80, 40, 20, 9),
+                                                         (100, 60, 44, 17)])
+def test_emerging_bloc_lead_time(proposals, onset, window, lead):
+    """30 voters, the minority splitting off at proposal ``onset``: a trailing
+    range beats every one of 9 shuffles once it holds enough proposals after
+    the onset, and every later range does too."""
+    events, truth = planted_two_bloc_events((20, 10), proposals, seed=0, onset=onset)
     matrix = build_voter_matrix(events)
-    ranges = [(end - WINDOW + 1, end) for end in range(21, 78, 4)]
+    ranges = [(end - window + 1, end) for end in range(window + 1, proposals - 2, 4)]
     report = run_validation(matrix, analyze_matrix(matrix, AnalysisSpec()), truth,
                             ranges, iterations=9)
     assert report.failed_seeds == ()
@@ -108,6 +107,6 @@ def test_emerging_bloc_lead_time():
              for validation in report.ranges]
     first = beats.index(True)
     first_end = ranges[first][1]
-    assert ONSET < first_end <= ONSET + WINDOW
+    assert onset < first_end <= onset + window
     assert all(beats[first:])
-    assert first_end - ONSET == LEAD_TIME
+    assert first_end - onset == lead
