@@ -94,11 +94,7 @@ _DYNAMIC_TYPES = ("string", "bytes")
 
 
 def _canonical_type(abi_type: str) -> str:
-    if abi_type == "uint":
-        return "uint256"
-    if abi_type == "int":
-        return "int256"
-    return abi_type
+    return abi_type + "256" if abi_type in ("uint", "int") else abi_type
 
 
 def _is_integerish(abi_type: str) -> bool:

@@ -1,24 +1,16 @@
 """Command-line pipeline: ingest, friction, analyze, validate, all.
 
-Configuration precedence is CLI flags > config file (--config, JSON) >
-registry analysis defaults > built-in defaults; the built-ins are the
-Nouns DAO parameterization, the ``DEFAULT_*`` constants of ``dissim``,
-``embed``, ``cluster`` and ``validate``. Each command accepts only the flags
-it reads; a config file may set any key. All commands are idempotent:
-re-running with the same inputs and seed rewrites byte-identical outputs.
+Each command accepts only the flags it reads; ``config`` resolves them with
+the config file and the registry into one ``RunConfig``. All commands are
+idempotent: re-running with the same inputs and seed rewrites
+byte-identical outputs.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import json
-import os
 import sys
-import types
-import typing
 from collections.abc import Sequence
-from dataclasses import dataclass
 from functools import partial
 from itertools import repeat
 from pathlib import Path
@@ -28,20 +20,12 @@ import numpy as np
 from . import dissim as dissim_mod
 from . import friction as friction_mod
 from . import matrix as matrix_mod
-from .cluster import DEFAULT_K_MAX, DEFAULT_K_MIN
-from .dissim import (
-    DEFAULT_PARTICIPATION_THRESHOLD,
-    DEFAULT_WINDOW_SIZE,
-    DissimilarityMatrix,
-    WindowSpec,
-)
-from .embed import DEFAULT_MAX_ITERATIONS, DEFAULT_TOLERANCE, MdsConfig
+from .config import RPC_URL_ENV, DaoRegistryEntry, RunConfig, resolve_config
+from .dissim import DissimilarityMatrix
 from .errors import ConfigError, ForkcastError, MissingArtifact
 from .ingest import (
-    DaoRegistryEntry,
     ForkGroundTruth,
     VoteEvent,
-    check_dao_name,
     collapse_duplicates,
     fetch_logs,
     load_fixture_with_report,
@@ -49,145 +33,15 @@ from .ingest import (
     write_fixture,
 )
 from .matrix import VoterMatrix, build_voter_matrix
-from .pipeline import AnalysisSpec, PipelineResult, ProposalAnalysis, analyze_matrix
-from .registry import bundled_registry, load_registry
+from .pipeline import PipelineResult, ProposalAnalysis, analyze_matrix
 from .report import ChartSpec, render_chart, render_mds_scatter, write_csv, write_json
 from .validate import (
-    DEFAULT_ITERATIONS,
     check_ranges,
     fork_cluster_share,
     fork_labels,
     run_validation,
     validation_json,
 )
-
-RPC_URL_ENV = "FORKCAST_RPC_URL"
-
-# the exact types a setting of each declared type takes, and their name: true
-# is not a number, a flag is only true or false, an int is a valid float
-_SETTING_TYPES = {
-    int: ((int,), "an integer"),
-    float: ((int, float), "a number"),
-    bool: ((bool,), "true or false"),
-    str: ((str,), "a string"),
-}
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    dao: str = "dao"
-    fixture: str | None = None
-    rpc_url: str | None = None
-    registry_path: str | None = None
-    ground_truth: str | None = None
-    window_size: int = DEFAULT_WINDOW_SIZE
-    participation_threshold: float = DEFAULT_PARTICIPATION_THRESHOLD
-    k_min: int = DEFAULT_K_MIN
-    k_max: int = DEFAULT_K_MAX
-    max_iterations: int = DEFAULT_MAX_ITERATIONS
-    tolerance: float = DEFAULT_TOLERANCE
-    iterations: int = DEFAULT_ITERATIONS
-    root_seed: int = 0
-    ranges: tuple[tuple[int, int], ...] | None = None
-    output_dir: str = "out"
-    export_dissim: bool = False
-    from_block: int | None = None
-    to_block: int | None = None
-    chunk_size: int = 10_000
-
-    def __post_init__(self) -> None:
-        for name, hint in typing.get_type_hints(RunConfig).items():
-            # (T,) or, for an optional setting, (T, NoneType)
-            declared = typing.get_args(hint) if isinstance(hint, types.UnionType) else (hint,)
-            if declared[0] in _SETTING_TYPES:
-                accepted, kind = _SETTING_TYPES[declared[0]]
-                value = getattr(self, name)
-                if type(value) not in accepted + declared[1:]:
-                    raise ValueError(f"{name} must be {kind}, got {value!r}")
-        check_dao_name(self.dao)
-        self.analysis_spec()  # raises on a bad window, MDS or k setting
-        if self.iterations < 0:
-            raise ValueError("iterations must be >= 0")
-        if self.chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1, got {self.chunk_size}")
-        if (self.from_block is not None and self.to_block is not None
-                and self.from_block > self.to_block):
-            raise ValueError(f"from_block {self.from_block} > to_block {self.to_block}")
-
-    @property
-    def out(self) -> Path:
-        return Path(self.output_dir) / self.dao
-
-    def analysis_spec(self) -> AnalysisSpec:
-        return AnalysisSpec(WindowSpec(self.window_size, self.participation_threshold),
-                            MdsConfig(self.max_iterations, self.tolerance),
-                            self.k_min, self.k_max, self.root_seed)
-
-
-_CONFIG_FIELDS = {field.name for field in dataclasses.fields(RunConfig)}
-
-
-def parse_ranges(value: str | Sequence) -> tuple[tuple[int, int], ...]:
-    """'319-362,349-362' or [[319, 362], [349, 362]] -> ((319, 362), (349, 362))."""
-    items = value.split(",") if isinstance(value, str) else value
-    if not isinstance(items, (list, tuple)) or not items:
-        raise ConfigError(f"ranges {value!r} must be 'LO-HI,...' or a list of [LO, HI]")
-    ranges = []
-    for item in items:
-        try:
-            lo, hi = [int(b) for b in item.split("-")] if isinstance(value, str) else item
-        except (TypeError, ValueError):
-            lo = hi = None
-        if type(lo) is not int or type(hi) is not int:
-            raise ConfigError(f"range {item!r} must look like LO-HI or [LO, HI]")
-        if lo > hi:
-            raise ConfigError(f"range {item!r} is empty")
-        ranges.append((lo, hi))
-    return tuple(ranges)
-
-
-def resolve_config(args: argparse.Namespace) -> tuple[RunConfig, DaoRegistryEntry | None]:
-    """Merge defaults <- registry defaults <- config file <- CLI flags; also
-    the resolved dao's registry entry (None if absent), read only here."""
-    values: dict = {}
-    file_values: dict = {}
-    if getattr(args, "config", None):
-        try:
-            with open(args.config, encoding="utf-8") as handle:
-                file_values = json.load(handle)
-        except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
-            raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
-        if not isinstance(file_values, dict):
-            raise ConfigError(f"config {args.config} must hold a JSON object")
-        unknown = set(file_values) - _CONFIG_FIELDS
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    cli_values = {key: value for key, value in vars(args).items()
-                  if key in _CONFIG_FIELDS and value is not None}
-    merged = {**file_values, **cli_values}
-    dao, path = merged.get("dao"), merged.get("registry_path")
-    try:  # ``Path`` refuses a non-path, which ``open`` could take as a file descriptor
-        registry = load_registry(Path(path)) if path else bundled_registry()
-    except (OSError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
-        raise ConfigError(f"cannot read registry {path}: {exc}") from exc
-    # by name, not by hash: a dao that is not a string is left to RunConfig
-    entry = next((entry for entry in registry.values() if entry.name == dao), None)
-    if entry is not None:
-        defaults = entry.analysis_defaults
-        unknown = set(defaults) - _CONFIG_FIELDS
-        if unknown:
-            raise ConfigError(f"unknown registry defaults for {dao}: {sorted(unknown)}")
-        values.update(defaults)
-    values.update(merged)
-    if values.get("ranges") is not None:
-        values["ranges"] = parse_ranges(values["ranges"])
-    if values.get("rpc_url") is None and os.environ.get(RPC_URL_ENV):
-        values["rpc_url"] = os.environ[RPC_URL_ENV]
-    try:
-        config = RunConfig(**values)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
-    return config, entry
 
 
 def _load_events(config: RunConfig, entry: DaoRegistryEntry | None,

@@ -44,10 +44,10 @@ import operator
 import re
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
-from typing import BinaryIO, Iterable, NamedTuple, Protocol, Sequence
+from typing import TYPE_CHECKING, BinaryIO, Iterable, NamedTuple, Protocol, Sequence
 
 import numpy as np
 
@@ -59,6 +59,9 @@ from .errors import (
     SignatureMismatch,
     TransportError,
 )
+
+if TYPE_CHECKING:  # config imports this module
+    from .config import DaoRegistryEntry
 
 Address = str
 
@@ -134,58 +137,6 @@ _LINE_ERRORS = (KeyError, TypeError, ValueError, RecursionError)
 # text files are read with errors="surrogateescape", which turns each byte that
 # is not UTF-8 into one of U+DC80..U+DCFF; decoding valid UTF-8 never yields one
 _escaped_byte = re.compile("[\udc80-\udcff]").search
-
-
-def check_dao_name(name: object) -> None:
-    """A dao's name is its output subdirectory: exactly one path component."""
-    if (not isinstance(name, str) or name in ("", ".", "..")
-            or any(c in name for c in "/\\\0")):
-        raise ValueError(f"dao must be one directory name, got {name!r}")
-
-
-@dataclass(frozen=True)
-class DaoRegistryEntry:
-    """One DAO's governance contract and event configuration, checked when
-    made; ``event_abis`` are its event signatures, parsed once."""
-
-    name: str
-    governance_contract: Address
-    deploy_block: int
-    end_block: int
-    event_signatures: tuple[str, ...]
-    analysis_defaults: dict = field(default_factory=dict, compare=False)
-    event_abis: tuple[abi.EventAbi, ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        check_dao_name(self.name)
-        object.__setattr__(self, "governance_contract",
-                           normalize_address(self.governance_contract))
-        if not type(self.deploy_block) is type(self.end_block) is int:
-            raise ValueError(f"{self.name}: deploy_block and end_block must be integers")
-        if self.deploy_block > self.end_block:
-            raise ValueError(f"{self.name}: deploy_block > end_block")
-        signatures = self.event_signatures
-        if not (isinstance(signatures, (list, tuple)) and signatures
-                and all(isinstance(signature, str) for signature in signatures)):
-            raise TypeError(
-                f"event_signatures must be a non-empty list of strings, got {signatures!r}")
-        if not isinstance(defaults := self.analysis_defaults, dict):
-            raise TypeError(f"analysis_defaults must be a JSON object, got {defaults!r}")
-        object.__setattr__(self, "event_signatures", tuple(signatures))
-        object.__setattr__(self, "event_abis",
-                           tuple(map(abi.parse_event_signature, signatures)))
-
-    def block_range(self, lo: int | None = None, hi: int | None = None) -> tuple[int, int]:
-        """The inclusive range ``lo..hi``, each end defaulting to the entry's own;
-        one that is empty or leaves ``deploy_block..end_block`` is a ValueError."""
-        lo = self.deploy_block if lo is None else lo
-        hi = self.end_block if hi is None else hi
-        if lo > hi:
-            raise ValueError(f"empty block range {lo}..{hi}")
-        if lo < self.deploy_block or hi > self.end_block:
-            raise ValueError(
-                f"range {lo}..{hi} outside [{self.deploy_block}, {self.end_block}]")
-        return lo, hi
 
 
 @dataclass(frozen=True)

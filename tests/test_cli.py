@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import builtins
 import collections
 import csv
 import hashlib
@@ -11,13 +12,14 @@ from pathlib import Path
 import pytest
 
 import forkcast.cli as cli_module
+import forkcast.config as config_module
 import forkcast.pipeline as pipeline_module
 import forkcast.validate as validate_module
 from forkcast import AnalysisSpec, MdsConfig, VoteEvent, WindowSpec
-from forkcast.cli import build_parser, main, parse_ranges, resolve_config
+from forkcast.cli import build_parser, main
+from forkcast.config import bundled_registry, parse_ranges, resolve_config
 from forkcast.errors import ConfigError, EmptyActiveSet
 from forkcast.ingest import load_fixture_with_report, write_fixture
-from forkcast.registry import bundled_registry
 
 from conftest import compact_copy, events_from_rows, read_through_fifo
 
@@ -157,12 +159,17 @@ def test_null_named_registry_entry_is_config_error(tmp_path, capsys):
 def test_registry_path_that_is_not_a_path_is_never_opened(tmp_path, monkeypatch):
     """``open(True)`` would read, then close, file descriptor 1."""
     opened = []
-    monkeypatch.setattr(cli_module, "load_registry", opened.append)
+
+    def recording_open(file, *args, **kwargs):
+        opened.append(file)
+        return builtins.open(file, *args, **kwargs)
+
+    monkeypatch.setattr(config_module, "open", recording_open, raising=False)
     config_file = tmp_path / "run.json"
     config_file.write_text(json.dumps({"registry_path": True}))
     with pytest.raises(ConfigError, match="cannot read registry True"):
         resolve_config(build_parser().parse_args(["analyze", "--config", str(config_file)]))
-    assert opened == []
+    assert opened == [config_file]
 
 
 def test_int_setting_is_a_valid_number(tmp_path):
@@ -194,10 +201,16 @@ _PLANTED_ENTRY = {"name": "planted", "chain": "ethereum",
                           "event_signatures": ["VoteCast(uint256,uint8)"]}]}),
     json.dumps({"daos": [_PLANTED_ENTRY, {**_PLANTED_ENTRY, "end_block": 9}]}),
     json.dumps({"daos": [{**_PLANTED_ENTRY, "analysis_defaults": {"windw": 3}}]}),
+    json.dumps({"daos": [_PLANTED_ENTRY, {**_PLANTED_ENTRY, "name": "other",
+                                          "analysis_defaults": {"windw_size": 3}}]}),
+    json.dumps({"daos": [{**_PLANTED_ENTRY,
+                          "analysis_defaults": {"registry_path": "nope.json"}}]}),
+    json.dumps({"daos": [{**_PLANTED_ENTRY, "analysis_defaults": {"dao": "other"}}]}),
 ], ids=["malformed-json", "top-level-list", "daos-object", "entry-int",
         "float-default", "float-block", "bool-block", "signatures-string",
         "signature-null", "signature-unparsable", "signature-no-voter",
-        "name-twice", "unknown-default"])
+        "name-twice", "unknown-default", "unknown-default-other-entry",
+        "default-registry-path", "default-dao"])
 def test_bad_registry_is_config_error_before_any_input(tmp_path, capsys, text):
     registry = tmp_path / "registry.json"
     registry.write_text(text)
@@ -357,7 +370,7 @@ def test_ingest_rpc_path_wiring(tmp_path, monkeypatch):
 def test_ingest_rpc_reads_the_registry_once(tmp_path, monkeypatch):
     """The entry whose analysis defaults were merged is the one fetched with."""
     reads = []
-    monkeypatch.setattr(cli_module, "bundled_registry",
+    monkeypatch.setattr(config_module, "bundled_registry",
                         lambda: reads.append(1) or bundled_registry())
     monkeypatch.setattr(cli_module, "fetch_logs", lambda *args, **kwargs: [])
     monkeypatch.setenv("FORKCAST_RPC_URL", "https://rpc.example")

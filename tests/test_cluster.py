@@ -71,6 +71,8 @@ def test_k_equals_n_zero_wcss():
 def test_k_beyond_n_rejected():
     with pytest.raises(ValueError, match="^k=4 exceeds 3 points$"):
         kmeans(np.zeros((3, 2)), {4: 0})
+    with pytest.raises(ValueError, match="^k must be >= 1$"):
+        kmeans(np.zeros((3, 2)), {0: 0})
 
 
 def test_wcss_never_increases_within_lloyd():

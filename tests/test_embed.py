@@ -109,6 +109,15 @@ def test_rejects_non_finite():
         mds_embed(pair_matrix(0.5), init=np.array([[0.0, np.inf], [0.0, 0.0]]))
 
 
+def test_rejects_degenerate_arguments():
+    with pytest.raises(ValueError, match="^max_iterations must be >= 1$"):
+        MdsConfig(max_iterations=0)
+    with pytest.raises(ValueError, match="^need at least 2 points$"):
+        mds_embed(dmatrix([[0.0]]), random_init(1, 0))
+    with pytest.raises(ValueError, match=r"^init shape \(3, 2\) != \(2, 2\)$"):
+        mds_embed(pair_matrix(0.5), random_init(3, 0))
+
+
 def test_embedding_correlates_with_planted_blocs():
     from scipy.stats import spearmanr
 

@@ -13,6 +13,7 @@ from forkcast import (
     rolling_disagreement,
     static_disagreement,
 )
+from forkcast.errors import EmptyInput
 from forkcast.friction import CATEGORIES, categorize, category_shares, to_csv
 
 from conftest import events_from_rows, make_matrix
@@ -68,6 +69,13 @@ def test_categorize_rejects_out_of_range():
         categorize(0.51)
     with pytest.raises(ValueError):
         categorize(-0.01)
+
+
+def test_rolling_and_shares_reject_degenerate_input():
+    with pytest.raises(ValueError, match="^window must be >= 1$"):
+        rolling_disagreement(_records([0.1, 0.3]), window=0)
+    with pytest.raises(EmptyInput, match="^no disagreement records$"):
+        category_shares(())
 
 
 def _records(values):

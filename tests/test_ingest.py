@@ -28,6 +28,7 @@ from forkcast.abi import (
     keccak256,
     parse_event_signature,
 )
+from forkcast.config import DaoRegistryEntry, bundled_registry
 from forkcast.errors import (
     EmptySet,
     MalformedData,
@@ -37,7 +38,6 @@ from forkcast.errors import (
 )
 from forkcast.ingest import (
     _CHAIN_ORDER,
-    DaoRegistryEntry,
     ForkGroundTruth,
     RpcError,
     VoteEvent,
@@ -49,7 +49,6 @@ from forkcast.ingest import (
     normalize_address,
     write_fixture,
 )
-from forkcast.registry import bundled_registry
 
 from conftest import addr, compact_copy, read_through_fifo
 
@@ -340,6 +339,22 @@ def test_parse_rejects_unusable_signatures():
                       "Voted(address indexed voter who,uint256,uint8)"):
         with pytest.raises(ValueError, match="^cannot parse parameter"):
             parse_event_signature(two_names)
+    for signature, message in [
+        ("VoteCast()", "vote event needs parameters"),
+        ("VoteCast(address,,uint8)", "empty parameter in"),
+        ("VoteCast(address,uint256,fixed128x18)", "unsupported parameter type 'fixed128x18'"),
+        ("VoteCast(address,uint256,uint8,string indexed reason)",
+         "indexed dynamic parameter unsupported in"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            parse_event_signature(signature)
+
+
+def test_parse_expands_the_integer_aliases():
+    short, full = (parse_event_signature(signature) for signature in
+                   ("VoteCast(address,uint,uint8)", "VoteCast(address,uint256,uint8)"))
+    assert (short.canonical, short.topic0) == (full.canonical, full.topic0)
+    assert parse_event_signature("Voted(address,int,uint8)").params[1].type == "int256"
 
 
 @given(st.integers(1, 10**6), st.integers(0, 2), st.integers(0, 10**8),
@@ -1052,6 +1067,9 @@ def test_block_range_defaults_to_and_stays_in_the_entry_bounds(lo, hi, expected)
 def test_fetch_logs_rejects_degenerate_range():
     with pytest.raises(ValueError):
         fetch_logs("http://unused", _entry(), (10, 5),
+                   transport=StaticLogTransport([]))
+    with pytest.raises(ValueError, match="^chunk_size must be positive$"):
+        fetch_logs("http://unused", _entry(), (5, 10), chunk_size=0,
                    transport=StaticLogTransport([]))
 
 

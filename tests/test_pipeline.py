@@ -18,8 +18,8 @@ from forkcast import (
     planted_two_bloc_events,
     stress,
 )
+from forkcast.config import bundled_registry, parse_registry
 from forkcast.dissim import active_set, dissimilarity_matrix, distinct_patterns
-from forkcast.registry import bundled_registry, parse_registry
 from forkcast.errors import ConfigError
 
 from conftest import addr, make_matrix

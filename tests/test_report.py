@@ -57,6 +57,13 @@ def test_inconsistent_series_rejected(tmp_path):
         render_chart(spec, tmp_path / "bad.svg")
 
 
+def test_line_chart_with_one_x_value_centres_it(tmp_path):
+    """With one x value the axis spans it by 0.5 on each side."""
+    path = tmp_path / "one.svg"
+    render_chart(ChartSpec(kind="line", title="one", series={"a": [1.0]}, x=[5.0]), path)
+    assert '<polyline points="310.00,48.00"' in path.read_text()
+
+
 def test_unknown_kind_rejected(tmp_path):
     with pytest.raises(ValueError):
         render_chart(ChartSpec(kind="pie", title="x", series={}),

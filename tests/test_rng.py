@@ -115,3 +115,6 @@ def test_uniforms_match_scalar_draws_and_advance_the_stream(seed, count):
 def test_uniforms_rejects_a_negative_count():
     with pytest.raises(ValueError):
         SplitMix64(0).uniforms(-1)
+    for stream in (SplitMix64(0), SplitMix64Batch([0])):
+        with pytest.raises(ValueError, match="^bound must be positive$"):
+            stream.below(0)
