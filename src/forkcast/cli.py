@@ -155,11 +155,12 @@ def _write_frame(config: RunConfig, ground_truth: ForkGroundTruth | None,
     """The ``on_frame`` sink: every per-frame file, written as the frame
     finishes; the dissimilarity CSV is expanded from its pattern matrix."""
     out, pid, addresses = config.out, analysis.proposal_id, analysis.embedding.addresses
-    labels = [str(int(v)) for v in analysis.clustering.assignments]
-    render_mds_scatter(analysis.embedding, labels, out / "mds" / f"{pid}.svg")
+    maps = [([str(int(v)) for v in analysis.clustering.assignments],
+             out / "mds" / f"{pid}.svg")]
     if ground_truth is not None:
-        gt_labels = ["fork" if a in ground_truth.addresses else "stay" for a in addresses]
-        render_mds_scatter(analysis.embedding, gt_labels, out / "mds" / f"{pid}_gt.svg")
+        maps.append((["fork" if a in ground_truth.addresses else "stay" for a in addresses],
+                     out / "mds" / f"{pid}_gt.svg"))
+    render_mds_scatter(analysis.embedding, maps)
     sweep = sorted(analysis.clustering.silhouette_by_k.items())
     render_chart(ChartSpec(
         kind="line",

@@ -9,6 +9,14 @@ reseeded to the point farthest from its assigned centroid. All randomness
 comes from SplitMix64 streams derived per (seed, restart) and per (seed, k),
 so results are reproducible and independent of evaluation order.
 
+Every function takes a ``multiplicity``: the whole number of voters each
+point stands for (``None``: one each), as :func:`~forkcast.embed.mds_embed`
+does, so coincident voters are clustered once, as one weighted point.
+There is one code path: unit weights enter every product as ``x * 1.0``,
+which is x, so ``None`` gives the unweighted bits. Exhaustive seeding,
+empty-cluster reseeding and the k cap of :func:`k_range` count distinct
+points, so coincident voters are never split.
+
 :func:`kmeans` takes one stream seed per k and runs every start of every
 k as one (R, k_max, 2) center stack: one set of array operations per Lloyd
 iteration serves every start still moving, and each start ends exactly
@@ -21,10 +29,11 @@ sweep. The k-means++ draws of all starts come from one
 
 The silhouette scores in :func:`select_k` share one point distance matrix
 per proposal across every k; only the partition changes between k.
-:func:`silhouette` sums each cluster's distance columns from a C-contiguous
-copy, so every row sum adds in the same pairwise order as a 1-D sum over
-one point's distances to that cluster; summing the strided fancy-indexed
-view directly adds in another order and can move the last bit.
+:func:`silhouette` sums each cluster's weighted distance columns from a
+C-ordered product, so every row sum adds in the same pairwise order as a
+1-D sum over one point's distances to that cluster; summing a strided
+fancy-indexed array directly adds in another order and can move the last
+bit.
 """
 
 from __future__ import annotations
@@ -36,7 +45,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .embed import pairwise_distances
+from .embed import multiplicity_weights, pairwise_distances
 from .errors import TooFewPoints
 from .rng import SplitMix64Batch, derive_seed
 
@@ -62,7 +71,8 @@ class LloydResult:
 @dataclass(frozen=True)
 class ClusteringResult:
     """Chosen partition of one frame's points plus the silhouette sweep
-    behind it; ``assignments[i]`` labels the frame's i-th address."""
+    behind it; ``assignments[i]`` labels the i-th point (in a
+    :class:`~forkcast.pipeline.ProposalAnalysis`, the frame's i-th address)."""
 
     assignments: np.ndarray
     k_star: int
@@ -83,32 +93,52 @@ def _squared_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return np.add(dx, dy, out=dx)
 
 
-def kmeans_pp_init(points: np.ndarray, ks: Sequence[int],
-                   seeds: Sequence[int]) -> np.ndarray:
+def _voter_counts(multiplicity: np.ndarray | None, n: int) -> np.ndarray:
+    """:func:`~forkcast.embed.multiplicity_weights`, which must also be whole
+    numbers: k-means++ draws a voter, not a weight."""
+    m = multiplicity_weights(multiplicity, n)
+    if (m != np.floor(m)).any():
+        raise ValueError(f"multiplicity must be {n} whole voter counts")
+    return m
+
+
+def kmeans_pp_init(points: np.ndarray, ks: Sequence[int], seeds: Sequence[int],
+                   multiplicity: np.ndarray | None = None) -> np.ndarray:
     """k-means++ seeding, one start per (k, stream seed): (R, max(ks), 2)
     centers, where start r's rows past ``ks[r]`` are inf padding.
 
-    Each start takes a uniform first center, then D^2-weighted draws, one
-    draw of its own SplitMix64 stream per center, so batching does not
-    change its draws. Starts past their k keep drawing; nothing reads those.
+    Each start draws its first center by voter (``below(N)`` over the
+    N = sum(m) voters, mapped to its point through the cumulative counts),
+    then D^2 x m-weighted draws, one draw of its own SplitMix64 stream per
+    center, so batching does not change its draws. Starts past their k keep
+    drawing; nothing reads those.
     """
     n = len(points)
+    m = _voter_counts(multiplicity, n)
+    cumulative = np.cumsum(m.astype(np.int64))  # voters up to each point
     streams = SplitMix64Batch(seeds)
+
+    def by_voter(rows=slice(None)) -> np.ndarray:
+        voters = streams.below(int(cumulative[-1]), rows).astype(np.int64)
+        return np.searchsorted(cumulative, voters, side="right")
+
     ks = np.asarray(ks)
     starts = len(ks)
     centers = np.empty((starts, int(ks.max()), points.shape[1]))
-    centers[:, 0] = points[streams.below(n)]
+    centers[:, 0] = points[by_voter()]
     d2 = np.full((starts, n), np.inf)
     for c in range(1, centers.shape[1]):
         d2 = np.minimum(d2, _squared_distances(points, centers[:, c - 1:c])[:, :, 0])
-        totals = d2.sum(axis=1)
-        # a start whose points all sit on its centers draws a uniform pick
+        weighted = d2 * m
+        totals = weighted.sum(axis=1)
+        # a start whose points all sit on its centers draws a voter
         drawn = totals > 0.0
         thresholds = np.zeros(starts)
         thresholds[drawn] = streams.uniform(drawn) * totals[drawn]
         # searchsorted(side="right") on each non-decreasing cumulative row
-        picks = np.minimum((np.cumsum(d2, axis=1) <= thresholds[:, None]).sum(axis=1), n - 1)
-        picks[~drawn] = streams.below(n, ~drawn)
+        picks = np.minimum((np.cumsum(weighted, axis=1) <= thresholds[:, None]).sum(axis=1),
+                           n - 1)
+        picks[~drawn] = by_voter(~drawn)
         centers[:, c] = points[picks]
     centers[np.arange(centers.shape[1]) >= ks[:, None]] = np.inf
     return centers
@@ -118,8 +148,9 @@ def _fill_empty_clusters(points: np.ndarray, centroids: np.ndarray,
                          assignments: np.ndarray) -> None:
     """Move points into empty clusters of one start, in place.
 
-    Each empty cluster takes the point farthest from its assigned centroid,
-    never stranding another cluster by taking its only member.
+    Each empty cluster takes the point (with all the voters it stands for)
+    farthest from its assigned centroid, never stranding another cluster by
+    taking its only point.
     """
     k = len(centroids)
     while True:
@@ -133,7 +164,8 @@ def _fill_empty_clusters(points: np.ndarray, centroids: np.ndarray,
 
 
 def lloyd(points: np.ndarray, centers: np.ndarray,
-          max_iterations: int = DEFAULT_MAX_ITERATIONS) -> LloydResult:
+          max_iterations: int = DEFAULT_MAX_ITERATIONS,
+          multiplicity: np.ndarray | None = None) -> LloydResult:
     """Lloyd iteration from R sets of initial centers, shape (R, k, 2).
 
     A start with fewer than k clusters pads its trailing center rows with
@@ -143,15 +175,18 @@ def lloyd(points: np.ndarray, centers: np.ndarray,
     All starts advance together; a start stops, and leaves the live set,
     when its assignments repeat those of its previous iteration or after
     ``max_iterations``. Each iteration reads the live rows of the full-size
-    per-start state and writes them back. Centroid sums come from a
-    weighted ``np.bincount``, which adds each cluster's points in index
-    order exactly as ``points[members].mean(axis=0)`` does, so every start
-    ends bit for bit where a lone Lloyd run from its real centers would.
+    per-start state and writes them back. A centroid is ``sum(m x) / sum(m)``
+    over its points, both sums from one weighted ``np.bincount``, which adds
+    each cluster's points in index order exactly as
+    ``points[members].mean(axis=0)`` does (m = 1), so every start ends bit
+    for bit where a lone Lloyd run from its real centers would. WCSS counts
+    each point's squared residual m times.
     """
     points = np.asarray(points, dtype=np.float64)
     centroids = np.array(centers, dtype=np.float64)
     starts, k, dims = centroids.shape
     n = len(points)
+    m = _voter_counts(multiplicity, n)
     padded = ~np.isfinite(centroids[:, :, 0])
     ks = k - padded.sum(axis=1)
     # padded slots count one member: never empty, and 0 / 1 is finite
@@ -160,21 +195,28 @@ def lloyd(points: np.ndarray, centers: np.ndarray,
     assignments = np.full((starts, n), -1, dtype=np.int64)  # no label repeats -1
     iterations = np.empty(starts, dtype=np.int64)
     offsets = np.arange(starts)[:, None] * k
-    weights = np.tile(points.ravel(), starts)
+    # each point adds m x and m to its cluster's row: one bincount per
+    # iteration gives every cluster's weighted coordinate sums and voters
+    width = dims + 1
+    weights = np.tile(np.column_stack([points * m[:, None], m]).ravel(), starts)
+
+    def cluster_sums(labels: np.ndarray, live: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        cells = ((labels + offsets[:len(labels)]).reshape(-1, 1) * width
+                 + np.arange(width)).ravel()
+        sums = np.bincount(cells, weights[:cells.size],
+                           minlength=len(labels) * k * width).reshape(-1, width)
+        return sums[:, :dims], sums[:, dims] + pad_counts[live].ravel()
+
     live = np.arange(starts)
     for iteration in range(1, max_iterations + 1):
         labels = _squared_distances(points, centroids[live]).argmin(axis=2)
-        bins = (labels + offsets[:len(live)]).ravel()
-        counts = np.bincount(bins, minlength=len(live) * k) + pad_counts[live].ravel()
+        sums, counts = cluster_sums(labels, live)
         if not counts.all():
             for row in np.flatnonzero((counts.reshape(-1, k) == 0).any(axis=1)):
                 start = live[row]
                 _fill_empty_clusters(points, centroids[start, :ks[start]], labels[row])
-            bins = (labels + offsets[:len(live)]).ravel()
-            counts = np.bincount(bins, minlength=len(live) * k) + pad_counts[live].ravel()
-        sums = np.bincount((bins[:, None] * dims + np.arange(dims)).ravel(),
-                           weights[:bins.size * dims], minlength=len(live) * k * dims)
-        moved = (sums.reshape(-1, dims) / counts[:, None]).reshape(-1, k, dims)
+            sums, counts = cluster_sums(labels, live)
+        moved = (sums / counts[:, None]).reshape(-1, k, dims)
         moved += pad_offsets[live]
         done = (labels == assignments[live]).all(axis=1) | (iteration == max_iterations)
         centroids[live], assignments[live], iterations[live] = moved, labels, iteration
@@ -182,18 +224,21 @@ def lloyd(points: np.ndarray, centers: np.ndarray,
         if len(live) == 0:
             break
     residuals = points - centroids[np.arange(starts)[:, None], assignments]
-    wcss = (residuals ** 2).reshape(starts, -1).sum(axis=1)
+    wcss = (residuals ** 2 * m[:, None]).reshape(starts, -1).sum(axis=1)
     return LloydResult(assignments, centroids, wcss, iterations)
 
 
-def kmeans(points: np.ndarray,
-           seeds: Mapping[int, int]) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-    """Best-of-restarts k-means for every k in ``seeds`` (k -> stream seed).
+def kmeans(points: np.ndarray, seeds: Mapping[int, int],
+           multiplicity: np.ndarray | None = None
+           ) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    """Best-of-restarts k-means for every k in ``seeds`` (k -> stream seed),
+    each point standing for ``multiplicity`` voters.
 
     Every start of every k runs in one :func:`lloyd` stack padded to the
     largest k, and each k keeps the first of its own starts with the least
-    WCSS. Returns (assignments, (k, 2) centroids) per k, in ``seeds`` order;
-    deterministic given ``seeds``.
+    WCSS. A k of at most ``_EXHAUSTIVE_SEED_LIMIT`` subsets of the distinct
+    points starts from each of them. Returns (assignments, (k, 2)
+    centroids) per k, in ``seeds`` order; deterministic given ``seeds``.
     """
     points = np.asarray(points, dtype=np.float64)
     n = len(points)
@@ -214,9 +259,9 @@ def kmeans(points: np.ndarray,
         seeded = kmeans_pp_init(
             points, np.repeat(sampled, DEFAULT_RESTARTS),
             [derive_seed(seeds[k], "restart", r)
-             for k in sampled for r in range(DEFAULT_RESTARTS)])
+             for k in sampled for r in range(DEFAULT_RESTARTS)], multiplicity)
         centers[firsts[len(exhaustive)]:, :seeded.shape[1]] = seeded
-    result = lloyd(points, centers)
+    result = lloyd(points, centers, DEFAULT_MAX_ITERATIONS, multiplicity)
     best = {}
     for k, first, count in zip(exhaustive + sampled, firsts, counts):
         r = first + int(result.wcss[first:first + count].argmin())  # the first least WCSS
@@ -224,25 +269,31 @@ def kmeans(points: np.ndarray,
     return {k: best[k] for k in seeds}
 
 
-def silhouette(distances: np.ndarray,
-               assignments: np.ndarray) -> tuple[np.ndarray, float]:
-    """Per-point silhouette values and their arithmetic mean.
+def silhouette(distances: np.ndarray, assignments: np.ndarray,
+               multiplicity: np.ndarray | None = None) -> tuple[np.ndarray, float]:
+    """Per-point silhouette values and their voter-weighted mean.
 
     ``distances`` is the points' n x n distance matrix, as
     ``pairwise_distances`` builds it; ``assignments`` are non-negative
-    integer labels. Conventions: singleton clusters score 0, and so do points
-    where both cohesion and separation are zero (coincident points).
+    integer labels; point b stands for ``m_b`` voters. The score of point a
+    is that of each of its voters among all N voters: cohesion
+    ``sum_own m_b d_ab / (N_own - 1)``, separation the least
+    ``sum_c m_b d_ab / N_c`` over the other clusters c, where ``N_c`` counts
+    c's voters, and the mean is ``sum m s / N``. Conventions: a cluster of
+    one voter scores 0, and so do points where both cohesion and separation
+    are zero (coincident points).
     """
     own = np.asarray(assignments)
-    sizes = np.bincount(own)
+    m = _voter_counts(multiplicity, len(own))
+    sizes = np.bincount(own, m)
     if not sizes.all():  # some label in 0..max unused: number the used ones
         labels = np.flatnonzero(sizes)
         own, sizes = np.searchsorted(labels, own), sizes[labels]
     if len(sizes) < 2:
         raise ValueError("silhouette needs at least 2 clusters")
-    # contiguous copy: see the module docstring
-    sums = np.stack([np.ascontiguousarray(distances[:, own == c]).sum(axis=1)
-                     for c in range(len(sizes))], axis=1)
+    # C-ordered products: see the module docstring
+    sums = np.stack([np.multiply(distances[:, members], m[members], order="C").sum(axis=1)
+                     for members in (own == c for c in range(len(sizes)))], axis=1)
     rows = np.arange(len(own))
     own_sizes = sizes[own]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -253,7 +304,7 @@ def silhouette(distances: np.ndarray,
         denominator = np.maximum(a, b)
         scores = np.where((own_sizes == 1) | (denominator == 0.0), 0.0,
                           (b - a) / denominator)
-    return scores, float(scores.mean())
+    return scores, float((scores * m).sum() / m.sum())
 
 
 def pick_k(silhouette_by_k: Mapping[int, float]) -> int:
@@ -262,7 +313,7 @@ def pick_k(silhouette_by_k: Mapping[int, float]) -> int:
 
 
 def k_range(n: int, k_min: int, k_max: int) -> range:
-    """The k a sweep over n points tries: [k_min, min(k_max, n)].
+    """The k a sweep over n distinct points tries: [k_min, min(k_max, n)].
 
     Raises :class:`TooFewPoints` when that range is empty or n < 2.
     """
@@ -275,13 +326,15 @@ def k_range(n: int, k_min: int, k_max: int) -> range:
 
 
 def select_k(points: np.ndarray, k_min: int = DEFAULT_K_MIN,
-             k_max: int = DEFAULT_K_MAX, seed: int = 0) -> ClusteringResult:
-    """Sweep k over :func:`k_range` and keep the silhouette argmax."""
+             k_max: int = DEFAULT_K_MAX, seed: int = 0,
+             multiplicity: np.ndarray | None = None) -> ClusteringResult:
+    """Sweep k over :func:`k_range` of the points and keep the silhouette
+    argmax; point i stands for ``multiplicity[i]`` voters."""
     points = np.asarray(points, dtype=np.float64)
     ks = k_range(len(points), k_min, k_max)
     distances = pairwise_distances(points)
-    sweeps = kmeans(points, {k: derive_seed(seed, "k", k) for k in ks})
-    scores = {k: silhouette(distances, labels)[1]
+    sweeps = kmeans(points, {k: derive_seed(seed, "k", k) for k in ks}, multiplicity)
+    scores = {k: silhouette(distances, labels, multiplicity)[1]
               for k, (labels, _) in sweeps.items()}
     k_star = pick_k(scores)
     return ClusteringResult(sweeps[k_star][0], k_star, scores)

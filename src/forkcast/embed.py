@@ -143,6 +143,17 @@ def random_init(n: int, seed: int) -> np.ndarray:
     return SplitMix64(seed).uniforms(2 * n).reshape(n, 2)
 
 
+def multiplicity_weights(multiplicity: np.ndarray | None, n: int) -> np.ndarray:
+    """The voter count of each of n points as float64 (``None``: one each).
+
+    Raises ValueError unless ``multiplicity`` holds n finite positive weights.
+    """
+    m = np.ones(n) if multiplicity is None else np.asarray(multiplicity, dtype=np.float64)
+    if m.shape != (n,) or not (np.isfinite(m) & (m > 0)).all():
+        raise ValueError(f"multiplicity must be {n} finite positive weights")
+    return m
+
+
 def mds_embed(d: DissimilarityMatrix, init: np.ndarray,
               config: MdsConfig = MdsConfig(),
               multiplicity: np.ndarray | None = None) -> Embedding:
@@ -163,9 +174,7 @@ def mds_embed(d: DissimilarityMatrix, init: np.ndarray,
         raise ValueError(f"init shape {coords.shape} != ({n}, 2)")
     if not np.all(np.isfinite(coords)):
         raise ValueError("init coordinates contain non-finite values")
-    m = np.ones(n) if multiplicity is None else np.asarray(multiplicity, dtype=np.float64)
-    if m.shape != (n,) or not (np.isfinite(m) & (m > 0)).all():
-        raise ValueError(f"multiplicity must be {n} finite positive weights")
+    m = multiplicity_weights(multiplicity, n)
     weights = np.multiply.outer(m, m)
     upper, target, upper_weights, denominator = _stress_terms(cells, weights)
     distances, scratch, b = np.empty((n, n)), np.empty((n, n)), np.empty((n, n))

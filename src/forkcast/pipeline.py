@@ -1,5 +1,11 @@
 """Per-proposal analysis chain: active set -> dissimilarity -> MDS -> clusters.
 
+Voters with the same window row are 0 apart, so each distinct row (pattern)
+is embedded and clustered once, as one point weighted by its voter count;
+its voters share its point and its cluster. k is capped at the number of
+patterns, and a frame with fewer patterns than ``k_min`` is skipped before
+it is embedded.
+
 Embeddings are chained in proposal order (warm starts), so this runs
 sequentially; everything else about a proposal is self-contained. Stage
 seeds derive from the root seed per (namespace, stage, proposal id). An
@@ -58,8 +64,9 @@ def analyze_matrix(matrix: VoterMatrix, spec: AnalysisSpec = AnalysisSpec(), *,
     """Analyze every proposal after the first; unanalyzable ones are recorded,
     not fatal. The previous successful embedding seeds the next warm start.
 
-    Each distinct window row is embedded once, weighted by its voter count,
-    from the mean of its voters' warm starts; its voters share its point.
+    Each distinct window row is embedded and clustered once, weighted by its
+    voter count, from the mean of its voters' warm starts; its voters share
+    its point and its cluster label.
 
     ``on_frame(analysis, d, voters)`` is called once per analyzed frame, in
     proposal order: ``d`` is the u x u matrix over the frame's distinct
@@ -73,18 +80,19 @@ def analyze_matrix(matrix: VoterMatrix, spec: AnalysisSpec = AnalysisSpec(), *,
         proposal_id = matrix.proposal_ids[j - 1]
         try:
             active = active_set(matrix, j, spec.window)
-            k_range(len(active.addresses), spec.k_min, spec.k_max)  # before any embedding
             patterns, voters, counts = distinct_patterns(matrix, active)
+            k_range(len(counts), spec.k_min, spec.k_max)  # before any embedding
             d = dissimilarity_matrix(matrix, patterns)
             init = warm_start(previous, active.addresses,
                               derive_seed(spec.root_seed, *namespace, "mds", proposal_id))
             start = np.column_stack([np.bincount(voters, x) for x in init.T]) / counts[:, None]
             embedding = mds_embed(d, start, spec.mds, counts)
-            embedding = replace(embedding, addresses=active.addresses,
-                                coords=embedding.coords[voters])
             clustering = select_k(
                 embedding.coords, spec.k_min, spec.k_max,
-                derive_seed(spec.root_seed, *namespace, "kmeans", proposal_id))
+                derive_seed(spec.root_seed, *namespace, "kmeans", proposal_id), counts)
+            embedding = replace(embedding, addresses=active.addresses,
+                                coords=embedding.coords[voters])
+            clustering = replace(clustering, assignments=clustering.assignments[voters])
         except (EmptyActiveSet, AllZeroDissimilarity, TooFewPoints) as exc:
             skipped.append((proposal_id, str(exc)))
             continue

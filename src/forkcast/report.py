@@ -18,6 +18,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
+import numpy as np
+
 # a runtime import would close the cycle matrix -> report -> embed -> dissim -> matrix
 if TYPE_CHECKING:
     from .embed import Embedding
@@ -263,35 +265,50 @@ def label_colors(labels: Sequence[str]) -> dict[str, str]:
     return {label: PALETTE[i % len(PALETTE)] for i, label in enumerate(unique)}
 
 
-def render_mds_scatter(embedding: Embedding, labels: Sequence[str],
-                       path: str | Path) -> None:
-    """One colored point per embedded address, equal-aspect axes.
+def render_mds_scatter(embedding: Embedding,
+                       maps: Sequence[tuple[Sequence[str], str | Path]]) -> None:
+    """One voter map per ``(labels, path)`` in ``maps``: one colored point
+    per embedded address, on the same equal-aspect axes.
 
     ``labels`` holds one label per embedded address, in address order
     (ground truth fork/stay or a cluster id); a length mismatch raises
-    ValueError.
+    ValueError before any map is written. Coincident voters share one
+    distinct coordinate row, whose pixel position and CSV coordinates are
+    formatted once for every map. Rows are told apart by their bytes, so a
+    -0.0 is never merged with a 0.0 and every file has the bytes of a
+    voter-by-voter rendering.
     """
-    if len(labels) != len(embedding.addresses):
-        raise ValueError(
-            f"{len(labels)} labels for {len(embedding.addresses)} addresses")
-    label_list = [str(v) for v in labels]
+    n = len(embedding.addresses)
+    label_lists = []
+    for labels, _ in maps:
+        if len(labels) != n:
+            raise ValueError(f"{len(labels)} labels for {n} addresses")
+        label_lists.append([str(v) for v in labels])
     coords = embedding.coords
     cx, cy = coords[:, 0].mean(), coords[:, 1].mean()
     span = max(float(coords[:, 0].max() - coords[:, 0].min()),
                float(coords[:, 1].max() - coords[:, 1].min()), 1e-9) * 1.1
     pixels_per_unit = min(_PLOT_W, _PLOT_H) / span  # equal aspect
-    colors = label_colors(label_list)
-    parts = _svg_open(f"proposal {embedding.proposal_id} voter map")
-    _axes(parts,
+    head = _svg_open(f"proposal {embedding.proposal_id} voter map")
+    _axes(head,
           cx - _PLOT_W / 2 / pixels_per_unit, cx + _PLOT_W / 2 / pixels_per_unit,
           cy - _PLOT_H / 2 / pixels_per_unit, cy + _PLOT_H / 2 / pixels_per_unit,
           "dimension 1", "dimension 2")
-    xs, ys = coords[:, 0].tolist(), coords[:, 1].tolist()
-    for x, y, label in zip(xs, ys, label_list):
-        px = _LEFT + _PLOT_W / 2 + (x - cx) * pixels_per_unit
-        py = _TOP + _PLOT_H / 2 - (y - cy) * pixels_per_unit
-        parts.append(f'<circle cx="{_fmt(px)}" cy="{_fmt(py)}" r="4" '
-                     f'fill="{colors[label]}" fill-opacity="0.85"/>')
-    _legend(parts, [(label, colors[label]) for label in sorted(colors)])
-    _finish(parts, path, ["address", "x", "y", "label"],
-            zip(embedding.addresses, xs, ys, label_list))
+    rows = np.ascontiguousarray(coords).view(np.dtype((np.void, coords.itemsize * 2))).ravel()
+    _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
+    distinct = coords[first]
+    xs = ((_LEFT + _PLOT_W / 2) + (distinct[:, 0] - cx) * pixels_per_unit).tolist()
+    ys = ((_TOP + _PLOT_H / 2) - (distinct[:, 1] - cy) * pixels_per_unit).tolist()
+    circles = [f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="4" fill="' for x, y in zip(xs, ys)]
+    texts = [(repr(x), repr(y)) for x, y in distinct.tolist()]
+    inverse = inverse.tolist()
+    circles, texts = [circles[i] for i in inverse], [texts[i] for i in inverse]
+    for label_list, (_, path) in zip(label_lists, maps):
+        colors = label_colors(label_list)
+        parts = head + [f'{circle}{colors[label]}" fill-opacity="0.85"/>'
+                        for circle, label in zip(circles, label_list)]
+        _legend(parts, [(label, colors[label]) for label in sorted(colors)])
+        # a float's repr is what write_csv writes for it
+        _finish(parts, path, ["address", "x", "y", "label"],
+                ((address, *text, label)
+                 for address, text, label in zip(embedding.addresses, texts, label_list)))

@@ -7,11 +7,11 @@ from math import comb
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from forkcast import cluster, kmeans, select_k, silhouette
-from forkcast.cluster import kmeans_pp_init, lloyd, pick_k
+from forkcast.cluster import DEFAULT_K_MAX, DEFAULT_K_MIN, kmeans_pp_init, lloyd, pick_k
 from forkcast.embed import pairwise_distances
 from forkcast.errors import TooFewPoints
 from forkcast.rng import SplitMix64, derive_seed
@@ -483,3 +483,153 @@ def test_select_k_reseeds_empty_clusters_in_the_padded_stack(monkeypatch):
 def test_kmeans_rejects_a_k_beyond_n_among_valid_ones():
     with pytest.raises(ValueError, match="^k=4 exceeds 3 points$"):
         cluster.kmeans(np.zeros((3, 2)), {2: 0, 4: 1})
+
+
+def _weighted_cases():
+    rng = np.random.default_rng(40)
+    for shape in ("spread", "duplicates", "few_distinct", "signed_zeros"):
+        points = _cluster_points(60, shape, 40)
+        yield shape, points, rng.integers(0, 4, 60)
+
+
+@pytest.mark.parametrize("ones", [np.ones, lambda n: np.ones(n, dtype=np.int64)],
+                         ids=["float", "int"])
+def test_unit_multiplicity_is_unweighted_bitwise(ones):
+    for shape, points, labels in _weighted_cases():
+        n = len(points)
+        init = kmeans_pp_init(points, [2, 5, 3], [7, 8, 9])
+        assert kmeans_pp_init(points, [2, 5, 3], [7, 8, 9], ones(n)).tobytes() == init.tobytes()
+        plain, unit = lloyd(points, init), lloyd(points, init, 300, ones(n))
+        for field in ("assignments", "centroids", "wcss", "iterations"):
+            assert getattr(plain, field).tobytes() == getattr(unit, field).tobytes(), shape
+        seeds = {2: 3, 4: 5, 5: 6}
+        for k, (labels_k, centroids) in kmeans(points, seeds).items():
+            unit_labels, unit_centroids = kmeans(points, seeds, ones(n))[k]
+            assert unit_labels.tobytes() == labels_k.tobytes(), shape
+            assert unit_centroids.tobytes() == centroids.tobytes(), shape
+        distances = pairwise_distances(points)
+        scores, mean = silhouette(distances, labels)
+        unit_scores, unit_mean = silhouette(distances, labels, ones(n))
+        assert unit_scores.tobytes() == scores.tobytes() and unit_mean == mean, shape
+        result, unit_result = select_k(points, seed=4), select_k(points, seed=4,
+                                                                 multiplicity=ones(n))
+        assert list(unit_result.silhouette_by_k.items()) == list(result.silhouette_by_k.items())
+        assert unit_result.assignments.tobytes() == result.assignments.tobytes()
+
+
+_TWO_POINTS = np.array([[0.0, 0.0], [1.0, 0.0]])
+
+
+@pytest.mark.parametrize("call", [
+    lambda m: kmeans_pp_init(_TWO_POINTS, [2], [0], m),
+    lambda m: lloyd(_TWO_POINTS, _TWO_POINTS[None], 300, m),
+    lambda m: kmeans(_TWO_POINTS, {2: 0}, m),
+    lambda m: silhouette(pairwise_distances(_TWO_POINTS), np.array([0, 1]), m),
+    lambda m: select_k(_TWO_POINTS, 2, 2, 0, m),
+], ids=["kmeans_pp_init", "lloyd", "kmeans", "silhouette", "select_k"])
+@pytest.mark.parametrize("multiplicity", [[1.0, 0.0], [1.0, -2.0], [1.0, np.nan],
+                                          [1.0, np.inf], [1.0], [1.0, 1.0, 1.0]])
+def test_rejects_bad_multiplicity(call, multiplicity):
+    # the message mds_embed gives for the same weights
+    with pytest.raises(ValueError, match="^multiplicity must be 2 finite positive weights$"):
+        call(np.array(multiplicity))
+
+
+@pytest.mark.parametrize("call", [
+    lambda m: kmeans_pp_init(_TWO_POINTS, [2], [0], m),
+    lambda m: kmeans(_TWO_POINTS, {2: 0}, m),
+    lambda m: silhouette(pairwise_distances(_TWO_POINTS), np.array([0, 1]), m),
+], ids=["kmeans_pp_init", "kmeans", "silhouette"])
+def test_rejects_fractional_multiplicity(call):
+    # k-means++ draws a voter, so a point stands for a whole number of them
+    with pytest.raises(ValueError, match="^multiplicity must be 2 whole voter counts$"):
+        call(np.array([1.0, 2.5]))
+
+
+def _expanded(count: int, multiplicity: np.ndarray, seed: int) -> np.ndarray:
+    """Each voter's point: point i repeated multiplicity[i] times, shuffled."""
+    voters = np.repeat(np.arange(count), multiplicity)
+    return np.random.default_rng(seed).permutation(voters)
+
+
+@given(u=st.integers(2, 40), groups=st.integers(2, 5), most=st.integers(1, 6),
+       seed=st.integers(0, 2**32 - 1))
+@example(u=5, groups=3, most=1, seed=0)  # every voter a point of its own
+@example(u=4, groups=4, most=3, seed=1)  # one point per cluster
+@settings(max_examples=60, deadline=None)
+def test_weighted_silhouette_equals_expanded_voters(u, groups, most, seed):
+    """Each point's score is that of each of its voters among all voters,
+    and the weighted mean is the voters' mean."""
+    rng = np.random.default_rng(seed)
+    points = rng.normal(0, 1, (u, 2))
+    multiplicity = rng.integers(1, most + 1, u)
+    labels = rng.integers(0, groups, u)
+    if len(set(labels.tolist())) < 2:
+        return
+    voters = _expanded(u, multiplicity, seed)
+    scores, mean = silhouette(pairwise_distances(points), labels, multiplicity)
+    expected, expected_mean = silhouette(pairwise_distances(points[voters]), labels[voters])
+    np.testing.assert_allclose(scores[voters], expected, rtol=0, atol=1e-12)
+    assert mean == pytest.approx(expected_mean, rel=0, abs=1e-12)
+
+
+@given(u=st.integers(2, 40), most=st.integers(1, 6),
+       shape=st.sampled_from(["blobs", "spread", "few_distinct"]),
+       seed=st.integers(0, 2**32 - 1))
+@example(u=30, most=5, shape="blobs", seed=3)
+@example(u=3, most=6, shape="spread", seed=4)  # fewer points than k_max
+@example(u=12, most=1, shape="few_distinct", seed=5)
+@settings(max_examples=60, deadline=None)
+def test_weighted_select_k_matches_expanded_voters(u, most, shape, seed):
+    """k-means and the silhouette sweep on the distinct points, weighted by
+    voter count, against the same sweep on every voter.
+
+    Each weighted k-means partition is a Lloyd fixed point of the voters,
+    and its silhouette is the voters'. The two sweeps draw other seedings,
+    so at some k they can stop in different local optima; where they stop
+    in the same one at both their k*, they pick the same k*, except on a
+    near-tie (scores within 1e-12). The test reports each case as a
+    hypothesis event."""
+    rng = np.random.default_rng(seed)
+    if shape == "blobs":
+        centers = rng.uniform(-10, 10, (int(rng.integers(2, 5)), 2))
+        points = centers[rng.integers(0, len(centers), u)] + rng.normal(0, 0.5, (u, 2))
+    elif shape == "spread":
+        points = rng.normal(0, 1, (u, 2))
+    else:  # a few far-apart sites, each point a hair off one
+        points = rng.integers(0, 3, (u, 2)) * 5.0 + rng.normal(0, 1e-3, (u, 2))
+    multiplicity = rng.integers(1, most + 1, u)
+    voters = _expanded(u, multiplicity, seed)
+    result = select_k(points, seed=seed, multiplicity=multiplicity)
+    ks = cluster.k_range(u, DEFAULT_K_MIN, DEFAULT_K_MAX)
+    assert list(result.silhouette_by_k) == list(ks)  # capped by distinct points
+    seeds = {k: derive_seed(seed, "k", k) for k in ks}
+    weighted = kmeans(points, seeds, multiplicity)
+    assert result.assignments.tobytes() == weighted[result.k_star][0].tobytes()
+    voter_points = points[voters]
+    voter_distances = pairwise_distances(voter_points)
+    for k, (labels, centroids) in weighted.items():
+        voter_labels = labels[voters]
+        for c in range(k):
+            np.testing.assert_allclose(centroids[c], voter_points[voter_labels == c].mean(axis=0),
+                                       rtol=1e-12, atol=1e-12)
+        nearest = cluster._squared_distances(voter_points, centroids[None])[0]
+        assert (nearest[np.arange(len(voters)), voter_labels] <= nearest.min(axis=1) + 1e-9).all()
+        score = silhouette(voter_distances, voter_labels)[1]
+        assert result.silhouette_by_k[k] == pytest.approx(score, rel=0, abs=1e-12)
+    # the voter sweep as select_k runs it on every voter
+    voter_ks = cluster.k_range(len(voters), DEFAULT_K_MIN, DEFAULT_K_MAX)
+    expanded = kmeans(voter_points, {k: derive_seed(seed, "k", k) for k in voter_ks})
+    voter_scores = {k: silhouette(voter_distances, labels)[1]
+                    for k, (labels, _) in expanded.items()}
+    k_star, voter_k_star = result.k_star, pick_k(voter_scores)
+    if k_star == voter_k_star:
+        event(f"{shape}: same k*")
+    elif voter_k_star not in weighted:
+        event(f"{shape}: the voter sweep splits coincident voters at its k*")
+    elif all(partition_sets(weighted[k][0][voters]) == partition_sets(expanded[k][0])
+             for k in (k_star, voter_k_star)):
+        assert abs(voter_scores[k_star] - voter_scores[voter_k_star]) <= 1e-12
+        event(f"{shape}: near-tie for k*")
+    else:
+        event(f"{shape}: another k* from another local optimum")

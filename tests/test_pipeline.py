@@ -168,6 +168,47 @@ def test_frame_with_one_voting_pattern_is_skipped():
                                    for pid in (2, 3, 4))
 
 
+# 12 voters in 3 copies of 4 rows: 2 patterns in the first frame's window,
+# 4 in each later one
+FOUR_PATTERNS = [[1, 1, 0, 1], [1, 1, 1, 0], [1, 0, 0, 0], [1, 0, 1, 1]] * 3
+
+
+def test_frame_with_fewer_patterns_than_k_max_sweeps_up_to_its_patterns():
+    """12 voters on 2 or 4 patterns: k runs over 2..u, and coincident voters
+    are never split across clusters."""
+    matrix = make_matrix(FOUR_PATTERNS)
+    spec = AnalysisSpec(WindowSpec(3, 0.4), root_seed=0)
+    result = analyze_matrix(matrix, spec)
+    assert [a.proposal_id for a in result.analyses] == [2, 3, 4] and result.skipped == ()
+    sweeps = []
+    for j, analysis in enumerate(result.analyses, start=2):
+        _, voters, counts = distinct_patterns(matrix, active_set(matrix, j, spec.window))
+        assert len(analysis.embedding.addresses) == 12
+        sweeps.append(list(analysis.clustering.silhouette_by_k))
+        labels = analysis.clustering.assignments
+        assert all(len(set(labels[voters == p].tolist())) == 1 for p in range(len(counts)))
+    assert sweeps == [[2], [2, 3, 4], [2, 3, 4]]
+
+
+def test_frame_with_fewer_patterns_than_k_min_is_skipped_before_embedding(monkeypatch):
+    """The first frame has 12 active voters but 2 patterns: k_min = 3 skips
+    it before it is embedded, and the later frames are analyzed."""
+    import forkcast.pipeline as pipeline_module
+
+    embedded = []
+    original = pipeline_module.mds_embed
+
+    def recorded(d, *args):
+        embedded.append(d.proposal_id)
+        return original(d, *args)
+
+    monkeypatch.setattr(pipeline_module, "mds_embed", recorded)
+    matrix = make_matrix(FOUR_PATTERNS)
+    result = analyze_matrix(matrix, AnalysisSpec(WindowSpec(3, 0.4), k_min=3))
+    assert result.skipped == ((2, "k_min=3 exceeds usable maximum 2"),)
+    assert [a.proposal_id for a in result.analyses] == embedded == [3, 4]
+
+
 def test_pipeline_warm_start_keeps_orientation(planted_matrix):
     """Consecutive frames move each persisting voter only slightly, so the
     chain never flips or re-randomizes the map between proposals."""

@@ -7,7 +7,15 @@ import csv
 import numpy as np
 import pytest
 
-from forkcast import ChartSpec, Embedding, render_chart, render_mds_scatter
+from forkcast import (
+    AnalysisSpec,
+    ChartSpec,
+    Embedding,
+    analyze_matrix,
+    render_chart,
+    render_mds_scatter,
+)
+from forkcast import report
 from forkcast.report import FORK_COLOR, STAY_COLOR, label_colors
 
 from conftest import addr
@@ -109,7 +117,7 @@ def embedding_for(coords) -> Embedding:
 def test_scatter_two_points(tmp_path):
     embedding = embedding_for([[0.0, 0.0], [1.0, 1.0]])
     path = tmp_path / "pair.svg"
-    render_mds_scatter(embedding, ["fork", "stay"], path)
+    render_mds_scatter(embedding, [(["fork", "stay"], path)])
     text = path.read_text()
     assert text.count("<circle") == 2
     assert FORK_COLOR in text and STAY_COLOR in text
@@ -121,15 +129,20 @@ def test_scatter_two_points(tmp_path):
 def test_scatter_label_mismatch(tmp_path):
     embedding = embedding_for([[0.0, 0.0], [1.0, 1.0]])
     with pytest.raises(ValueError, match="^3 labels for 2 addresses$"):
-        render_mds_scatter(embedding, ["fork", "stay", "stay"], tmp_path / "x.svg")
+        render_mds_scatter(embedding, [(["fork", "stay", "stay"], tmp_path / "x.svg")])
     with pytest.raises(ValueError, match="^1 labels for 2 addresses$"):
-        render_mds_scatter(embedding, ["fork"], tmp_path / "x.svg")
+        render_mds_scatter(embedding, [(["fork"], tmp_path / "x.svg")])
+    # a bad second map stops the call before the first map is written
+    with pytest.raises(ValueError, match="^1 labels for 2 addresses$"):
+        render_mds_scatter(embedding, [(["fork", "stay"], tmp_path / "y.svg"),
+                                       (["fork"], tmp_path / "z.svg")])
+    assert not any(tmp_path.iterdir())
 
 
 def test_scatter_cluster_labels_use_palette(tmp_path):
     embedding = embedding_for([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     path = tmp_path / "clusters.svg"
-    render_mds_scatter(embedding, ["0", "1", "0"], path)
+    render_mds_scatter(embedding, [(["0", "1", "0"], path)])
     colors = label_colors(["0", "1"])
     text = path.read_text()
     assert colors["0"] in text and colors["1"] in text
@@ -138,8 +151,8 @@ def test_scatter_cluster_labels_use_palette(tmp_path):
 def test_scatter_determinism(tmp_path):
     embedding = embedding_for([[0.2, 0.4], [0.9, 0.1], [0.5, 0.5]])
     a, b = tmp_path / "a.svg", tmp_path / "b.svg"
-    render_mds_scatter(embedding, ["0", "1", "1"], a)
-    render_mds_scatter(embedding, ["0", "1", "1"], b)
+    render_mds_scatter(embedding, [(["0", "1", "1"], a)])
+    render_mds_scatter(embedding, [(["0", "1", "1"], b)])
     assert a.read_bytes() == b.read_bytes()
 
 
@@ -151,8 +164,75 @@ def test_planted_blocs_visually_separate(tmp_path):
     embedding = embedding_for(coords)
     labels = ["stay"] * 3 + ["fork"] * 3
     path = tmp_path / "gt.svg"
-    render_mds_scatter(embedding, labels, path)
+    render_mds_scatter(embedding, [(labels, path)])
     rows = (tmp_path / "gt.csv").read_text().splitlines()[1:]
     fork_x = [float(r.split(",")[1]) for r in rows if r.endswith("fork")]
     stay_x = [float(r.split(",")[1]) for r in rows if r.endswith("stay")]
     assert min(fork_x) > max(stay_x)
+
+
+def _reference_render_mds_scatter(embedding: Embedding, labels, path) -> None:
+    """One map per call, every voter's point formatted in its own loop step;
+    the byte-for-byte reference for :func:`render_mds_scatter`."""
+    if len(labels) != len(embedding.addresses):
+        raise ValueError(f"{len(labels)} labels for {len(embedding.addresses)} addresses")
+    label_list = [str(v) for v in labels]
+    coords = embedding.coords
+    cx, cy = coords[:, 0].mean(), coords[:, 1].mean()
+    span = max(float(coords[:, 0].max() - coords[:, 0].min()),
+               float(coords[:, 1].max() - coords[:, 1].min()), 1e-9) * 1.1
+    pixels_per_unit = min(report._PLOT_W, report._PLOT_H) / span
+    colors = label_colors(label_list)
+    parts = report._svg_open(f"proposal {embedding.proposal_id} voter map")
+    report._axes(parts,
+                 cx - report._PLOT_W / 2 / pixels_per_unit,
+                 cx + report._PLOT_W / 2 / pixels_per_unit,
+                 cy - report._PLOT_H / 2 / pixels_per_unit,
+                 cy + report._PLOT_H / 2 / pixels_per_unit,
+                 "dimension 1", "dimension 2")
+    xs, ys = coords[:, 0].tolist(), coords[:, 1].tolist()
+    for x, y, label in zip(xs, ys, label_list):
+        px = report._LEFT + report._PLOT_W / 2 + (x - cx) * pixels_per_unit
+        py = report._TOP + report._PLOT_H / 2 - (y - cy) * pixels_per_unit
+        parts.append(f'<circle cx="{report._fmt(px)}" cy="{report._fmt(py)}" r="4" '
+                     f'fill="{colors[label]}" fill-opacity="0.85"/>')
+    report._legend(parts, [(label, colors[label]) for label in sorted(colors)])
+    report._finish(parts, path, ["address", "x", "y", "label"],
+                   zip(embedding.addresses, xs, ys, label_list))
+
+
+def _assert_pair_matches_reference(embedding, labels, gt_labels, tmp_path) -> None:
+    got, expected = tmp_path / "got", tmp_path / "expected"
+    render_mds_scatter(embedding, [(labels, got / "m.svg"), (gt_labels, got / "m_gt.svg")])
+    _reference_render_mds_scatter(embedding, labels, expected / "m.svg")
+    _reference_render_mds_scatter(embedding, gt_labels, expected / "m_gt.svg")
+    for name in ("m.svg", "m.csv", "m_gt.svg", "m_gt.csv"):
+        assert (got / name).read_bytes() == (expected / name).read_bytes(), name
+
+
+def test_scatter_pair_matches_two_reference_calls_on_planted_frames(planted, planted_matrix,
+                                                                    tmp_path):
+    """Both maps of a planted frame from one call: the cluster map and the
+    ground-truth map have the bytes of one reference call each."""
+    _, truth = planted
+    frames = []
+    analyze_matrix(planted_matrix, AnalysisSpec(root_seed=0),
+                   on_frame=lambda analysis, d, voters: frames.append((analysis, voters)))
+    assert any(len(set(voters.tolist())) < len(voters) for _, voters in frames)
+    for analysis, _ in frames[::7]:
+        labels = [str(int(v)) for v in analysis.clustering.assignments]
+        gt_labels = ["fork" if a in truth.addresses else "stay"
+                     for a in analysis.embedding.addresses]
+        _assert_pair_matches_reference(analysis.embedding, labels, gt_labels,
+                                       tmp_path / str(analysis.proposal_id))
+
+
+def test_scatter_keeps_signed_zeros_apart(tmp_path):
+    """-0.0 and 0.0 compare equal but print differently: rows differing
+    only in a zero's sign are formatted apart."""
+    embedding = embedding_for([[0.0, 1.0], [-0.0, 1.0], [0.0, -0.0], [0.0, 1.0], [2.0, 0.0]])
+    _assert_pair_matches_reference(embedding, ["0", "0", "1", "0", "1"],
+                                   ["fork", "stay", "stay", "fork", "stay"], tmp_path)
+    rows = (tmp_path / "got" / "m.csv").read_text().splitlines()
+    assert [row.split(",")[1:3] for row in rows[1:4]] == [["0.0", "1.0"], ["-0.0", "1.0"],
+                                                          ["0.0", "-0.0"]]
