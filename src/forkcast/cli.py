@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
+from contextlib import nullcontext
 from functools import partial
 from itertools import repeat
 from pathlib import Path
@@ -36,10 +37,12 @@ from .matrix import VoterMatrix, build_voter_matrix
 from .pipeline import PipelineResult, ProposalAnalysis, analyze_matrix
 from .report import ChartSpec, render_chart, render_mds_scatter, write_csv, write_json
 from .validate import (
+    PassResult,
     check_ranges,
     fork_cluster_share,
     fork_labels,
     run_validation,
+    shuffled_passes,
     validation_json,
 )
 
@@ -216,9 +219,10 @@ def cmd_analyze(config: RunConfig, entry: DaoRegistryEntry | None,
 
 
 def _validate(config: RunConfig, matrix: VoterMatrix, result: PipelineResult,
-              ground_truth: ForkGroundTruth, ranges: Sequence[tuple[int, int]]) -> None:
+              ground_truth: ForkGroundTruth, ranges: Sequence[tuple[int, int]],
+              passes: Callable[[], list[PassResult]]) -> None:
     report = run_validation(matrix, result, ground_truth, ranges=ranges,
-                            iterations=config.iterations)
+                            iterations=config.iterations, passes=passes)
     out = config.out
     payload = validation_json(report)
     write_json(out / "validation.json", payload)
@@ -256,8 +260,9 @@ def cmd_validate(config: RunConfig, entry: DaoRegistryEntry | None,
     ground_truth = load_ground_truth(config.ground_truth)
     matrix = build_voter_matrix(_load_events(config, entry, fixture))
     ranges = check_ranges(matrix, config.ranges)
-    _validate(config, matrix, analyze_matrix(matrix, config.analysis_spec()),
-              ground_truth, ranges)
+    spec = config.analysis_spec()
+    with shuffled_passes(matrix, spec, ground_truth, ranges, config.iterations) as passes:
+        _validate(config, matrix, analyze_matrix(matrix, spec), ground_truth, ranges, passes)
     return 0
 
 
@@ -269,15 +274,21 @@ def cmd_all(config: RunConfig, entry: DaoRegistryEntry | None,
     if config.fixture or config.rpc_url:
         _write_ingested(config, events)
     matrix = build_voter_matrix(events)
-    ranges = None if ground_truth is None else check_ranges(matrix, config.ranges)
-    _friction(config, matrix)
-    result = analyze_matrix(matrix, config.analysis_spec(),
-                            on_frame=partial(_write_frame, config, ground_truth))
-    _write_analysis_outputs(config, matrix, result)
+    spec = config.analysis_spec()
     if ground_truth is None:
-        print("all: no --ground-truth, skipping validation")
+        started = nullcontext()
     else:
-        _validate(config, matrix, result, ground_truth, ranges)
+        ranges = check_ranges(matrix, config.ranges)
+        started = shuffled_passes(matrix, spec, ground_truth, ranges, config.iterations)
+    with started as passes:
+        _friction(config, matrix)
+        result = analyze_matrix(matrix, spec,
+                                on_frame=partial(_write_frame, config, ground_truth))
+        _write_analysis_outputs(config, matrix, result)
+        if passes is None:
+            print("all: no --ground-truth, skipping validation")
+        else:
+            _validate(config, matrix, result, ground_truth, ranges, passes)
     return 0
 
 

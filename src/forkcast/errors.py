@@ -22,11 +22,15 @@ class MissingArtifact(ForkcastError):
 
 class ParseError(ForkcastError):
     """An input file line could not be parsed; ``line`` is always its 1-based
-    number, and the message starts with it."""
+    number, and the message starts with it. ``args`` holds both, so a copy
+    pickled back from a worker process is rebuilt whole."""
 
     def __init__(self, message: str, line: int) -> None:
-        super().__init__(f"line {line}: {message}")
+        super().__init__(message, line)
         self.line = line
+
+    def __str__(self) -> str:
+        return f"line {self.line}: {self.args[0]}"
 
 
 class EmptySet(ForkcastError):

@@ -81,6 +81,20 @@ def read_through_fifo(path: Path, data: bytes, read: Callable[[Path], object]) -
     return value
 
 
+def usable_cpus(monkeypatch, count: int) -> None:
+    """Make ``os.sched_getaffinity`` report ``count`` usable CPUs, which sets
+    how many worker processes validation forks for its shuffled passes."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
+                        raising=False)
+
+
+@pytest.fixture
+def one_cpu(monkeypatch):
+    """One usable CPU: validation runs its shuffled passes in this process,
+    where a test can count and record their calls."""
+    usable_cpus(monkeypatch, 1)
+
+
 @pytest.fixture(scope="session")
 def planted():
     """The bundled planted-partition scenario (events, ground truth)."""

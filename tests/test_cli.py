@@ -7,6 +7,8 @@ import collections
 import csv
 import hashlib
 import json
+import multiprocessing
+import os
 from pathlib import Path
 
 import pytest
@@ -21,7 +23,7 @@ from forkcast.config import bundled_registry, parse_ranges, resolve_config
 from forkcast.errors import ConfigError, EmptyActiveSet
 from forkcast.ingest import load_fixture_with_report, write_fixture
 
-from conftest import compact_copy, events_from_rows, read_through_fifo
+from conftest import compact_copy, events_from_rows, read_through_fifo, usable_cpus
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURE = ROOT / "data" / "planted" / "votes.jsonl"
@@ -653,9 +655,10 @@ def test_all_is_deterministic(tmp_path):
     assert any(path.endswith("validation.json") for path in trees[0])
 
 
-def test_all_loads_builds_and_analyzes_once(tmp_path, monkeypatch):
+def test_all_loads_builds_and_analyzes_once(tmp_path, monkeypatch, one_cpu):
     """`all` parses its input once, builds one matrix and runs one genuine
-    analysis that analyze and validate share; each shuffle adds one more."""
+    analysis that analyze and validate share; each shuffle adds one more.
+    With one CPU the shuffles run in this process, where the calls are counted."""
     calls = collections.Counter()
 
     def counted(name, function):
@@ -675,6 +678,40 @@ def test_all_loads_builds_and_analyzes_once(tmp_path, monkeypatch):
                 "--mds-iterations", "20", "--out", str(tmp_path)]) == 0
     assert calls == {"load_fixture_with_report": 1, "build_voter_matrix": 1,
                      "analyze_matrix": 3}
+
+
+def _fail_in_worker(matrix, seed):
+    raise ValueError(f"shuffle failed in process {os.getpid()}")
+
+
+def _fail_in_genuine_pass(matrix, spec, **kwargs):
+    assert multiprocessing.active_children(), "no shuffled-pass workers are running"
+    raise ValueError(f"genuine pass failed in process {os.getpid()}")
+
+
+@pytest.mark.parametrize("module,name,replacement,where", [
+    (None, None, None, None),
+    (validate_module, "shuffle_votes", _fail_in_worker, "worker"),
+    (cli_module, "analyze_matrix", _fail_in_genuine_pass, "parent"),
+], ids=["success", "worker-error", "genuine-pass-error"])
+def test_all_leaves_no_worker_process(tmp_path, monkeypatch, module, name, replacement,
+                                      where):
+    """`all` with its shuffled passes in two worker processes leaves none
+    running, whether it succeeds, a worker raises, or the genuine pass raises
+    while the workers run."""
+    usable_cpus(monkeypatch, 2)
+    argv = ["all", "--dao", "planted", "--fixture", str(FIXTURE),
+            "--ground-truth", str(FORKERS), "--iterations", "2",
+            "--mds-iterations", "5", "--out", str(tmp_path)]
+    if module is None:
+        assert run(argv) == 0
+    else:
+        monkeypatch.setattr(module, name, replacement)
+        with pytest.raises(ValueError, match="failed in process") as raised:
+            run(argv)
+        in_parent = str(raised.value).endswith(f"process {os.getpid()}")
+        assert in_parent == (where == "parent")
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("command,lines,ranges,empty", [

@@ -27,7 +27,11 @@ dispatch picks the einsum and ufunc loops by CPU feature:
 :func:`test_golden_digest_holds_without_avx2_dispatch` reruns the command
 with ``NPY_DISABLE_CPU_FEATURES`` turning off every dispatch target above
 the X86_V2 baseline (X86_V3 is the AVX2/FMA3 level), and on the pinning host
-that gives the pinned manifest too. Not verified: other architectures such
+that gives the pinned manifest too. Validation's shuffled passes run in
+forked worker processes when more than one CPU is usable, and one after
+another in the command's own process otherwise:
+:func:`test_golden_digest_holds_on_one_cpu` reruns the command pinned to one
+CPU, and both give the pinned manifest. Not verified: other architectures such
 as arm64. ``numpy.show_runtime()``
 names the SIMD features of the host a result came from; with
 ``OPENBLAS_VERBOSE=2`` set, as on the CI workflow's "numpy runtime" step,
@@ -125,4 +129,21 @@ def test_golden_digest_holds_without_avx2_dispatch(tmp_path):
     _run_child(tmp_path,
                {"NPY_DISABLE_CPU_FEATURES": "AVX512_ICL AVX512_SPR X86_V4 X86_V3"},
                "-c", _NO_X86_V3)
+    _assert_matches_manifest(tmp_path)
+
+
+# the child pins itself to one of its CPUs, so validation forks no workers
+_ONE_CPU = ("import os\n"
+            "import sys\n"
+            "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+            "from forkcast.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n")
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                    reason="the platform has no CPU affinity")
+def test_golden_digest_holds_on_one_cpu(tmp_path):
+    """With one usable CPU the shuffled passes run in the command's own
+    process, and the tree is the one the worker processes give."""
+    _run_child(tmp_path, {}, "-c", _ONE_CPU)
     _assert_matches_manifest(tmp_path)

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -31,7 +33,7 @@ from forkcast.errors import EmptyInput, EmptyRange
 from forkcast.pipeline import ProposalAnalysis
 from forkcast.validate import metric_summary, validation_json
 
-from conftest import addr, make_matrix
+from conftest import addr, make_matrix, usable_cpus
 
 
 def test_unanimous_column_unchanged():
@@ -283,9 +285,10 @@ def test_run_validation_propagates_other_package_errors(planted, planted_matrix,
 
 
 def test_run_validation_reruns_shuffles_with_the_genuine_spec(planted, planted_matrix,
-                                                              monkeypatch):
+                                                              monkeypatch, one_cpu):
     """Every shuffled pass is analyzed with the genuine run's spec, here a
-    non-default one."""
+    non-default one. With one CPU the passes run in this process, where the
+    calls are recorded."""
     import forkcast.validate as validate_mod
 
     _, truth = planted
@@ -307,3 +310,43 @@ def test_run_validation_reruns_shuffles_with_the_genuine_spec(planted, planted_m
     assert all(shuffle_spec is genuine.spec for shuffle_spec, _ in received)
     assert report.failed_seeds == ()
     assert metric_summary(report.ranges[0], "avg_clusters")["rand_max"] <= 3
+
+
+def test_report_does_not_depend_on_usable_cpus(planted, planted_matrix, monkeypatch):
+    """The shuffled passes give one report whether they run in this process
+    (one CPU), in the default pool, or in a pool of three workers."""
+    _, truth = planted
+    genuine = analyze_matrix(planted_matrix, AnalysisSpec(mds=MdsConfig(20, 1e-4)))
+    reports = [run_validation(planted_matrix, genuine, truth, ranges=[(2, 60), (41, 60)],
+                              iterations=3)]
+    for cpus in (1, 3):
+        usable_cpus(monkeypatch, cpus)
+        reports.append(run_validation(planted_matrix, genuine, truth,
+                                      ranges=[(2, 60), (41, 60)], iterations=3))
+    assert reports[0] == reports[1] == reports[2]
+    assert multiprocessing.active_children() == []
+
+
+def test_a_worker_that_dies_fails_the_run(planted, planted_matrix, planted_genuine,
+                                          monkeypatch):
+    """A worker process killed mid-pass (here it exits at once) raises
+    instead of leaving validation waiting for a result that cannot come."""
+    import forkcast.validate as validate_mod
+
+    usable_cpus(monkeypatch, 2)
+    monkeypatch.setattr(validate_mod, "shuffle_votes", lambda matrix, seed: os._exit(1))
+    _, truth = planted
+
+    def give_up(signum, frame):
+        raise TimeoutError("validation still waits for its dead worker after 60 s")
+
+    previous = signal.signal(signal.SIGALRM, give_up)
+    signal.alarm(60)
+    try:
+        with pytest.raises(RuntimeError, match="worker process died"):
+            run_validation(planted_matrix, planted_genuine, truth, ranges=[(41, 60)],
+                           iterations=2)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert multiprocessing.active_children() == []
