@@ -26,7 +26,7 @@ from .dissim import DissimilarityMatrix
 from .errors import ConfigError, ForkcastError, MissingArtifact
 from .ingest import (
     ForkGroundTruth,
-    VoteEvent,
+    VoteTable,
     collapse_duplicates,
     fetch_logs,
     load_fixture_with_report,
@@ -48,18 +48,18 @@ from .validate import (
 
 
 def _load_events(config: RunConfig, entry: DaoRegistryEntry | None,
-                 fixture: Path | None) -> list[VoteEvent]:
+                 fixture: Path | None) -> VoteTable:
     """Vote events, one per (voter, proposal), from ``fixture``, or fetched
     from the RPC endpoint when it is None."""
     if fixture is not None:
-        events, duplicates = load_fixture_with_report(fixture)
+        table, duplicates = load_fixture_with_report(fixture)
     else:
         block_range = entry.block_range(config.from_block, config.to_block)
-        events, duplicates = collapse_duplicates(fetch_logs(
+        table, duplicates = collapse_duplicates(fetch_logs(
             config.rpc_url, entry, block_range, chunk_size=config.chunk_size))
     if duplicates:
         print(f"note: collapsed {len(duplicates)} duplicate votes")
-    return events
+    return table
 
 
 def _require_file(path: Path, what: str) -> None:
@@ -102,9 +102,9 @@ def _prepare_paths(config: RunConfig, entry: DaoRegistryEntry | None,
     return fixture
 
 
-def _write_ingested(config: RunConfig, events: list[VoteEvent]) -> None:
-    write_fixture(events, config.out / "votes.jsonl")
-    print(f"ingest: {len(events)} events -> {config.out / 'votes.jsonl'}")
+def _write_ingested(config: RunConfig, table: VoteTable) -> None:
+    write_fixture(table, config.out / "votes.jsonl")
+    print(f"ingest: {len(table)} events -> {config.out / 'votes.jsonl'}")
 
 
 def cmd_ingest(config: RunConfig, entry: DaoRegistryEntry | None,
@@ -270,10 +270,10 @@ def cmd_all(config: RunConfig, entry: DaoRegistryEntry | None,
             fixture: Path | None) -> int:
     """Full pipeline; validation runs when ground truth is supplied."""
     ground_truth = load_ground_truth(config.ground_truth) if config.ground_truth else None
-    events = _load_events(config, entry, fixture)
+    table = _load_events(config, entry, fixture)
     if config.fixture or config.rpc_url:
-        _write_ingested(config, events)
-    matrix = build_voter_matrix(events)
+        _write_ingested(config, table)
+    matrix = build_voter_matrix(table)
     spec = config.analysis_spec()
     if ground_truth is None:
         started = nullcontext()

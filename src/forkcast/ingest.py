@@ -4,35 +4,29 @@ The canonical pipeline input is a line-delimited JSON fixture; ``fetch_logs``
 exists to export such fixtures from an EVM JSON-RPC endpoint and is the only
 network-touching code in the package.
 
-A fixture holds one event per line, and every event, whether loaded, decoded
-from a log or planted, is built by the checked ``VoteEvent(...)``. Chain order
-has one owner: ``collapse_duplicates`` sorts every event source into it, and
+A vote set travels as a ``VoteTable`` of columns. Each decoded log, per-line
+fixture record and planted vote is built by the checked ``VoteEvent(...)``,
+and ``VoteTable.from_events`` is the one way events become a table. Chain
+order has one owner: ``collapse_duplicates`` sorts a table into it, and
 ``fetch_logs`` and ``write_fixture`` keep the order they are given.
 
 A load reads the file once, front to back, so a pipe reads as a file does.
 It takes the layout ``write_fixture`` writes in 1 MiB blocks of whole lines:
 numpy finds each line's newline and four commas, compares the fixed texts
 between them as 8-byte words and checks the 40 lowercase hex digits and the
-numbers (1 to 18 digits, no leading zero, so they fit an int64); each
-block's columns then go to ``VoteEvent``. From the first block with any other
-line, or with an event ``VoteEvent`` rejects, the per-line path reads the
-rest, which takes every other valid line: whitespace, another key order,
-extra keys, ``\\r\\n``, uppercase hex and big numbers. The JSON decoder
-parses each line or raises its error, and the record's five fields go to
-``VoteEvent``. That path alone raises ``ParseError``, so the first
-bad line is the one named, whether its JSON is malformed or nested too deep,
-a field is missing, or a value fails a check.
-
-An address is checked with one precompiled regex and interned, so each
-distinct voter is one ``str`` object however many events name it. Each
-spelling is checked once: ``_CANONICAL`` maps every accepted spelling to its
-address, so a fixture of 165,680 events over 629 voters runs the regex 629
-times. A load builds its events with the cyclic collector paused. Events
-hold only ``str`` and ``int``, so they cannot form a cycle, and a collection
-during the build would free nothing; it would only rescan the events just
-built. The writer formats each line with one f-string that reproduces
-``json.dumps`` of the record. Text inputs must be UTF-8; a byte that is not
-is a ``ParseError`` naming its line.
+numbers (1 to 18 digits, no leading zero, so they fit an int64). That implies
+every ``VoteEvent`` check but ``proposal_id >= 1``, checked per block, so
+these blocks build no event, and ``normalize_address`` runs once per voter.
+From the first block with any other line, or a proposal id of 0, the
+per-line path reads the rest (whitespace, key order, extra keys, ``\\r\\n``,
+uppercase hex, big numbers) with the JSON decoder, and each record's five
+fields go to ``VoteEvent``, with the cyclic collector paused: a collection
+then would free nothing. That path alone raises ``ParseError``, so the
+first bad line is the one named, whether its JSON is malformed or nested too
+deep, a field is missing, or a value fails a check. The rows of both paths
+are ranked together, once. Each address spelling is checked once, by one
+precompiled regex (``_CANONICAL``), and interned. Text inputs must be UTF-8;
+a byte that is not is a ``ParseError`` naming its line.
 """
 
 from __future__ import annotations
@@ -45,7 +39,7 @@ import re
 import sys
 import time
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, compress
 from pathlib import Path
 from typing import TYPE_CHECKING, BinaryIO, Iterable, NamedTuple, Protocol, Sequence
 
@@ -88,9 +82,6 @@ def normalize_address(value: str) -> Address:
 
 
 _INT_FIELDS = ("proposal_id", "support", "block_number", "log_index")
-# chain order: (block_number, log_index, voter, proposal_id, support), at C level
-_CHAIN_ORDER = operator.itemgetter(3, 4, 0, 1, 2)
-_VOTER_PROPOSAL = operator.itemgetter(0, 1)
 
 
 class _VoteFields(NamedTuple):
@@ -128,6 +119,60 @@ class VoteEvent(_VoteFields):
     @classmethod
     def _make(cls, iterable: Iterable) -> "VoteEvent":
         return cls(*iterable)
+
+
+@dataclass(frozen=True, eq=False)
+class VoteTable:
+    """Vote events as columns, one row per event, fields in ``VoteEvent`` order:
+    each field's distinct values, sorted (interned addresses, exact ``int``s),
+    and one int64 code per row, the index of the row's value among them, so
+    codes sort as the values do."""
+
+    values: tuple[tuple, ...]
+    codes: np.ndarray  # (5, rows) int64, read-only
+
+    def __post_init__(self) -> None:
+        self.codes.setflags(write=False)
+
+    @classmethod
+    def from_events(cls, events: VoteTable | Iterable[VoteEvent]) -> VoteTable:
+        """The table of checked events, in order; a table is returned as is."""
+        if isinstance(events, VoteTable):
+            return events
+        events = list(events)
+        rows = np.arange(len(events))
+        return cls._ranked((field, rows) for field in list(zip(*events)) or [()] * 5)
+
+    @classmethod
+    def _ranked(cls, columns: Iterable[tuple[Sequence, np.ndarray]]) -> VoteTable:
+        """The table whose rows hold ``values[codes]`` for each field's
+        (values, codes) pair; values may repeat, go unused or come unsorted."""
+        fields, ranked = [], []
+        for values, codes in columns:
+            used = np.bincount(codes, minlength=len(values)) > 0
+            named = list(compress(values, used.tolist()))
+            rank = {value: i for i, value in enumerate(sorted(set(named)))}
+            ranks = np.zeros(len(values), dtype=np.int64)
+            ranks[used] = np.fromiter(map(rank.__getitem__, named), np.int64, len(named))
+            fields.append(tuple(rank))  # the distinct values, sorted
+            ranked.append(ranks[codes])
+        return cls(tuple(fields), np.array(ranked, dtype=np.int64))
+
+    def __len__(self) -> int:
+        return self.codes.shape[1]
+
+    def __eq__(self, other: object) -> bool:  # unhashable, as it defines __eq__
+        return (isinstance(other, VoteTable) and self.values == other.values
+                and np.array_equal(self.codes, other.codes))
+
+    def columns(self, values: Sequence[Sequence]) -> list[list]:
+        """Each field's entry in ``values`` (indexed as ``self.values``) per row."""
+        return [np.array(field, dtype=object)[codes].tolist()
+                for field, codes in zip(values, self.codes)]
+
+    def events(self) -> list[VoteEvent]:
+        """The rows as checked ``VoteEvent``s, in table order."""
+        return list(map(VoteEvent, *self.columns(self.values)))
 
 
 # the fields of a fixture record, in ``VoteEvent`` argument order
@@ -180,42 +225,49 @@ def decode_vote_event(raw: dict, entry: DaoRegistryEntry) -> VoteEvent:
         raise MalformedData(f"{where}: {exc}") from exc
 
 
-def collapse_duplicates(events: Iterable[VoteEvent],
-                        ) -> tuple[list[VoteEvent], tuple[tuple[Address, int], ...]]:
-    """Sort events into chain order and keep the last of each (voter, proposal)
-    pair; return the kept events, in chain order, and each dropped one's key."""
-    ordered = sorted(events, key=_CHAIN_ORDER)
-    if len(dict.fromkeys(map(_VOTER_PROPOSAL, ordered))) == len(ordered):
-        return ordered, ()
-    last: dict[tuple[Address, int], VoteEvent] = {}
-    duplicates: list[tuple[Address, int]] = []
-    for event in ordered:
-        key = (event.voter, event.proposal_id)
-        if key in last:
-            duplicates.append(key)
-        last[key] = event
-    kept = [event for event in ordered if last[(event.voter, event.proposal_id)] is event]
-    return kept, tuple(duplicates)
+def collapse_duplicates(events: VoteTable | Iterable[VoteEvent],
+                        ) -> tuple[VoteTable, tuple[tuple[Address, int], ...]]:
+    """Sort events into chain order (block number, log index, voter, proposal
+    id, support) and keep the last of each (voter, proposal) pair; return the
+    kept rows, in chain order, and the key of each repeat, in chain order."""
+    table = VoteTable.from_events(events)
+    codes = table.codes[:, np.lexsort([table.codes[f] for f in (2, 1, 0, 4, 3)])]
+    pairs = codes[0] * len(table.values[1]) + codes[1]
+    _, first = np.unique(pairs, return_index=True)
+    if len(first) == len(pairs):
+        return VoteTable(table.values, codes), ()
+    _, last = np.unique(pairs[::-1], return_index=True)
+    repeats = np.delete(np.arange(len(pairs)), first)
+    kept = np.sort(len(pairs) - 1 - last)
+    voters, proposal_ids = table.values[:2]
+    return (VoteTable._ranked(zip(table.values, codes[:, kept])),
+            tuple((voters[v], proposal_ids[p]) for v, p in codes[:2, repeats].T.tolist()))
 
 
 def load_fixture_with_report(path: str | Path,
-                             ) -> tuple[list[VoteEvent], tuple[tuple[Address, int], ...]]:
+                             ) -> tuple[VoteTable, tuple[tuple[Address, int], ...]]:
     """Parse a JSONL fixture and collapse it with ``collapse_duplicates``: the
-    kept events in chain order, and the key of each dropped duplicate. The
+    kept rows in chain order, and the key of each dropped duplicate. The
     cyclic collector is paused for the call and then left as it was."""
     collecting = gc.isenabled()
     gc.disable()
     try:
         with open(path, "rb") as handle:
-            events, pending = _read_canonical_events(handle)
+            columns, pending = _read_canonical_columns(handle)
             if pending:  # complete its last line, so no character or "\r\n" is split
                 pending += handle.readline()
                 lines = chain(
                     io.StringIO(pending.decode("utf-8", "surrogateescape"), newline=None),
                     io.TextIOWrapper(handle, encoding="utf-8", errors="surrogateescape"))
                 # a canonical line holds one event
-                events += _read_events(lines, len(events) + 1)
-        return collapse_duplicates(events)
+                rest = _read_events(lines, len(columns[0][1]) + 1)
+                rows = np.arange(len(rest))
+                columns = [([*values, *field], np.concatenate((codes, rows + len(values))))
+                           for (values, codes), field
+                           in zip(columns, list(zip(*rest)) or [()] * 5)]
+        table = VoteTable._ranked(columns)
+        del columns  # so that one copy of the codes is alive while they are sorted
+        return collapse_duplicates(table)
     finally:
         if collecting:
             gc.enable()
@@ -237,32 +289,50 @@ _POWERS = 10 ** np.arange(_MAX_DIGITS - 1, -1, -1, dtype=np.int64)
 _BLOCK_BYTES = 1 << 20
 
 
-def _read_canonical_events(handle: BinaryIO) -> tuple[list[VoteEvent], bytes]:
-    """The events of the leading blocks of whole lines as ``write_fixture``
-    writes them, and the bytes read past them, which start a line: the first
-    block that is not, or whose events fail a ``VoteEvent`` check, or else a
-    last line with no newline."""
-    events: list[VoteEvent] = []
+def _read_canonical_columns(handle: BinaryIO) -> tuple[list[tuple[list, np.ndarray]], bytes]:
+    """Each field's (values, codes) over the leading blocks of whole lines in
+    ``write_fixture``'s layout, and the bytes read past them, which start a
+    line: the first block that is not, or holds a proposal id of 0, or else
+    a last line with no newline."""
+    voters: dict[bytes, int] = {}  # each voter's hex digits -> its index
+    blocks = [(np.empty(0, np.int64),) * 5]  # per line: the voter's index, the numbers
     rest = b""
     while chunk := handle.read(_BLOCK_BYTES):
         data = rest + chunk
         cut = data.rfind(b"\n") + 1
         columns = _canonical_columns(data[:cut]) if cut else None
-        if columns is None:
-            return events, data
-        try:
-            block = list(map(VoteEvent, *columns))
-        except ValueError:
-            return events, data
-        events += block
+        # the layout implies every other ``VoteEvent`` check
+        if columns is None or not (columns[1] >= 1).all():
+            rest = data
+            break
+        blocks.append((_voter_codes(columns[0], voters), *columns[1:]))
         rest = data[cut:]
-    return events, rest
+    voter_codes, *numbers = map(np.concatenate, zip(*blocks))
+    del blocks  # before the numbers are ranked, which is the reader's peak memory
+    return [([normalize_address("0x" + text.decode()) for text in voters], voter_codes),
+            *((distinct.tolist(), codes) for distinct, codes
+              in (np.unique(column, return_inverse=True) for column in numbers))], rest
 
 
-def _canonical_columns(block: bytes) -> tuple[list, ...] | None:
-    """The voters and the four numbers of a block of whole lines, each line
-    as ``write_fixture`` writes it and each number 1 to 18 digits; None if
-    any line is not.
+def _voter_codes(digits: np.ndarray, voters: dict[bytes, int]) -> np.ndarray:
+    """Each line's index in ``voters`` by its row of (lines, 40) ``uint8`` hex
+    digits; a voter not in it is added, its index the next one."""
+    words = digits.view(">u8")  # a row as 5 words, in byte order
+    order = np.lexsort(words.T[::-1])
+    ordered = words[order]
+    starts = np.ones(len(order), dtype=bool)  # where each distinct row starts
+    starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    codes = np.empty(len(order), dtype=np.int64)
+    codes[order] = np.cumsum(starts) - 1
+    distinct = digits[order[starts]].view("S40").ravel().tolist()
+    return np.array([voters.setdefault(text, len(voters)) for text in distinct],
+                    dtype=np.int64)[codes]
+
+
+def _canonical_columns(block: bytes) -> tuple[np.ndarray, ...] | None:
+    """The voters' hex digits, as (lines, 40) ``uint8``, and the four numbers,
+    as ``int64``, of a block of whole lines, each line as ``write_fixture``
+    writes it and each number 1 to 18 digits; None if any line is not.
 
     A line holds four commas, the first 54 bytes in. They place the fixed
     texts, each compared as unaligned 8-byte words, and the fields between
@@ -305,10 +375,8 @@ def _canonical_columns(block: bytes) -> tuple[list, ...] | None:
         if not ((digits < 10).all()
                 and ((data[lo] != ord("0")) | (stop - lo == 1)).all()):
             return None
-        numbers.append((digits @ _POWERS[places]).tolist())
-    text = block.decode("ascii")
-    voters = [text[at:at + 42] for at in (starts + _HEX_AT - 2).tolist()]
-    return voters, *numbers
+        numbers.append(digits @ _POWERS[places])
+    return hex_digits, *numbers
 
 
 def _read_events(lines: Iterable[str], start: int) -> list[VoteEvent]:
@@ -328,19 +396,21 @@ def _read_events(lines: Iterable[str], start: int) -> list[VoteEvent]:
     return events
 
 
-def write_fixture(events: Sequence[VoteEvent], path: str | Path) -> None:
-    """Write events as the canonical JSONL fixture, one line each, in the
-    order given; pass ``collapse_duplicates`` output for a chain-order file.
-
-    Each line is the one ``json.dumps`` writes for the record: the voter is
-    lowercase hex and the numbers are exact ``int``s, so nothing needs escaping.
-    """
+def write_fixture(events: VoteTable | Iterable[VoteEvent], path: str | Path) -> None:
+    """Write a table (or events, through ``VoteTable.from_events``) as the
+    canonical JSONL fixture, one line per row, in table order. Each line is
+    the one ``json.dumps`` writes for the record, each distinct value
+    formatted once: the voter is lowercase hex and the numbers are exact
+    ``int``s, so nothing needs escaping."""
+    table = VoteTable.from_events(events)
+    voters, *numbers = table.values
+    columns = table.columns([voters, *([str(n) for n in field] for field in numbers)])
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.writelines(
-            f'{{"voter": "{e.voter}", "proposal_id": {e.proposal_id}, '
-            f'"support": {e.support}, "block_number": {e.block_number}, '
-            f'"log_index": {e.log_index}}}\n'
-            for e in events)
+            f'{{"voter": "{voter}", "proposal_id": {proposal_id}, '
+            f'"support": {support}, "block_number": {block_number}, '
+            f'"log_index": {log_index}}}\n'
+            for voter, proposal_id, support, block_number, log_index in zip(*columns))
 
 
 def load_ground_truth(path: str | Path) -> ForkGroundTruth:

@@ -14,7 +14,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import EmptyInput
-from .ingest import Address, VoteEvent
+from .ingest import Address, VoteEvent, VoteTable
 from .report import write_csv
 
 
@@ -45,23 +45,20 @@ def collapse_support(support: int) -> int:
     return support if support in (0, 1) else -1
 
 
-def build_voter_matrix(events: Iterable[VoteEvent]) -> VoterMatrix:
-    """Build the matrix from deduplicated events.
-
-    Each voter, proposal id and support value gets the integer code of its
-    rank among the distinct ones, so the duplicate check, the live rows and
-    columns, and the cell fill are numpy operations on the codes.
-    """
-    events = list(events)
-    addresses, rows = _rank_codes([event.voter for event in events])
-    proposal_ids, cols = _rank_codes([event.proposal_id for event in events])
-    supports, support_codes = _rank_codes([event.support for event in events])
+def build_voter_matrix(events: VoteTable | Iterable[VoteEvent]) -> VoterMatrix:
+    """Build the matrix from a deduplicated table (or events, through
+    ``VoteTable.from_events``). Its codes rank each voter, proposal id and
+    support value among the distinct ones, so the duplicate check, the live
+    rows and columns, and the cell fill are numpy operations on them."""
+    table = VoteTable.from_events(events)
+    addresses, proposal_ids, supports = table.values[:3]
+    rows, cols, support_codes = table.codes[:3]
     _, first = np.unique(rows * len(proposal_ids) + cols, return_index=True)
-    if len(first) < len(events):
-        repeated = np.ones(len(events), dtype=bool)
+    if len(first) < len(table):
+        repeated = np.ones(len(table), dtype=bool)
         repeated[first] = False
-        event = events[int(np.argmax(repeated))]  # the first repeat in input order
-        key = (event.voter, event.proposal_id)
+        at = int(np.argmax(repeated))  # the first repeat in table order
+        key = (addresses[rows[at]], proposal_ids[cols[at]])
         raise ValueError(f"duplicate event for {key}; deduplicate first")
     values = np.array([collapse_support(s) for s in supports], dtype=np.int8)[support_codes]
     live = values >= 0
@@ -73,14 +70,6 @@ def build_voter_matrix(events: Iterable[VoteEvent]) -> VoterMatrix:
     cells[row, col] = values[live]
     return VoterMatrix(tuple(addresses[i] for i in live_rows.tolist()),
                        tuple(proposal_ids[j] for j in live_cols.tolist()), cells)
-
-
-def _rank_codes(values: list) -> tuple[list, np.ndarray]:
-    """The distinct values, sorted, and each value's index among them."""
-    distinct = sorted(set(values))
-    rank = {value: i for i, value in enumerate(distinct)}
-    return distinct, np.fromiter(map(rank.__getitem__, values), dtype=np.int64,
-                                 count=len(values))
 
 
 def to_csv(matrix: VoterMatrix, path: str | Path) -> None:

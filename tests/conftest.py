@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 from forkcast import VoteEvent, build_voter_matrix
-from forkcast.matrix import VoterMatrix
+from forkcast.errors import EmptyInput
+from forkcast.matrix import VoterMatrix, collapse_support
 
 
 def addr(index: int) -> str:
@@ -40,6 +41,28 @@ def events_from_rows(rows: list[list[int]],
             if value >= 0:
                 events.append(VoteEvent(addr(i), pids[j], value, pids[j], i))
     return events
+
+
+def build_voter_matrix_by_dict(events):
+    """Reference: the dict loop ``build_voter_matrix`` replaced."""
+    votes = {}
+    for event in events:
+        key = (event.voter, event.proposal_id)
+        if key in votes:
+            raise ValueError(f"duplicate event for {key}; deduplicate first")
+        votes[key] = collapse_support(event.support)
+    live_pairs = [(a, p) for (a, p), v in votes.items() if v in (0, 1)]
+    addresses = tuple(sorted({a for a, _ in live_pairs}))
+    proposal_ids = tuple(sorted({p for _, p in live_pairs}))
+    if not addresses or not proposal_ids:
+        raise EmptyInput("no events with support in {0, 1}")
+    row = {a: i for i, a in enumerate(addresses)}
+    col = {p: j for j, p in enumerate(proposal_ids)}
+    cells = np.full((len(addresses), len(proposal_ids)), -1, dtype=np.int8)
+    for (voter, proposal_id), value in votes.items():
+        if voter in row and proposal_id in col:
+            cells[row[voter], col[proposal_id]] = value
+    return VoterMatrix(addresses, proposal_ids, cells)
 
 
 def compact_copy(text: str) -> str:

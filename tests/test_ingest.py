@@ -20,7 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from forkcast import abi, ingest, planted_two_bloc_events
+from forkcast import abi, build_voter_matrix, ingest, planted_two_bloc_events
 from forkcast.abi import (
     _DYNAMIC_TYPES,
     EventAbi,
@@ -37,7 +37,6 @@ from forkcast.errors import (
     TransportError,
 )
 from forkcast.ingest import (
-    _CHAIN_ORDER,
     ForkGroundTruth,
     RpcError,
     VoteEvent,
@@ -50,7 +49,7 @@ from forkcast.ingest import (
     write_fixture,
 )
 
-from conftest import addr, compact_copy, read_through_fifo
+from conftest import addr, build_voter_matrix_by_dict, compact_copy, read_through_fifo
 
 ROOT = Path(__file__).resolve().parent.parent
 PLANTED = ROOT / "data" / "planted"
@@ -375,7 +374,7 @@ def test_round_trip_all_bundled_signatures():
 def test_load_fixture_empty(tmp_path):
     path = tmp_path / "votes.jsonl"
     path.write_text("")
-    assert load_fixture_with_report(path)[0] == []
+    assert load_fixture_with_report(path)[0].events() == []
 
 
 def test_load_fixture_duplicate_last_write_wins(tmp_path):
@@ -389,7 +388,8 @@ def test_load_fixture_duplicate_last_write_wins(tmp_path):
     ]
     path = tmp_path / "votes.jsonl"
     path.write_text("\n".join(json.dumps(line) for line in lines) + "\n")
-    events, duplicates = load_fixture_with_report(path)
+    table, duplicates = load_fixture_with_report(path)
+    events = table.events()
     assert duplicates == ((addr(1), 1),)
     assert len(events) == 2
     assert events[-1].support == 1 and events[-1].block_number == 12
@@ -479,7 +479,7 @@ def test_load_fixture_checks_each_voter_spelling_once(monkeypatch):
 
 
 def test_load_fixture_interns_each_voter():
-    events = load_fixture_with_report(PLANTED / "votes.jsonl")[0]
+    events = load_fixture_with_report(PLANTED / "votes.jsonl")[0].events()
     assert len({id(e.voter) for e in events}) == len({e.voter for e in events})
 
 
@@ -488,7 +488,7 @@ def test_load_fixture_normalizes_mixed_case_addresses(tmp_path):
     record = {"voter": "0xAB" + "Cd" * 19, "proposal_id": 1, "support": 1,
               "block_number": 0, "log_index": 0}
     path.write_text(json.dumps(record) + "\n")
-    [event] = load_fixture_with_report(path)[0]
+    [event] = load_fixture_with_report(path)[0].events()
     assert event.voter == ("0xab" + "cd" * 19)
 
 
@@ -547,9 +547,11 @@ def strict_decode_reference(path, parse_lines):
 
 def _load_outcome(load, path):
     try:
-        events, duplicates = load(path)
+        table, duplicates = load(path)
     except ParseError as exc:
         return "error", exc.line, str(exc)
+    assert all(voter is sys.intern(voter) for voter in table.values[0])
+    events = table.events()
     for event in events:
         assert type(event) is VoteEvent and event == VoteEvent(*event)
         assert event.voter is sys.intern(event.voter)
@@ -872,15 +874,93 @@ def test_collapse_duplicates_matches_sorting_twice(rows):
               for voter, proposal, support, block, index in rows]
     kept, duplicates = collapse_duplicates(events)
     expected_kept, expected_duplicates = collapse_by_sorting_twice(events)
-    assert kept == expected_kept
+    assert kept.events() == expected_kept
     assert duplicates == expected_duplicates
+
+
+def _count_vote_events(monkeypatch):
+    """The fields of each ``VoteEvent`` the ingest module builds from now on."""
+    built = []
+
+    def counted(*fields):
+        built.append(fields)
+        return VoteEvent(*fields)
+
+    monkeypatch.setattr(ingest, "VoteEvent", counted)
+    return built
+
+
+def test_canonical_load_builds_no_vote_event(tmp_path, monkeypatch):
+    paper = tmp_path / "votes.jsonl"
+    write_fixture(planted_two_bloc_events((419, 210), 330, seed=0)[0], paper)
+    built = _count_vote_events(monkeypatch)
+    for path, rows in ((PLANTED / "votes.jsonl", 1_450), (paper, 165_680)):
+        assert len(load_fixture_with_report(path)[0]) == rows
+    assert built == []
+
+
+def test_vote_events_are_built_from_the_first_block_not_canonical(tmp_path, monkeypatch):
+    path = tmp_path / "votes.jsonl"
+    write_fixture([VoteEvent(addr(i % 50 + 1), i // 50 + 1, i % 3, i // 5, i % 5)
+                   for i in range(30_000)], path)
+    raw, block = path.read_bytes(), ingest._BLOCK_BYTES
+    # the first line that starts in the third block, in another valid layout
+    at = raw.index(b"\n", 2 * block) + 1
+    end = raw.index(b"\n", at)
+    raw = raw[:at] + raw[at:end].replace(b'"support": ', b'"support":  ') + raw[end:]
+    path.write_bytes(raw)
+    assert len(raw) > 3 * block
+    cut = raw.rfind(b"\n", 0, 2 * block) + 1  # where the third block's lines start
+    built = _count_vote_events(monkeypatch)
+    assert len(load_fixture_with_report(path)[0]) == 30_000
+    assert len(built) == raw[cut:].count(b"\n")
+    assert built[0] == tuple(json.loads(raw[cut:raw.index(b"\n", cut)]).values())
+
+
+# more than one bulk block of canonical lines, each (voter, proposal) once
+_HEAD = [VoteEvent(addr(i % 97 + 1), i // 97 + 1, i % 3, i // 7, i % 7)
+         for i in range(9_000)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(tail=st.lists(_events_with(_FITTING_NUMBERS), max_size=8),
+       revote=st.tuples(st.integers(0, 1_000), st.integers(0, 3), st.integers(0, 2_000),
+                        st.integers(0, 9)))
+def test_canonical_per_line_and_mixed_loads_agree(tmp_path_factory, tail, revote):
+    at, support, block, index = revote
+    events = [*_HEAD, *tail, VoteEvent(addr(1), 2**80, 1, 5, 0),
+              VoteEvent(_HEAD[at].voter, _HEAD[at].proposal_id, support, block, index)]
+    base = tmp_path_factory.mktemp("three")
+    canonical, per_line, mixed = base / "a.jsonl", base / "b.jsonl", base / "c.jsonl"
+    write_fixture(events, canonical)
+    lines = canonical.read_text().splitlines(keepends=True)
+    per_line.write_text(compact_copy("".join(lines)))
+    # the canonical lines of the head, then the rest in another layout
+    mixed.write_text("".join(lines[:len(_HEAD)]) + compact_copy("".join(lines[len(_HEAD):])))
+    outcomes = []
+    for path in (canonical, per_line, mixed):
+        table, duplicates = load_fixture_with_report(path)
+        matrix = build_voter_matrix(table)
+        outcomes.append((table, duplicates,
+                         (matrix.addresses, matrix.proposal_ids, matrix.cells.tolist())))
+    assert outcomes[0] == outcomes[1] == outcomes[2]
+    table, duplicates, matrix = outcomes[0]
+    kept, expected_duplicates = collapse_by_sorting_twice(events)
+    reference = build_voter_matrix_by_dict(kept)
+    assert table.events() == kept and duplicates == expected_duplicates
+    assert matrix == (reference.addresses, reference.proposal_ids, reference.cells.tolist())
+    assert 2**80 in matrix[1]
+    written, expected = base / "d.jsonl", base / "e.jsonl"
+    write_fixture(table, written)
+    write_fixture_with_json_dumps(kept, expected)
+    assert written.read_bytes() == expected.read_bytes()
 
 
 def test_write_fixture_round_trip(tmp_path):
     events = [VoteEvent(addr(2), 3, 1, 50, 0), VoteEvent(addr(1), 1, 0, 10, 2)]
     path = tmp_path / "votes.jsonl"
     write_fixture(events, path)
-    assert load_fixture_with_report(path)[0] == sorted(events, key=chain_order)
+    assert load_fixture_with_report(path)[0].events() == sorted(events, key=chain_order)
 
 
 def test_write_fixture_keeps_the_given_order(tmp_path):
@@ -923,15 +1003,6 @@ def test_write_fixture_matches_json_dumps(tmp_path_factory, events):
     write_fixture_with_json_dumps(events, reference)
     assert written.read_bytes() == reference.read_bytes()
     assert load_fixture_with_report(written)[0] == collapse_duplicates(events)[0]
-
-
-@given(_events)
-def test_chain_order_key_is_chain_order(events):
-    """``collapse_duplicates`` sorts by the C-level key ``_CHAIN_ORDER``; it
-    must be the chain order: block, log index, then voter, proposal, support."""
-    for event in events:
-        assert _CHAIN_ORDER(event) == chain_order(event)
-    assert sorted(events, key=_CHAIN_ORDER) == sorted(events, key=chain_order)
 
 
 def test_make_planted_fixture_reproduces_bundled_data(tmp_path):
@@ -1106,7 +1177,7 @@ def test_fetch_logs_uses_the_entry_parsed_signatures():
 
 
 def test_every_event_source_builds_vote_events():
-    loaded = load_fixture_with_report(PLANTED / "votes.jsonl")[0]
+    loaded = load_fixture_with_report(PLANTED / "votes.jsonl")[0].events()
     decoded = fetch_logs("http://unused", _entry(), (1000, 1011),
                          transport=StaticLogTransport(_nouns_like_logs(12)))
     planted = planted_two_bloc_events(bloc_sizes=(4, 2), proposals=5)[0]
@@ -1122,7 +1193,7 @@ def test_fetch_logs_matches_fixture_export(tmp_path):
     write_fixture(events, path)
     exported, _ = load_fixture_with_report(path)
     deduped = {(e.voter, e.proposal_id): e for e in sorted(events, key=chain_order)}
-    assert exported == sorted(deduped.values(), key=chain_order)
+    assert exported.events() == sorted(deduped.values(), key=chain_order)
 
 
 class ReversedLogTransport(StaticLogTransport):

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from forkcast import VoteEvent, build_voter_matrix
 from forkcast.errors import EmptyInput
-from forkcast.matrix import VoterMatrix, collapse_support, to_csv
+from forkcast.matrix import collapse_support, to_csv
 
-from conftest import addr, make_matrix
+from conftest import addr, build_voter_matrix_by_dict, make_matrix
 
 
 def test_singleton_event():
@@ -60,28 +60,6 @@ def test_duplicates_rejected():
     events = [VoteEvent(addr(1), 1, 1, 0, 0), VoteEvent(addr(1), 1, 0, 5, 0)]
     with pytest.raises(ValueError, match="duplicate"):
         build_voter_matrix(events)
-
-
-def build_voter_matrix_by_dict(events):
-    """Reference: the dict loop ``build_voter_matrix`` replaced."""
-    votes = {}
-    for event in events:
-        key = (event.voter, event.proposal_id)
-        if key in votes:
-            raise ValueError(f"duplicate event for {key}; deduplicate first")
-        votes[key] = collapse_support(event.support)
-    live_pairs = [(a, p) for (a, p), v in votes.items() if v in (0, 1)]
-    addresses = tuple(sorted({a for a, _ in live_pairs}))
-    proposal_ids = tuple(sorted({p for _, p in live_pairs}))
-    if not addresses or not proposal_ids:
-        raise EmptyInput("no events with support in {0, 1}")
-    row = {a: i for i, a in enumerate(addresses)}
-    col = {p: j for j, p in enumerate(proposal_ids)}
-    cells = np.full((len(addresses), len(proposal_ids)), -1, dtype=np.int8)
-    for (voter, proposal_id), value in votes.items():
-        if voter in row and proposal_id in col:
-            cells[row[voter], col[proposal_id]] = value
-    return VoterMatrix(addresses, proposal_ids, cells)
 
 
 def _build_outcome(events):
